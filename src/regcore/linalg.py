@@ -32,6 +32,18 @@ def pack_key(degree: int, slot: int, b: int) -> int:
 def key_degree(key: int) -> int:
     return key >> _DEG_SHIFT
 
+
+def degree_limit(cap) -> int:
+    """Smallest key above degree `cap`; no key limit when cap is None."""
+    return EPS_BASE if cap is None else (cap + 1) << _DEG_SHIFT
+
+
+def times_variable(row: dict, var: int) -> dict:
+    """The row multiplied by x (var 0) or by y (var 1)."""
+    delta = (1 << _DEG_SHIFT) | var
+    return {k + delta: c for k, c in row.items()}
+
+
 def key_slot(key: int) -> int:
     return (key >> _SLOT_SHIFT) & _MASK
 
@@ -72,16 +84,21 @@ class SparseBasis:
         other.rows = dict(self.rows)
         return other
 
-    def dim(self) -> int:
-        return len(self.rows)
-
     def dim_up_to(self, cap: int) -> int:
-        return sum(1 for k in self.rows if k < EPS_BASE and key_degree(k) <= cap)
+        limit = degree_limit(cap)
+        return sum(1 for k in self.rows if k < limit)
+
+    def truncate(self, cap: int):
+        """Keep only terms of degree <= cap; rows whose lead is above cap go."""
+        limit = degree_limit(cap)
+        kept = {}
+        for lead, row in self.rows.items():
+            if lead < limit:
+                row = {k: c for k, c in row.items() if k < limit}
+                kept[lead] = _strip_content(row) if self.p is None else row
+        self.rows = kept
 
     # -- reduction ----------------------------------------------------
-
-    def _visible(self, key: int, cap) -> bool:
-        return key >= EPS_BASE or cap is None or key_degree(key) <= cap
 
     def reduce_to_lead(self, row: dict, cap=None):
         """Top-reduce a copy of `row` against the basis in the capped quotient.
@@ -89,11 +106,9 @@ class SparseBasis:
         Returns (lead, residual): lead is the smallest pivot-free key of
         the residual, or None when the row lies in the span.
         """
-        if cap is None:
-            work = dict(row)
-        else:
-            work = {k: c for k, c in row.items()
-                    if k >= EPS_BASE or key_degree(k) <= cap}
+        # keys in [limit, EPS_BASE) lie above the cap; kernel tags stay
+        limit = degree_limit(cap)
+        work = {k: c for k, c in row.items() if not limit <= k < EPS_BASE}
         if not work:
             return None, {}
         heap = list(work)
@@ -117,7 +132,7 @@ class SparseBasis:
                     for kk in work:
                         work[kk] *= scale
                 for kk, cc in prow.items():
-                    if not self._visible(kk, cap):
+                    if limit <= kk < EPS_BASE:
                         continue
                     nv = work.get(kk, 0) - factor * cc
                     if nv:
@@ -131,7 +146,7 @@ class SparseBasis:
                     work = _strip_content(work)
             else:
                 for kk, cc in prow.items():  # pivot rows are lead-normalised
-                    if not self._visible(kk, cap):
+                    if limit <= kk < EPS_BASE:
                         continue
                     nv = (work.get(kk, 0) - c * cc) % p
                     if nv:

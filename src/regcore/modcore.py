@@ -17,11 +17,10 @@ from .config import DEFAULT, EngineConfig
 from .errors import (FieldMismatchError, GenericityError, MathError,
                      NotMPrimaryError, TruncationCeilingError, ZeroIdealError)
 from .field import Field
-from .linalg import SparseBasis
 from .poly import Poly, matrix_minors
 from .reduction import GenericSampler, adjoint_ideal
-from .trunc import (TruncatedIdeal, TruncatedSpan, span_with_certificate,
-                    vector_row)
+from .trunc import (TruncatedIdeal, TruncatedSpan, nakayama_covers,
+                    span_with_certificate, vector_row)
 from . import staircase
 
 
@@ -437,34 +436,14 @@ def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int,
     """
     field = M.field
     rank = M.rank
-    c0 = _sym_certificate_order(M, t + 1, config)
-    cap = c0  # quotient Sym_(t+1)(F) / m^(c0+1)
+    cap = _sym_certificate_order(M, t + 1, config)
     slots = sym_slots(rank, t + 1)
     index = {exp: i for i, exp in enumerate(slots)}
     _, big_gens = sym_generators(M, t + 1)
-    basis = SparseBasis(field)
-
-    def insert_multiples(vec, min_mult_degree):
-        base = vector_row(vec, cap=None)
-        if not base:
-            return
-        ordv = min(f.order() for f in vec if not f.is_zero)
-        for d in range(min_mult_degree, cap + 1 - ordv):
-            for b in range(d + 1):
-                delta = (d << 28) | b
-                row = {}
-                for key, cf in base.items():
-                    kk = key + delta
-                    if (kk >> 28) <= cap:
-                        row[kk] = cf
-                if row:
-                    basis.insert(row, cap=cap)
-
-    for vec in big_gens:  # m * S_(t+1)(M)
-        insert_multiples(vec, 1)
     small_slots = sym_slots(rank, t)
     _, small_gens = sym_generators(M, t)
     zero = Poly.zero(field)
+    products = []
     for ncol in N.columns:  # S_1(N) * S_t(M)
         for svec in small_gens:
             # multiply the degree-t slot vector by the degree-1 column
@@ -482,9 +461,8 @@ def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int,
             vec = [zero] * len(slots)
             for j, poly in state.items():
                 vec[j] = poly
-            insert_multiples(tuple(vec), 0)
-    return all(basis.contains(vector_row(vec, cap=cap), cap=cap)
-               for vec in big_gens)
+            products.append(tuple(vec))
+    return nakayama_covers(big_gens, products, len(slots), field, cap)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ from .config import DEFAULT, EngineConfig
 from .errors import (GenericityError, MathError, NotMPrimaryError,
                      TruncationCeilingError)
 from .field import Field
-from .linalg import SparseBasis
 from .poly import Monomial, Poly
-from .trunc import TruncatedIdeal, monomials_below, poly_row
+from .trunc import TruncatedIdeal, monomials_below, nakayama_covers
 from . import staircase
 
 
@@ -80,31 +79,8 @@ def smaller_ideal_equals(big: TruncatedIdeal, small_gens: list[Poly]) -> bool:
     fld = big.field
     if big.is_unit:
         return any(g.constant_term() != fld.zero for g in small_gens)
-    cap = big.n0  # work in R/m^(n0+1); m^(n0+1) <= m*big
-    basis = SparseBasis(fld)
-    for g in big.gens:
-        base = poly_row(g, cap=None)
-        ordg = g.order()
-        for d in range(1, cap + 1 - ordg):
-            for b in range(d + 1):
-                delta = (d << 28) | b
-                row = {k + delta: c for k, c in base.items()
-                       if ((k + delta) >> 28) <= cap}
-                if row:
-                    basis.insert(row, cap=cap)
-    for q in small_gens:
-        if q.is_zero:
-            continue
-        base = poly_row(q, cap=None)
-        ordq = q.order()
-        for d in range(cap + 1 - ordq):
-            for b in range(d + 1):
-                delta = (d << 28) | b
-                row = {k + delta: c for k, c in base.items()
-                       if ((k + delta) >> 28) <= cap}
-                if row:
-                    basis.insert(row, cap=cap)
-    return all(basis.contains(poly_row(g, cap=cap), cap=cap) for g in big.gens)
+    return nakayama_covers([(g,) for g in big.gens],
+                           [(q,) for q in small_gens], 1, fld, big.n0)
 
 
 def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None,

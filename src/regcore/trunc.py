@@ -3,8 +3,11 @@
 Working in k[x,y]/m^N is exact as soon as a Nakayama certificate
 m^N0 <= I with N0 < N is in hand: membership, colons, colengths and
 equality tests all reduce to row operations below the certificate degree.
+A span is built one degree at a time, and the certificate is a pivot count:
+the first degree t at which every degree-t monomial leads a stored row.
 The same machinery drives finite-colength submodules of R^s, so the
-module layer reuses TruncatedSpan with more slots.
+module layer reuses TruncatedSpan with more slots, and the Nakayama
+equality tests of the reduction layers reuse it too.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from .config import DEFAULT, EngineConfig
 from .errors import (FieldMismatchError, NotMPrimaryError,
                      TruncationCeilingError, ZeroIdealError)
 from .field import Field
-from .linalg import SparseBasis, kernel_modulo, key_exponents, key_slot, pack_key
+from .linalg import (SparseBasis, degree_limit, kernel_modulo, key_degree,
+                     key_exponents, key_slot, pack_key, times_variable)
 from .poly import Monomial, Poly
 from . import staircase
 
@@ -72,50 +76,77 @@ def row_to_vector(row: dict, field: Field, nslots: int):
 
 
 class TruncatedSpan:
-    """Echelonized R-span of column vectors inside (R/m^order)^nslots."""
+    """Echelonized R-span I of column vectors inside F/m^order F, F = R^nslots,
+    built one degree at a time like a Macaulay matrix.
 
-    def __init__(self, field: Field, nslots: int, columns, order: int):
+    Stage t inserts the generator columns of order t, and x*b and y*b for
+    every stored pivot row b of lead degree t-1.  Rows are kept untruncated
+    below the stage bound `order` (the truncation ceiling when the caller
+    names no order) until the certificate, so every stored row lies in I.
+
+    Invariant: after stage t, the stored rows together with m^(t+1)F span
+    I + m^(t+1)F.  Take f in I and write f = sum c_j(0) g_j + x*h' + y*h''
+    with h', h'' in I.  The constant terms use generators of order <= t, and
+    each of those was inserted at its own order.  By induction, h' lies in
+    the span of the rows with lead degree <= t-1, plus m^t F.  Each such
+    pivot b had x*b inserted at stage lead(b)+1 <= t.  This works because a
+    row inserted at stage s has order >= s, and top reduction only raises
+    its lead, so every pivot of lead degree t-1 exists by the end of stage
+    t-1.
+
+    So the rows of lead degree <= t, read modulo m^(t+1)F, are a basis of
+    (I + m^(t+1)F)/m^(t+1)F, and the pivots of lead degree t number
+    nslots*(t+1) exactly when m^t F <= I + m^(t+1)F, which by Nakayama
+    means m^t F <= I.  The first such t is the certificate n0: building
+    stops there with order = n0 + 1, and since m^n0 F <= I the rows are
+    trimmed to degree <= n0 and rows of higher lead are dropped.  No
+    certificate below `order` leaves n0 = None.  With certify=False every
+    stage below `order` is built and no certificate is sought.
+    """
+
+    def __init__(self, field: Field, nslots: int, columns, order: int,
+                 certify: bool = True):
         self.field = field
         self.nslots = nslots
-        self.columns = tuple(tuple(col) for col in columns)
-        self.order = order
         self.basis = SparseBasis(field)
         self.n0 = None
-        self._fill()
-        self._find_certificate()
-
-    def _fill(self):
-        cap = self.order - 1
-        for col in self.columns:
-            base = vector_row(col, cap=None)
-            if not base:
-                continue
-            col_order = min(f.order() for f in col if f is not None and not f.is_zero)
-            for d in range(self.order - col_order):
-                for b in range(d + 1):
-                    delta = (d << 28) | b
-                    row = {}
-                    for k, c in base.items():
-                        kk = k + delta
-                        if (kk >> 28) <= cap:
-                            row[kk] = c
-                    if row:
-                        self.basis.insert(row, cap=cap)
-
-    def _find_certificate(self):
-        one = self.field.one if self.field.p is not None else 1
-        for t in range(self.order):
-            ok = True
-            for slot in range(self.nslots):
-                for b in range(t + 1):
-                    if not self.basis.contains({pack_key(t, slot, b): one}, cap=t):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+        self.order = 0  # stages built so far
+        self._cap = order - 1
+        self._leads: list[list[int]] = [[] for _ in range(order)]
+        pending: list[list[dict]] = [[] for _ in range(order)]
+        for col in columns:
+            row = vector_row(col, cap=self._cap)
+            if row:
+                pending[key_degree(min(row))].append(row)
+        for t in range(order):
+            self._stage(pending[t])
+            if certify and len(self._leads[t]) == nslots * (t + 1):
                 self.n0 = t
+                self._cap = t
+                self.basis.truncate(t)
+                del self._leads[t + 1:]
                 return
+
+    def _stage(self, rows: list[dict]):
+        t = self.order
+        if t:
+            for lead in self._leads[t - 1]:
+                b = self.basis.rows[lead]
+                rows += [times_variable(b, 0), times_variable(b, 1)]
+        for row in rows:
+            lead = self.basis.insert(row, cap=self._cap)
+            if lead is not None:
+                self._leads[key_degree(lead)].append(lead)
+        self.order = t + 1
+
+    def grow(self, order: int):
+        """Build the stages below `order` in place, past the certificate."""
+        if order <= self.order:
+            return
+        self._cap = order - 1
+        self._leads += [[] for _ in range(order - len(self._leads))]
+        while self.order < order:
+            self._stage([])
 
     def colength(self) -> int:
         return self.nslots * triangle(self.n0) - self.basis.dim_up_to(self.n0 - 1)
@@ -126,42 +157,46 @@ class TruncatedSpan:
 
     def basis_rows(self, cap):
         """Capped copies of the stored rows, deterministic order."""
-        out = []
-        for lead in sorted(self.basis.rows):
-            if (lead >> 28) <= cap:
-                row = {k: c for k, c in self.basis.rows[lead].items()
-                       if (k >> 28) <= cap}
-                out.append(row)
-        return out
+        limit = degree_limit(cap)
+        return [{k: c for k, c in self.basis.rows[lead].items() if k < limit}
+                for lead in sorted(self.basis.rows) if lead < limit]
 
 
 def span_with_certificate(columns, nslots: int, field: Field,
                           config: EngineConfig = DEFAULT,
                           order: int | None = None) -> TruncatedSpan:
-    """Materialize a span, growing the truncation until a certificate appears."""
-    maxdeg = 0
-    for col in columns:
-        for f in col:
-            if f is not None and not f.is_zero:
-                maxdeg = max(maxdeg, f.degree())
-    if order is not None:
-        if order > config.truncation_ceiling:
-            raise TruncationCeilingError(
-                f"order {order} exceeds ceiling {config.truncation_ceiling}")
-        span = TruncatedSpan(field, nslots, columns, order)
-        if span.n0 is None:
-            raise NotMPrimaryError("not m-primary at this truncation")
+    """Materialize a span up to its Nakayama certificate.
+
+    An explicit `order` bounds the stages; otherwise the truncation ceiling
+    does.
+    """
+    ceiling = config.truncation_ceiling
+    if order is not None and order > ceiling:
+        raise TruncationCeilingError(f"order {order} exceeds ceiling {ceiling}")
+    span = TruncatedSpan(field, nslots, columns,
+                         ceiling if order is None else order)
+    if span.n0 is not None:
         return span
-    n = min(config.truncation_ceiling, max(6, 2 * maxdeg + 4))
-    while True:
-        span = TruncatedSpan(field, nslots, columns, n)
-        if span.n0 is not None:
-            return span
-        if n >= config.truncation_ceiling:
-            raise NotMPrimaryError(
-                f"no Nakayama certificate up to the truncation ceiling "
-                f"{config.truncation_ceiling}: not finite colength")
-        n = min(2 * n, config.truncation_ceiling)
+    if order is not None:
+        raise NotMPrimaryError("not m-primary at this truncation")
+    raise NotMPrimaryError(
+        f"no Nakayama certificate up to the truncation ceiling "
+        f"{ceiling}: not finite colength")
+
+
+def nakayama_covers(big, small, nslots: int, field: Field, cap: int) -> bool:
+    """Does span(small) + m*span(big) hold every column of `big`, modulo
+    m^(cap+1)F?
+
+    For span(small) <= span(big) with m^(cap+1)F <= m*span(big), this
+    decides span(small) == span(big) by Nakayama.
+    """
+    columns = [tuple(f.shift(*xy) for f in col) for col in big
+               for xy in ((1, 0), (0, 1))]
+    span = TruncatedSpan(field, nslots, columns + list(small), cap + 1,
+                         certify=False)
+    return all(span.basis.contains(vector_row(col, cap=cap), cap=cap)
+               for col in big)
 
 
 class TruncatedIdeal:
@@ -213,17 +248,6 @@ class TruncatedIdeal:
     @property
     def n0(self) -> int:
         return 0 if self.is_unit else self.span.n0
-
-    @property
-    def order(self) -> int:
-        return 1 if self.is_unit else self.span.order
-
-    def at_order(self, order: int) -> "TruncatedIdeal":
-        """Rematerialized copy at a (usually larger) truncation order."""
-        if self.is_unit or order <= self.order:
-            return self
-        return TruncatedIdeal.materialize(self.gens, self.field, order=order,
-                                          config=self.config)
 
     def colength(self) -> int:
         return 0 if self.is_unit else self.span.colength()
@@ -298,11 +322,11 @@ class TruncatedIdeal:
         if other.is_unit:
             return self
         t = max(self.n0, other.n0)
-        a = self.at_order(t + 1)
-        b = other.at_order(t + 1)
         cap = t - 1
-        rows = a.span.basis_rows(cap)
-        lams = kernel_modulo(b.span.basis, rows, cap=cap)
+        self.span.grow(t)  # both spans must reach R/m^t
+        other.span.grow(t)
+        rows = self.span.basis_rows(cap)
+        lams = kernel_modulo(other.span.basis, rows, cap=cap)
         gens = []
         for lam in lams:
             combo = {}

@@ -238,9 +238,9 @@ def _family_ideal_classics(runner: _Runner, seed: int, ideals, pairs):
                        adjoint(shifted), adjoint(a).shift((1, 2)))
     for i, a in enumerate(ideals):
         sampler = GenericSampler(seed=_child_seed(seed, 12, i))
+        runner.start()
         core_a = core_module(_mod(runner, a), sampler, config=runner.config)
         adj_a = adjoint(a)
-        runner.start()
         runner.eq_module("core-equals-adjoint-times-ideal",
                          f"a={ideal_text(a)}", core_a,
                          _mod(runner, adj_a.product(a)))
@@ -262,14 +262,14 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
     mods = _presented_modules(runner, ideals, module_pairs)
     for i, (label, mod) in enumerate(mods):
         n, r = mod.ngens, mod.rank
-        ideal_of_minors = mod.minor_ideal().to_monomial()
         runner.start()
+        ideal_of_minors = mod.minor_ideal().to_monomial()
         fit = fitting(mod.presentation, n - r, runner.field,
                       config=runner.config)
         runner.eq_mono("maximal-minors-of-presentation-regenerate",
                        label, fit.to_monomial(), ideal_of_minors)
-        adj_oracle = adjoint(ideal_of_minors)
         runner.start()
+        adj_oracle = adjoint(ideal_of_minors)
         first_fit = fitting(mod.presentation, n - r - 1, runner.field,
                             config=runner.config)
         runner.eq_mono("adjoint-equals-first-fitting-ideal", label,
@@ -315,8 +315,8 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
     # colon-method adjoint agrees with the lattice oracle on the minor ideals
     for i, (label, mod) in enumerate(mods):
         sampler = GenericSampler(seed=_child_seed(seed, 29, i))
-        tri = mod.minor_ideal()
         runner.start()
+        tri = mod.minor_ideal()
         adj_colon = adjoint_ideal(tri, sampler, config=runner.config)
         runner.eq_mono("colon-method-adjoint-matches-lattice-oracle", label,
                        adj_colon.to_monomial(),
@@ -329,9 +329,9 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
     mods = _presented_modules(runner, ideals[:4], module_pairs)
     for i, (label, mod) in enumerate(mods):
         sampler = GenericSampler(seed=_child_seed(seed, 31, i))
+        runner.start()
         minors = mod.minor_ideal().to_monomial()
         adj_oracle = adjoint(minors)
-        runner.start()
         core = core_module(mod, sampler, config=runner.config)
         runner.eq_module("core-equals-adjoint-of-minors-times-module", label,
                          core, mod.scale_by_monomial_ideal(adj_oracle))
@@ -421,9 +421,9 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
         runner.le_module("core-of-scaled-module-bound", label,
                          core_scaled, rhs)
     for i, (label, mod) in enumerate(mods[:6]):
-        minors = mod.minor_ideal().to_monomial()
         sampler = GenericSampler(seed=_child_seed(seed, 36, i))
         runner.start()
+        minors = mod.minor_ideal().to_monomial()
         core = core_module(mod, sampler, config=runner.config)
         runner.eq_mono("adjoint-of-core-minors", label,
                        adjoint(core.minor_ideal().to_monomial()),

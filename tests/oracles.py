@@ -3,11 +3,18 @@
 Nothing here touches the engine's staircase geometry or echelon bases:
 membership is raw divisibility scanning, colength is raw lattice counting,
 rank computations use a standalone Fraction Gaussian elimination, and
-determinants use the permutation-sum formula.
+determinants use the permutation-sum formula.  The one exception is
+`ReferenceSpan`, which reuses the engine's echelon basis but builds the
+span the direct way, as a reference for the degree-by-degree builder.
 """
 
 from fractions import Fraction
 from itertools import permutations
+
+from regcore.errors import NotMPrimaryError
+from regcore.linalg import SparseBasis
+from regcore.poly import Poly
+from regcore.trunc import TruncatedSpan, vector_row
 
 
 def mono_member(point, gens) -> bool:
@@ -115,3 +122,60 @@ def quotient_dimension(gens_exponents_coeffs, order) -> int:
                     rows.append(row)
     rank = fraction_rank(rows) if rows else 0
     return len(monos) - rank
+
+
+class ReferenceSpan(TruncatedSpan):
+    """TruncatedSpan built the direct way: every monomial multiple of every
+    column below a fixed truncation order, then a certificate search that
+    probes each degree-t monomial of every slot for membership mod m^(t+1).
+
+    Only construction differs; colength, membership and basis_rows are the
+    engine's own, so an ideal or module can run on either builder.
+    """
+
+    def __init__(self, field, nslots, columns, order):
+        self.field = field
+        self.nslots = nslots
+        self.columns = [tuple(col) for col in columns]
+        self.n0 = None
+        self._fill(order)
+        for t in range(order):
+            probes = [tuple(Poly.term(field, t - b, b) if s == slot
+                            else Poly.zero(field) for s in range(nslots))
+                      for slot in range(nslots) for b in range(t + 1)]
+            if all(self.basis.contains(vector_row(v), cap=t) for v in probes):
+                self.n0 = t
+                return
+
+    def _fill(self, order):
+        self.order = order
+        self.basis = SparseBasis(self.field)
+        cap = order - 1
+        for col in self.columns:
+            nonzero = [f for f in col if not f.is_zero]
+            if not nonzero:
+                continue
+            for d in range(order - min(f.order() for f in nonzero)):
+                for b in range(d + 1):
+                    row = vector_row(tuple(f.shift(d - b, b) for f in col),
+                                     cap=cap)
+                    if row:
+                        self.basis.insert(row, cap=cap)
+
+    def grow(self, order):
+        """Rebuild at a larger truncation order; the certificate stands."""
+        if order > self.order:
+            self._fill(order)
+
+
+def reference_span(columns, nslots, field, ceiling=64):
+    """ReferenceSpan at a guessed order, doubled until a certificate shows."""
+    maxdeg = max(f.degree() for col in columns for f in col if not f.is_zero)
+    order = min(ceiling, max(6, 2 * maxdeg + 4))
+    while True:
+        span = ReferenceSpan(field, nslots, columns, order)
+        if span.n0 is not None:
+            return span
+        if order >= ceiling:
+            raise NotMPrimaryError("no certificate up to the ceiling")
+        order = min(2 * order, ceiling)

@@ -5,9 +5,10 @@ from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.field import QQ, PrimeField
 from regcore.poly import Poly, parse_poly
 from regcore.staircase import MonomialIdeal, colength as mono_colength
-from regcore.trunc import TruncatedIdeal, monomials_below, triangle
+from regcore.trunc import (TruncatedIdeal, monomials_below,
+                           span_with_certificate, triangle)
 
-from oracles import quotient_dimension
+from oracles import quotient_dimension, reference_span
 
 F7 = PrimeField(7)
 
@@ -53,6 +54,9 @@ def test_nakayama_certificate_values():
 def test_non_m_primary_is_rejected():
     with pytest.raises(NotMPrimaryError):
         Tr("x^2", order=6)
+    with pytest.raises(NotMPrimaryError):  # n0 is 4: order 4 stops at stage 3
+        Tr("x^2 - y^3", "x*y", order=4)
+    assert Tr("x^2 - y^3", "x*y", order=5).n0 == 4
     with pytest.raises(NotMPrimaryError):
         TruncatedIdeal.materialize([P("x^2")], QQ)  # auto-raise hits ceiling
 
@@ -100,6 +104,20 @@ def test_intersection_of_mixed_ideals():
     right = Tr("x^2", "y")
     expected = TruncatedIdeal.from_monomial(M(2), QQ)
     assert left.intersect(right).equals(expected)
+
+
+def test_intersection_of_ideals_with_different_certificates():
+    small_mono = MonomialIdeal.from_exponents([(3, 0), (0, 1)])
+    big_mono = MonomialIdeal.from_exponents(
+        [(5, 0), (4, 1), (3, 2), (2, 3), (0, 4)])
+    small = TruncatedIdeal.from_monomial(small_mono, QQ)
+    big = TruncatedIdeal.from_monomial(big_mono, QQ)
+    assert (small.n0, big.n0) == (3, 5)
+    expected = small_mono.intersect(big_mono)
+    assert small.intersect(big).to_monomial() == expected
+    assert big.intersect(small).to_monomial() == expected
+    # growing a span in place leaves its own answers alone
+    assert small.n0 == 3 and small.colength() == mono_colength(small_mono)
 
 
 def test_colon_workhorse():
@@ -172,13 +190,14 @@ def test_dual_backend_ops_agree(p1, p2):
     assert a.equals(b) == (a_mono == b_mono)
 
 
-def mixed_ideals():
+def mixed_ideals(field=QQ):
     """Small non-monomial m-primary ideals: binomial-perturbed antichains."""
     def build(data):
         (a0, b0, pa, pb, qa, qb, sign) = data
-        gens = [P(f"x^{a0}"), P(f"y^{b0}"),
-                P(f"x^{pa}*y^{pb}") + P(f"x^{qa}*y^{qb}").scale(sign)]
-        return TruncatedIdeal.materialize(gens, QQ)
+        gens = [P(f"x^{a0}", field), P(f"y^{b0}", field),
+                P(f"x^{pa}*y^{pb}", field)
+                + P(f"x^{qa}*y^{qb}", field).scale(sign)]
+        return TruncatedIdeal.materialize(gens, field)
     return st.tuples(st.integers(2, 4), st.integers(2, 4),
                      st.integers(1, 3), st.integers(0, 2),
                      st.integers(0, 2), st.integers(1, 3),
@@ -208,6 +227,68 @@ def test_lattice_relations_on_mixed_ideals(i, j):
     assert i.product(j).contains_ideal(meet.product(join))
     # modularity of colengths: len(R/meet) + len(R/join) = len(R/I) + len(R/J)
     assert meet.colength() + join.colength() == i.colength() + j.colength()
+
+
+def changed_monomial_gens(field):
+    """Generators of an m-primary monomial ideal after a linear change of
+    coordinates x -> a*x + b*y, y -> c*x + d*y, invertible over Q and F7."""
+    def build(data):
+        pts, (a, b, c, d) = data
+        x = Poly.term(field, 1, 0, a) + Poly.term(field, 0, 1, b)
+        y = Poly.term(field, 1, 0, c) + Poly.term(field, 0, 1, d)
+        gens = []
+        for m in as_m_primary(pts).gens:
+            g = Poly.one(field)
+            for _ in range(m.a):
+                g = g * x
+            for _ in range(m.b):
+                g = g * y
+            gens.append(g)
+        return gens
+    coeffs = st.tuples(*[st.integers(-3, 3)] * 4).filter(
+        lambda t: (t[0] * t[3] - t[1] * t[2]) % 7 != 0)
+    return st.tuples(mono_pts, coeffs).map(build)
+
+
+def probe_polys(field):
+    terms = st.tuples(st.integers(0, 6), st.integers(0, 6),
+                      st.sampled_from([1, -1, 2, 3]))
+    return st.lists(terms, min_size=1, max_size=3).map(
+        lambda ts: sum((Poly.term(field, a, b, c) for a, b, c in ts),
+                       Poly.zero(field)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_builder_matches_reference_builder(data):
+    field = data.draw(st.sampled_from([QQ, F7]))
+    gens = st.one_of(mixed_ideals(field).map(lambda i: list(i.gens)),
+                     changed_monomial_gens(field))
+    i_gens, j_gens = data.draw(gens), data.draw(gens)
+    probes = data.draw(st.lists(probe_polys(field), min_size=4, max_size=4))
+    new_i, new_j = (TruncatedIdeal.materialize(g, field)
+                    for g in (i_gens, j_gens))
+    ref_i, ref_j = (TruncatedIdeal(field, g, reference_span(
+        [(f,) for f in g], 1, field), False) for g in (i_gens, j_gens))
+    for new, ref in ((new_i, ref_i), (new_j, ref_j)):
+        assert new.n0 == ref.n0
+        assert new.colength() == ref.colength()
+        assert [new.contains_poly(f) for f in probes] == \
+            [ref.contains_poly(f) for f in probes]
+    assert new_i.intersect(new_j).equals(ref_i.intersect(ref_j))
+    assert new_i.colon(new_j).equals(ref_i.colon(ref_j))
+    assert new_j.colon(new_i).equals(ref_j.colon(ref_i))
+    # the rank-2 direct sum I (+) J
+    zero = Poly.zero(field)
+    columns = [(g, zero) for g in i_gens] + [(zero, h) for h in j_gens]
+    new = span_with_certificate(columns, 2, field)
+    ref = reference_span(columns, 2, field)
+    assert new.n0 == ref.n0 == max(new_i.n0, new_j.n0)
+    assert new.colength() == ref.colength() == \
+        new_i.colength() + new_j.colength()
+    vectors = [(f, g) for f in probes for g in probes]
+    assert [new.contains_vector(v) for v in vectors] == \
+        [ref.contains_vector(v) for v in vectors]
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
