@@ -48,10 +48,6 @@ def _emit(args, payload: dict, text: str | None = None):
         sys.stdout.write(out)
 
 
-def _ideal_payload(ideal: TruncatedIdeal) -> dict:
-    return ideal_to_obj(ideal)
-
-
 def _gens_payload(fld, gens, config) -> dict:
     """Ideal payload with n0/colength when the ideal is m-primary."""
     try:
@@ -81,7 +77,7 @@ def _cmd_closure(args, config):
     fld, gens = ideal_from_obj(_load_json(args.ideal))
     ideal = TruncatedIdeal.materialize(gens, fld, config=config)
     result = integral_closure_ideal(ideal, nmax=args.nmax, config=config)
-    payload = _ideal_payload(result.ideal)
+    payload = ideal_to_obj(result.ideal)
     payload["exact"] = result.exact
     _emit(args, payload, _ideal_with_art(result.ideal)
           + ("" if result.exact else "\n(lower bound: candidate search)"))
@@ -134,14 +130,14 @@ def _cmd_core(args, config):
                        sampler, config=config)
     gens = [col[0] for col in core.columns]
     out = TruncatedIdeal.materialize(gens, ideal.field, config=config)
-    _emit(args, _ideal_payload(out), _ideal_with_art(out))
+    _emit(args, ideal_to_obj(out), _ideal_with_art(out))
     return 0
 
 
 def _cmd_fitting(args, config):
     fld, matrix = matrix_from_obj(_load_json(args.presentation))
     ideal = fitting(matrix, args.k, fld, config=config)
-    _emit(args, _ideal_payload(ideal), _ideal_with_art(ideal))
+    _emit(args, ideal_to_obj(ideal), _ideal_with_art(ideal))
     return 0
 
 
@@ -215,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "cores over k[x,y] localized at the origin.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ideal=False, module=False, presentation=False):
+    def common(p, ideal=False, module=False, presentation=False,
+               seeded=False):
         if ideal:
             p.add_argument("--ideal", help="ideal JSON file")
         if module:
@@ -223,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
         if presentation:
             p.add_argument("--presentation", required=True,
                            help="matrix JSON file")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--field", default="Q")
+        if seeded:
+            p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--ceiling", type=int, default=None,
@@ -233,30 +229,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="integral closure of an ideal")
     common(p, ideal=True)
+    p.add_argument("--nmax", type=int, default=None)
 
     p = sub.add_parser("adjoint", help="adjoint of an ideal")
-    common(p, ideal=True)
+    common(p, ideal=True, seeded=True)
     p.add_argument("--method", choices=("howald", "colon", "both"),
                    default="both")
 
     p = sub.add_parser("core", help="core of an ideal or module")
-    common(p, ideal=True, module=True)
+    common(p, ideal=True, module=True, seeded=True)
 
     p = sub.add_parser("fitting", help="ideal of k x k minors of a matrix")
     common(p, presentation=True)
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("mult", help="Hilbert-Samuel multiplicity")
-    common(p, ideal=True)
+    common(p, ideal=True, seeded=True)
 
     p = sub.add_parser("br", help="Buchsbaum-Rim multiplicity of a module")
     common(p, module=True)
 
     p = sub.add_parser("reduction", help="seeded minimal reduction")
-    common(p, ideal=True, module=True)
+    common(p, ideal=True, module=True, seeded=True)
 
     p = sub.add_parser("verify", help="run verification campaigns")
-    common(p)
+    common(p, seeded=True)
+    p.add_argument("--field", default="Q")
     p.add_argument("--family", choices=FAMILIES, default="all")
     p.add_argument("--count", type=int, default=50)
 

@@ -38,10 +38,25 @@ def degree_limit(cap) -> int:
     return EPS_BASE if cap is None else (cap + 1) << _DEG_SHIFT
 
 
-def times_variable(row: dict, var: int) -> dict:
-    """The row multiplied by x (var 0) or by y (var 1)."""
-    delta = (1 << _DEG_SHIFT) | var
+def times_monomial(row: dict, a: int, b: int) -> dict:
+    """The row multiplied by x^a y^b."""
+    delta = ((a + b) << _DEG_SHIFT) | b
     return {k + delta: c for k, c in row.items()}
+
+
+def combine(coeffs: dict, rows: list[dict], p=None) -> dict:
+    """sum(coeffs[i] * rows[i]), reduced mod p when p is given."""
+    out: dict = {}
+    for i, coeff in coeffs.items():
+        for k, c in rows[i].items():
+            v = out.get(k, 0) + coeff * c
+            if p is not None:
+                v %= p
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
 
 
 def key_slot(key: int) -> int:

@@ -20,7 +20,7 @@ from .field import Field
 from .poly import Poly, matrix_minors
 from .reduction import GenericSampler, adjoint_ideal
 from .trunc import (TruncatedIdeal, TruncatedSpan, nakayama_covers,
-                    span_with_certificate, vector_row)
+                    span_colon, span_with_certificate)
 from . import staircase
 
 
@@ -178,11 +178,6 @@ class ModuleRep:
         gens = [Poly.monomial(self.field, m) for m in ideal.gens]
         return self.scale_by_gens(gens)
 
-    def add_column(self, vector) -> "ModuleRep":
-        return ModuleRep(self.field, self.rank,
-                         list(self.columns) + [tuple(vector)],
-                         config=self.config)
-
 
 # ---------------------------------------------------------------------------
 # Fitting ideals
@@ -217,28 +212,73 @@ def _component_split(matrix, nrows, ncols):
 _MINOR_BUDGET = 500_000
 
 
-def _component_fitting_gens(matrix, rows, cols, size, field):
-    """Generators (possibly zero) of I_size of one block, or None if zero."""
-    if size == 0:
-        return "unit"
-    if size > len(rows) or size > len(cols):
-        return None
+def _block_minors(matrix, rows, cols, size, field) -> list[Poly]:
+    """The nonzero size x size minors of one block."""
     from math import comb
     if comb(len(rows), size) * comb(len(cols), size) > _MINOR_BUDGET:
         raise MathError("Fitting ideal needs too many minors to enumerate")
     sub = [[matrix[i][j] for j in cols] for i in rows]
-    minors = [m for m in matrix_minors(sub, size, field) if not m.is_zero]
-    return minors or None
+    return [m for m in matrix_minors(sub, size, field) if not m.is_zero]
+
+
+class _FittingChain:
+    """I_0(A), ..., I_min(n,m)(A) of one presentation A, from one pass.
+
+    Block-diagonal structure is detected and exploited: minors crossing
+    independent blocks factor, so each I_k is the convolution of the
+    blocks' Fitting ideals, which keeps structured presentations
+    (bidiagonal blocks) tractable at every k.  Each block's minors of each
+    size are enumerated once; each I_k is materialized on first request.
+    """
+
+    def __init__(self, matrix, nrows: int, ncols: int, field: Field,
+                 config: EngineConfig):
+        self.field = field
+        self.config = config
+        # nonzero generators per size; a missing size is the zero ideal
+        gens: dict[int, list[Poly]] = {0: [Poly.one(field)]}
+        for rows, cols in _component_split(matrix, nrows, ncols):
+            block = {0: [Poly.one(field)]}
+            for size in range(1, min(len(rows), len(cols)) + 1):
+                block[size] = _block_minors(matrix, rows, cols, size, field)
+            new: dict[int, list[Poly]] = {}
+            for have, value in gens.items():
+                for size, minors in block.items():
+                    if not minors:
+                        continue
+                    if have == 0:
+                        contrib = minors
+                    elif size == 0:
+                        contrib = value
+                    else:
+                        contrib = [u * v for u in value for v in minors]
+                    new.setdefault(have + size, []).extend(contrib)
+            gens = new
+        self.gens = gens
+        self.ideals: dict[int, TruncatedIdeal] = {}
+
+    def ideal(self, k: int) -> TruncatedIdeal:
+        if k not in self.ideals:
+            if k not in self.gens:
+                raise ZeroIdealError(f"I_{k} vanishes: all {k}-minors are zero")
+            dedup = list(dict.fromkeys(self.gens[k]))
+            self.ideals[k] = TruncatedIdeal.materialize(
+                dedup, self.field, config=self.config)
+        return self.ideals[k]
+
+
+# The chain of the most recent presentation only: successive fitting()
+# calls on one matrix (a k-loop, core_module's Fitting route) share it,
+# and no chain outlives the next presentation.
+_last_chain: list = [None, None]  # [key, _FittingChain]
 
 
 def fitting(matrix, k: int, field: Field,
             config: EngineConfig = DEFAULT) -> TruncatedIdeal:
     """I_k(A): the ideal of k x k minors of A, as a truncated ideal.
 
-    Unit for k <= 0.  Block-diagonal structure is detected and exploited:
-    minors crossing independent blocks factor, so I_k is the convolution
-    of the blocks' Fitting ideals; this keeps structured presentations
-    (bidiagonal blocks) tractable at every k.
+    Unit for k <= 0; ZeroIdealError when I_k is zero.  A view of the
+    Fitting chain of A, which is computed once per presentation.
     """
     if k <= 0:
         return TruncatedIdeal.unit(field, config)
@@ -246,45 +286,11 @@ def fitting(matrix, k: int, field: Field,
     ncols = len(matrix[0]) if nrows else 0
     if k > min(nrows, ncols):
         raise ZeroIdealError(f"I_{k} of a {nrows}x{ncols} matrix is zero")
-    comps = _component_split(matrix, nrows, ncols)
-    # value per partial size: None (zero ideal), "unit", or list of gens
-    acc: dict[int, list[Poly] | str | None] = {0: "unit"}
-    for rows, cols in comps:
-        limit = min(len(rows), len(cols))
-        sizes = {}
-        for size in range(limit + 1):
-            sizes[size] = _component_fitting_gens(matrix, rows, cols, size,
-                                                  field)
-        new_acc: dict[int, list[Poly] | str | None] = {}
-        for have, value in acc.items():
-            if value is None:
-                continue
-            for size, gens in sizes.items():
-                if gens is None or have + size > k:
-                    continue
-                if value == "unit":
-                    contrib = gens
-                elif gens == "unit":
-                    contrib = value
-                else:
-                    contrib = [u * v for u in value for v in gens]
-                prev = new_acc.get(have + size)
-                if contrib == "unit" or prev == "unit":
-                    new_acc[have + size] = "unit"
-                elif prev is None:
-                    new_acc[have + size] = list(contrib)
-                else:
-                    new_acc[have + size] = prev + list(contrib)
-        acc = new_acc
-    value = acc.get(k)
-    if value is None:
-        raise ZeroIdealError(f"I_{k} vanishes: all {k}-minors are zero")
-    if value == "unit":
-        return TruncatedIdeal.unit(field, config)
-    dedup: dict[Poly, None] = {}
-    for g in value:
-        dedup.setdefault(g, None)
-    return TruncatedIdeal.materialize(list(dedup), field, config=config)
+    key = (tuple(tuple(row) for row in matrix), field, config)
+    if _last_chain[0] != key:
+        _last_chain[:] = [key, _FittingChain(matrix, nrows, ncols, field,
+                                             config)]
+    return _last_chain[1].ideal(k)
 
 
 # ---------------------------------------------------------------------------
@@ -293,32 +299,11 @@ def fitting(matrix, k: int, field: Field,
 
 def colon_into(N: ModuleRep, M: ModuleRep,
                config: EngineConfig = DEFAULT) -> TruncatedIdeal:
-    """(N : M) = { r in R : r*M <= N } for N <= M of the same rank."""
+    """(N : M) = { r in R : r*M <= N } for N <= M of the same rank, by
+    `span_colon`."""
     if N.rank != M.rank:
         raise MathError("colon needs modules of equal rank")
-    from .linalg import kernel_modulo
-    from .trunc import monomials_below
-    field = N.field
-    t = N.n0f
-    cap = t - 1
-    span = N.span()
-    candidates = [Poly.monomial(field, m) for m in monomials_below(cap)]
-    for col in M.columns:
-        if not candidates:
-            break
-        rows = [vector_row(tuple(c * f for f in col), cap=cap)
-                for c in candidates]
-        lams = kernel_modulo(span.basis, rows, cap=cap)
-        new_candidates = []
-        for lam in lams:
-            combo = Poly.zero(field)
-            for i, coeff in sorted(lam.items()):
-                combo = combo + candidates[i].scale(coeff)
-            if not combo.is_zero:
-                new_candidates.append(combo)
-        candidates = new_candidates
-    gens = candidates + [Poly.term(field, t - b, b) for b in range(t + 1)]
-    return TruncatedIdeal.materialize(gens, field, order=t + 1, config=config)
+    return span_colon(N.span(), M.columns, config)
 
 
 # ---------------------------------------------------------------------------

@@ -316,11 +316,11 @@ def poly_det(matrix: list[list[Poly]], field: Field) -> Poly:
 def matrix_minors(matrix: list[list[Poly]], k: int, field: Field):
     """All k x k minors of a rectangular Poly matrix.
 
-    Returns the marker "unit" for k <= 0 (the minors generate the whole
-    ring); an empty list when k exceeds both dimensions.
+    For k <= 0 the one minor is the empty one, 1; an empty list when k
+    exceeds either dimension.
     """
     if k <= 0:
-        return "unit"
+        return [Poly.one(field)]
     from itertools import combinations
 
     nrows = len(matrix)

@@ -41,11 +41,7 @@ def ideal_from_obj(obj) -> tuple[Field, list[Poly]]:
     return fld, gens
 
 
-def monomial_text(ideal: MonomialIdeal) -> str:
-    return str(ideal)
-
-
-def ideal_text(x, fld: Field | None = None) -> str:
+def ideal_text(x) -> str:
     """Canonical display: "(x^3, x*y, y^2)", with "R" for the unit ideal."""
     if isinstance(x, MonomialIdeal):
         return "R" if x.is_unit else str(x)

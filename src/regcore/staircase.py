@@ -280,13 +280,3 @@ def ascii_staircase(ideal: MonomialIdeal) -> str:
                        for a in range(width))
         lines.append(line)
     return "\n".join(lines)
-
-
-def monomials_of_ideal_below(ideal: MonomialIdeal, degree_bound: int):
-    """Monomials of the ideal with total degree <= degree_bound."""
-    out = []
-    for a in range(degree_bound + 1):
-        for b in range(degree_bound + 1 - a):
-            if ideal.contains_monomial((a, b)):
-                out.append(Monomial(a, b))
-    return out

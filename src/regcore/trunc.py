@@ -18,8 +18,9 @@ from .config import DEFAULT, EngineConfig
 from .errors import (FieldMismatchError, NotMPrimaryError,
                      TruncationCeilingError, ZeroIdealError)
 from .field import Field
-from .linalg import (SparseBasis, degree_limit, kernel_modulo, key_degree,
-                     key_exponents, key_slot, pack_key, times_variable)
+from .linalg import (SparseBasis, combine, degree_limit, kernel_modulo,
+                     key_degree, key_exponents, key_slot, pack_key,
+                     times_monomial)
 from .poly import Monomial, Poly
 from . import staircase
 
@@ -60,10 +61,6 @@ def vector_row(vector, cap=None) -> dict:
             den = lcm(den, c.denominator)
         return {k: int(c * den) for k, c in items}
     return {k: c for k, c in items}
-
-
-def poly_row(f: Poly, cap=None) -> dict:
-    return vector_row((f,), cap)
 
 
 def row_to_vector(row: dict, field: Field, nslots: int):
@@ -132,7 +129,7 @@ class TruncatedSpan:
         if t:
             for lead in self._leads[t - 1]:
                 b = self.basis.rows[lead]
-                rows += [times_variable(b, 0), times_variable(b, 1)]
+                rows += [times_monomial(b, 1, 0), times_monomial(b, 0, 1)]
         for row in rows:
             lead = self.basis.insert(row, cap=self._cap)
             if lead is not None:
@@ -197,6 +194,50 @@ def nakayama_covers(big, small, nslots: int, field: Field, cap: int) -> bool:
                          certify=False)
     return all(span.basis.contains(vector_row(col, cap=cap), cap=cap)
                for col in big)
+
+
+def span_colon(span: TruncatedSpan, columns,
+               config: EngineConfig = DEFAULT) -> "TruncatedIdeal":
+    """(N : M) = { r in R : r*M <= N } for the certified span N of R^s and
+    the columns of M.
+
+    Let o be the least order of a nonzero entry of M, and d = n0 - o.  Then
+    m^d * M <= m^n0 F <= N, so m^d lies in the colon, and only the
+    monomials of degree < d are candidates that can fail.  Any r in the
+    colon is r_low + r_high with r_high in m^d and r_low a combination of
+    candidates, and r_low lies in the colon too; so the colon is generated
+    by the candidate combinations it contains together with m^d, and it
+    is materialized at order d + 1.  Whether r*c lies in N is decided
+    exactly modulo m^n0 F, since m^n0 F <= N.  The candidates, coefficient
+    vectors over the monomials, are refined one column c at a time: the
+    new candidates are the kernel, against N, of the old ones times c.
+    For d <= 0 the colon is the unit ideal; zero columns impose nothing.
+    """
+    field = span.field
+    orders = [f.order() for col in columns for f in col if not f.is_zero]
+    d = span.n0 - min(orders, default=span.n0)
+    if d <= 0:
+        return TruncatedIdeal.unit(field, config)
+    cap = span.n0 - 1
+    limit = degree_limit(cap)
+    monos = monomials_below(d - 1)
+    candidates = [{i: 1} for i in range(len(monos))]
+    for col in columns:
+        if not candidates:
+            break
+        base = vector_row(col, cap=cap)
+        if not base:
+            continue
+        shifted = [{k: c for k, c in times_monomial(base, *m).items()
+                    if k < limit} for m in monos]
+        rows = [combine(v, shifted, field.p) for v in candidates]
+        lams = kernel_modulo(span.basis, rows, cap=cap)
+        candidates = [v for v in (combine(lam, candidates, field.p)
+                                  for lam in lams) if v]
+    gens = [Poly(field, {monos[i]: field.coerce(c) for i, c in v.items()})
+            for v in candidates]
+    gens += [Poly.term(field, d - b, b) for b in range(d + 1)]
+    return TruncatedIdeal.materialize(gens, field, order=d + 1, config=config)
 
 
 class TruncatedIdeal:
@@ -329,16 +370,7 @@ class TruncatedIdeal:
         lams = kernel_modulo(other.span.basis, rows, cap=cap)
         gens = []
         for lam in lams:
-            combo = {}
-            for i, coeff in lam.items():
-                for k, c in rows[i].items():
-                    v = combo.get(k, 0) + coeff * c
-                    if self.field.p is not None:
-                        v %= self.field.p
-                    if v:
-                        combo[k] = v
-                    else:
-                        combo.pop(k, None)
+            combo = combine(lam, rows, self.field.p)
             if combo:
                 gens.append(row_to_vector(combo, self.field, 1)[0])
         gens += [Poly.term(self.field, t - b2, b2) for b2 in range(t + 1)]
@@ -346,39 +378,17 @@ class TruncatedIdeal:
                                           config=self.config)
 
     def colon(self, other) -> "TruncatedIdeal":
-        """(self : other) = { r : r * other <= self }.
+        """(self : other) = { r : r * other <= self }, by `span_colon`.
 
-        `other` may be a TruncatedIdeal or an iterable of generators.  The
-        computation lives in R/m^n0(self): sound because m^n0 <= self is
-        already inside the colon, so every class below the certificate
-        decides membership exactly.
+        `other` may be a TruncatedIdeal or an iterable of generators.
         """
-        other_gens = list(other.gens) if isinstance(other, TruncatedIdeal) \
-            else [g for g in other]
-        other_gens = [g for g in other_gens if not g.is_zero]
+        other_gens = other.gens if isinstance(other, TruncatedIdeal) \
+            else list(other)
         if self.is_unit:
             return TruncatedIdeal.unit(self.field, self.config)
         if any(g.constant_term() != self.field.zero for g in other_gens):
             return self
-        t = self.n0
-        cap = t - 1
-        candidates = [Poly.monomial(self.field, m) for m in monomials_below(cap)]
-        for g in other_gens:
-            if not candidates:
-                break
-            rows = [poly_row(c * g, cap=cap) for c in candidates]
-            lams = kernel_modulo(self.span.basis, rows, cap=cap)
-            new_candidates = []
-            for lam in lams:
-                combo = Poly.zero(self.field)
-                for i, coeff in sorted(lam.items()):
-                    combo = combo + candidates[i].scale(coeff)
-                if not combo.is_zero:
-                    new_candidates.append(combo)
-            candidates = new_candidates
-        gens = candidates + [Poly.term(self.field, t - b, b) for b in range(t + 1)]
-        return TruncatedIdeal.materialize(gens, self.field, order=t + 1,
-                                          config=self.config)
+        return span_colon(self.span, [(g,) for g in other_gens], self.config)
 
     # -- conversions ---------------------------------------------------------
 

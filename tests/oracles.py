@@ -3,18 +3,23 @@
 Nothing here touches the engine's staircase geometry or echelon bases:
 membership is raw divisibility scanning, colength is raw lattice counting,
 rank computations use a standalone Fraction Gaussian elimination, and
-determinants use the permutation-sum formula.  The one exception is
-`ReferenceSpan`, which reuses the engine's echelon basis but builds the
-span the direct way, as a reference for the degree-by-degree builder.
+determinants use the permutation-sum formula.  The exceptions are the
+references for the engine's faster routines, which reuse its echelon
+basis: `ReferenceSpan` builds a span the direct way, `reference_colon`
+tests every monomial below the certificate, and `reference_fitting`
+enumerates every minor size again for each k.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from regcore.errors import NotMPrimaryError
-from regcore.linalg import SparseBasis
-from regcore.poly import Poly
-from regcore.trunc import TruncatedSpan, vector_row
+from regcore.config import DEFAULT
+from regcore.errors import NotMPrimaryError, ZeroIdealError
+from regcore.linalg import SparseBasis, kernel_modulo
+from regcore.modcore import _component_split
+from regcore.poly import Poly, matrix_minors
+from regcore.trunc import (TruncatedIdeal, TruncatedSpan, monomials_below,
+                           vector_row)
 
 
 def mono_member(point, gens) -> bool:
@@ -179,3 +184,77 @@ def reference_span(columns, nslots, field, ceiling=64):
         if order >= ceiling:
             raise NotMPrimaryError("no certificate up to the ceiling")
         order = min(2 * order, ceiling)
+
+
+def reference_colon(span, columns, config=DEFAULT):
+    """(N : M) for the certified span N and the columns of M, testing every
+    monomial below the certificate n0 of N as a candidate, with Poly
+    products; m^n0 lies in the colon."""
+    field = span.field
+    t = span.n0
+    cap = t - 1
+    candidates = [Poly.monomial(field, m) for m in monomials_below(cap)]
+    for col in columns:
+        if not candidates:
+            break
+        rows = [vector_row(tuple(c * f for f in col), cap=cap)
+                for c in candidates]
+        lams = kernel_modulo(span.basis, rows, cap=cap)
+        new_candidates = []
+        for lam in lams:
+            combo = Poly.zero(field)
+            for i, coeff in sorted(lam.items()):
+                combo = combo + candidates[i].scale(coeff)
+            if not combo.is_zero:
+                new_candidates.append(combo)
+        candidates = new_candidates
+    gens = candidates + [Poly.term(field, t - b, b) for b in range(t + 1)]
+    return TruncatedIdeal.materialize(gens, field, order=t + 1, config=config)
+
+
+def reference_fitting(matrix, k, field, config=DEFAULT):
+    """I_k(A) on its own: the block convolution of the blocks' minor ideals
+    of every size, cut at k, for this k alone."""
+    if k <= 0:
+        return TruncatedIdeal.unit(field, config)
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    if k > min(nrows, ncols):
+        raise ZeroIdealError(f"I_{k} of a {nrows}x{ncols} matrix is zero")
+    # value per partial size: None (zero ideal), "unit", or list of gens
+    acc = {0: "unit"}
+    for rows, cols in _component_split(matrix, nrows, ncols):
+        sizes = {0: "unit"}
+        for size in range(1, min(len(rows), len(cols)) + 1):
+            sub = [[matrix[i][j] for j in cols] for i in rows]
+            minors = [m for m in matrix_minors(sub, size, field)
+                      if not m.is_zero]
+            sizes[size] = minors or None
+        new_acc = {}
+        for have, value in acc.items():
+            if value is None:
+                continue
+            for size, gens in sizes.items():
+                if gens is None or have + size > k:
+                    continue
+                if value == "unit":
+                    contrib = gens
+                elif gens == "unit":
+                    contrib = value
+                else:
+                    contrib = [u * v for u in value for v in gens]
+                prev = new_acc.get(have + size)
+                if contrib == "unit" or prev == "unit":
+                    new_acc[have + size] = "unit"
+                elif prev is None:
+                    new_acc[have + size] = list(contrib)
+                else:
+                    new_acc[have + size] = prev + list(contrib)
+        acc = new_acc
+    value = acc.get(k)
+    if value is None:
+        raise ZeroIdealError(f"I_{k} vanishes: all {k}-minors are zero")
+    if value == "unit":
+        return TruncatedIdeal.unit(field, config)
+    return TruncatedIdeal.materialize(list(dict.fromkeys(value)), field,
+                                      config=config)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from regcore.cli import main
 from regcore.serialize import ideal_from_obj, module_from_obj, module_to_obj
 from regcore.field import QQ
@@ -165,6 +167,20 @@ def test_verify_text_format(capsys):
 def test_missing_required_input(capsys):
     code, out, err = run(capsys, "core")
     assert code == 2
+
+
+def test_unread_flags_are_rejected(tmp_path, capsys):
+    # the field comes from the input JSON; only verify takes --field, only
+    # closure takes --nmax, and closure draws nothing to seed
+    path = write(tmp_path, "I.json", WORKED)
+    for argv in (["mult", "--ideal", path, "--field", "F7"],
+                 ["adjoint", "--ideal", path, "--nmax", "3"],
+                 ["closure", "--ideal", path, "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    code, out, err = run(capsys, "closure", "--ideal", path, "--nmax", "3")
+    assert code == 0
 
 
 def test_reduction_of_module(tmp_path, capsys):

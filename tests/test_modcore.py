@@ -1,16 +1,21 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from regcore.errors import MathError, ZeroIdealError
+from regcore.config import EngineConfig
+from regcore.errors import MathError, NotMPrimaryError, ZeroIdealError
 from regcore.field import QQ, PrimeField
 from regcore.modcore import (ModuleRep, buchsbaum_rim, colon_into, core_iterate,
                              core_module, fitting, minimal_reduction_module,
                              sym_colength, sym_reduction_check, sym_slots)
 from regcore.poly import parse_poly
 from regcore.reduction import GenericSampler, hilbert_samuel
-from regcore.staircase import MonomialIdeal
+from regcore.staircase import MonomialIdeal, presentation_matrix
 from regcore.trunc import TruncatedIdeal
 
+from oracles import reference_fitting
+
 F65537 = PrimeField(65537)
+F7 = PrimeField(7)
 M = MonomialIdeal.max_power
 
 
@@ -69,6 +74,98 @@ def test_fitting_block_convolution_matches_direct_sum():
     assert fitting(mod.presentation, 3, QQ).to_monomial() == M(3)
     assert fitting(mod.presentation, 1, QQ).to_monomial() == M(1)
     assert fitting(mod.presentation, 0, QQ).is_unit
+
+
+ENTRIES = ["0", "x", "y", "x^2", "x*y", "y^2", "x + y^2", "2*x - y", "y^3",
+           "x^2 - 3*y^2"] * 3 + ["1"]
+SMALL = EngineConfig(truncation_ceiling=12)  # non-m-primary I_k fail fast
+
+
+def staircase_block(points):
+    """The bidiagonal presentation of an m-primary monomial ideal."""
+    ideal = MonomialIdeal.from_exponents(
+        list(points) + [(max(a for a, _ in points) + 1, 0),
+                        (0, max(b for _, b in points) + 1)])
+    return [[str(f) for f in row]
+            for row in presentation_matrix(ideal, QQ)]
+
+
+def fitting_matrices(field):
+    """Small matrices: one or two blocks, random or bidiagonal, placed
+    block-diagonally, each of its own shape, and zero rows inserted."""
+    width = st.integers(1, 3)
+    random_blocks = width.flatmap(lambda w: st.lists(
+        st.lists(st.sampled_from(ENTRIES), min_size=w, max_size=w),
+        min_size=1, max_size=3))
+    staircase_blocks = st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        min_size=1, max_size=2).map(staircase_block)
+    blocks = st.one_of(random_blocks, staircase_blocks)
+
+    def build(data):
+        parts, zero_rows = data
+        ncols = sum(len(part[0]) for part in parts)
+        matrix, left = [], 0
+        for part in parts:
+            width = len(part[0])
+            for row in part:
+                matrix.append(["0"] * left + row
+                              + ["0"] * (ncols - left - width))
+            left += width
+        for at in zero_rows:
+            matrix.insert(at % (len(matrix) + 1), ["0"] * ncols)
+        return [[P(e, field) for e in row] for row in matrix]
+    return st.tuples(st.lists(blocks, min_size=1, max_size=2),
+                     st.lists(st.integers(0, 6), max_size=2)).map(build)
+
+
+def fitting_outcome(compute):
+    try:
+        return compute()
+    except (ZeroIdealError, NotMPrimaryError) as exc:
+        return type(exc)
+
+
+def assert_same_fitting(got, expected):
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        assert isinstance(got, TruncatedIdeal) and got.equals(expected)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_fitting_chain_matches_reference(data):
+    field = data.draw(st.sampled_from([QQ, F7]))
+    A = data.draw(fitting_matrices(field))
+    for k in range(-1, min(len(A), len(A[0])) + 2):
+        assert_same_fitting(
+            fitting_outcome(lambda: fitting(A, k, field, SMALL)),
+            fitting_outcome(lambda: reference_fitting(A, k, field, SMALL)))
+    assert fitting(A, 0, field, SMALL).is_unit
+    with pytest.raises(ZeroIdealError):
+        fitting(A, min(len(A), len(A[0])) + 1, field, SMALL)
+
+
+def test_fitting_memo_follows_the_latest_presentation():
+    worked = [["y", "0"], ["-x^2", "y"], ["0", "-x"]]
+    a_q = [[P(e) for e in row] for row in worked]
+    a_f7 = [[P(e, F7) for e in row] for row in worked]
+    b_q = msum(M(2), M(3)).presentation
+    calls = [(a_q, 2, QQ), (b_q, 4, QQ), (a_q, 1, QQ), (a_f7, 2, F7),
+             (b_q, 5, QQ), (a_q, 2, QQ), (a_f7, 1, F7), (b_q, 2, QQ)]
+    for matrix, k, field in calls:
+        got = fitting(matrix, k, field)
+        assert got.field == field
+        assert got.equals(reference_fitting(matrix, k, field))
+    # list-of-lists and tuple-of-tuples name the same presentation
+    tuples = tuple(tuple(row) for row in a_q)
+    assert fitting(a_q, 2, QQ) is fitting(tuples, 2, QQ)
+    # the config is part of the key: a lower ceiling must be honoured
+    wide = [[P("y^9")], [P("-x^9")]]
+    assert fitting(wide, 1, QQ).n0 == 17
+    with pytest.raises(NotMPrimaryError):
+        fitting(wide, 1, QQ, EngineConfig(truncation_ceiling=8))
 
 
 def test_presentation_syzygy_validation():

@@ -120,8 +120,9 @@ def test_minors_size_one_lists_entries():
 
 def test_minors_k_zero_is_unit_marker():
     A = [[P("y")], [P("-x")]]
-    assert matrix_minors(A, 0, QQ) == "unit"
-    assert matrix_minors(A, -3, QQ) == "unit"
+    # the one 0 x 0 minor is the empty determinant, 1
+    assert matrix_minors(A, 0, QQ) == [Poly.one(QQ)]
+    assert matrix_minors(A, -3, QQ) == [Poly.one(QQ)]
 
 
 def test_minors_oversized_empty():

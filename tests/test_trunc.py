@@ -5,10 +5,11 @@ from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.field import QQ, PrimeField
 from regcore.poly import Poly, parse_poly
 from regcore.staircase import MonomialIdeal, colength as mono_colength
+from regcore.modcore import ModuleRep, colon_into
 from regcore.trunc import (TruncatedIdeal, monomials_below,
                            span_with_certificate, triangle)
 
-from oracles import quotient_dimension, reference_span
+from oracles import quotient_dimension, reference_colon, reference_span
 
 F7 = PrimeField(7)
 
@@ -289,6 +290,60 @@ def test_builder_matches_reference_builder(data):
     vectors = [(f, g) for f in probes for g in probes]
     assert [new.contains_vector(v) for v in vectors] == \
         [ref.contains_vector(v) for v in vectors]
+
+
+def uneven_gens(field):
+    """Two generators of different orders, such as (x, y^3): x^a, perturbed
+    by a y-power, and y^b."""
+    def build(data):
+        a, b, c, coeff = data
+        return [P(f"x^{a}", field) + Poly.term(field, 0, c, coeff),
+                P(f"y^{b}", field)]
+    return st.tuples(st.integers(1, 2), st.integers(3, 5), st.integers(2, 4),
+                     st.sampled_from([0, 1, -2])).map(build)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_colon_matches_reference_colon(data):
+    field = data.draw(st.sampled_from([QQ, F7]))
+    gens = st.one_of(mixed_ideals(field).map(lambda i: list(i.gens)),
+                     changed_monomial_gens(field), uneven_gens(field))
+    i_gens, j_gens = data.draw(gens), data.draw(gens)
+    i, j = (TruncatedIdeal.materialize(g, field) for g in (i_gens, j_gens))
+    for big, small_gens in ((i, j_gens), (j, i_gens)):
+        if not big.is_unit:
+            assert big.colon(small_gens).equals(
+                reference_colon(big.span, [(g,) for g in small_gens]))
+    if i.is_unit or j.is_unit:
+        return
+    # rank 2: (I (+) J : J (+) I) = (I : J) meet (J : I)
+    zero = Poly.zero(field)
+    n = ModuleRep(field, 2, [(g, zero) for g in i_gens]
+                  + [(zero, h) for h in j_gens])
+    m = ModuleRep(field, 2, [(h, zero) for h in j_gens]
+                  + [(zero, g) for g in i_gens])
+    result = colon_into(n, m)
+    assert result.equals(reference_colon(n.span(), m.columns))
+    assert result.equals(i.colon(j).intersect(j.colon(i)))
+
+
+def test_colon_edges():
+    j = Tr("x^2", "y^2")  # n0 = 3
+    inside = [P("x^3"), P("x^2*y - y^4"), P("y^3")]
+    assert j.colon(inside).is_unit  # other <= m^n0
+    assert reference_colon(j.span, [(g,) for g in inside]).is_unit
+    assert j.colon([P("1 + x"), P("y")]) is j  # a unit in other
+    i = Tr("x^2", "x*y", "y^2")
+    with_zero = j.colon([P("0")] + list(i.gens))
+    assert with_zero.equals(j.colon(i))  # a zero column imposes nothing
+    assert with_zero.to_monomial() == M(1)
+    zero = Poly.zero(QQ)
+    n = ModuleRep(QQ, 2, [(g, zero) for g in j.gens]
+                  + [(zero, g) for g in j.gens])
+    m = ModuleRep(QQ, 2, [(g, zero) for g in i.gens]
+                  + [(zero, g) for g in i.gens] + [(zero, zero)])
+    assert colon_into(n, m).to_monomial() == M(1)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
