@@ -12,7 +12,8 @@ import json
 import sys
 
 from .config import DEFAULT, EngineConfig
-from .errors import MathError, NotMPrimaryError, ParseError
+from .errors import (MathError, NotMPrimaryError, ParseError,
+                     TruncationCeilingError)
 from .modcore import (ModuleRep, buchsbaum_rim, core_module, fitting,
                       minimal_reduction_module)
 from .reduction import (GenericSampler, NotUpToBound, adjoint_of_generators,
@@ -21,7 +22,8 @@ from .reduction import (GenericSampler, NotUpToBound, adjoint_of_generators,
 from .serialize import (ideal_from_obj, ideal_text, ideal_to_obj,
                         matrix_from_obj, module_from_obj, module_text,
                         module_to_obj)
-from .staircase import ascii_staircase
+from .staircase import (MonomialIdeal, ascii_staircase, integral_closure,
+                        power_certificate)
 from .trunc import TruncatedIdeal
 from .verify import FAMILIES, render_report, run_suite
 
@@ -70,7 +72,21 @@ def _load_ideal(args, config) -> TruncatedIdeal:
     try:
         return TruncatedIdeal.materialize(gens, fld, config=config)
     except NotMPrimaryError as exc:
-        raise NotMPrimaryError(f"ideal is not m-primary ({exc})") from exc
+        ceiling = config.truncation_ceiling
+        gens = [g for g in gens if not g.is_zero]
+        if not all(g.is_term for g in gens):
+            raise NotMPrimaryError(
+                f"ideal is not m-primary, or its Nakayama certificate lies "
+                f"above the truncation ceiling {ceiling}: raise --ceiling "
+                f"to tell") from exc
+        mono = MonomialIdeal.from_exponents([next(iter(g.terms)) for g in gens])
+        if not mono.is_m_primary:
+            raise NotMPrimaryError(f"ideal is not m-primary ({exc})") from exc
+        n0 = power_certificate(mono)
+        raise TruncationCeilingError(
+            f"ideal is m-primary, but its Nakayama certificate n0 = {n0} "
+            f"needs truncation order {n0 + 1}, above the truncation "
+            f"ceiling {ceiling}: raise --ceiling") from exc
 
 
 def _cmd_closure(args, config):
@@ -86,7 +102,7 @@ def _cmd_closure(args, config):
 
 def _cmd_adjoint(args, config):
     fld, gens = ideal_from_obj(_load_json(args.ideal))
-    sampler = GenericSampler(seed=args.seed)
+    sampler = GenericSampler(args.seed, config)
     if args.method == "both":
         howald_gens, howald_mono = adjoint_of_generators(
             gens, fld, "howald", sampler, config=config)
@@ -117,7 +133,7 @@ def _cmd_adjoint(args, config):
 
 
 def _cmd_core(args, config):
-    sampler = GenericSampler(seed=args.seed)
+    sampler = GenericSampler(args.seed, config)
     if args.module:
         module = module_from_obj(_load_json(args.module), config=config)
         core = core_module(module, sampler, config=config)
@@ -126,6 +142,13 @@ def _cmd_core(args, config):
     ideal = _load_ideal(args, config)
     if ideal.is_unit:
         raise MathError("ideal is not m-primary")
+    mono = ideal.to_monomial()
+    closure = None if mono is None else integral_closure(mono)
+    if closure != mono:
+        raise MathError(
+            "core --ideal needs an integrally closed ideal (core(I) = "
+            "adj(I)*I holds for integrally closed I); the integral closure "
+            f"of this monomial ideal is {closure}")
     core = core_module(ModuleRep.from_ideal(ideal, config=config),
                        sampler, config=config)
     gens = [col[0] for col in core.columns]
@@ -149,7 +172,7 @@ def _cmd_mult(args, config):
     mono = ideal.to_monomial()
     if mono is not None and not mono.is_m_primary:
         raise MathError("ideal is not m-primary")
-    value = hilbert_samuel(ideal, GenericSampler(seed=args.seed),
+    value = hilbert_samuel(ideal, GenericSampler(args.seed, config),
                            config=config)
     _emit(args, {"multiplicity": value}, str(value))
     return 0
@@ -163,7 +186,7 @@ def _cmd_br(args, config):
 
 
 def _cmd_reduction(args, config):
-    sampler = GenericSampler(seed=args.seed)
+    sampler = GenericSampler(args.seed, config)
     if args.module:
         module = module_from_obj(_load_json(args.module), config=config)
         red, cert = minimal_reduction_module(module, sampler, config=config)

@@ -4,17 +4,21 @@ Vectors live in (k[x,y]/m^N)^s and are stored as dicts from packed
 integer keys to coefficients.  Keys encode (total degree, slot, y-exponent)
 and sort degree-major, so restricting to a smaller truncation order is just
 ignoring keys above a degree cap; a capped view of an echelon basis is
-again echelon because leading keys have minimal degree within their row.
+again echelon because leading keys have minimal degree within their row,
+and a capped view of a reduced echelon basis is again reduced.
 
 Over Q rows are integer rays (denominators cleared, content stripped),
 which keeps elimination fraction-free; over F_p rows are lead-normalised
-residues.
+residues.  A basis is built in echelon form and put in reduced echelon
+form (no row holds another row's pivot key) on its first query, so a
+short query row meets pivot rows whose tails cannot send it on to further
+pivots.
 """
 
 from __future__ import annotations
 
 import heapq
-from math import gcd
+from math import gcd, lcm
 
 from .field import Field
 
@@ -85,18 +89,24 @@ def _strip_content(row: dict) -> dict:
 
 
 class SparseBasis:
-    """Incremental echelon basis; rows are never mutated once stored."""
+    """Incremental echelon basis, keyed by lead.
+
+    A stored row dict is never mutated, since clones share them:
+    `interreduce` replaces rows rather than editing them.
+    """
 
     def __init__(self, field: Field):
         self.field = field
         self.p = field.p  # None over Q
         self.rows: dict[int, dict] = {}
+        self.reduced = False  # True while no row holds another's pivot key
 
     def clone(self) -> "SparseBasis":
         other = SparseBasis.__new__(SparseBasis)
         other.field = self.field
         other.p = self.p
         other.rows = dict(self.rows)
+        other.reduced = self.reduced
         return other
 
     def dim_up_to(self, cap: int) -> int:
@@ -112,6 +122,63 @@ class SparseBasis:
                 row = {k: c for k, c in row.items() if k < limit}
                 kept[lead] = _strip_content(row) if self.p is None else row
         self.rows = kept
+
+    def interreduce(self):
+        """Put the basis in reduced echelon form, with the same leads and span.
+
+        Leads are taken in descending order, so the rows of larger lead
+        are already reduced: each holds its own pivot key and no other.
+        Subtracting such a row clears its pivot key from the current row
+        and brings in no pivot key, so one subtraction per pivot key in
+        the tail suffices.  Over Q content is stripped, over F_p rows stay
+        lead-normalised.
+
+        Any echelon basis of the same span with the same leads answers
+        queries the same way.  Top reduction stops at the least key k such
+        that no element of the span agrees with the row on every key below
+        k and at k; that k, and whether it exists (membership), depend on
+        the span only.  In `kernel_modulo` the rows stored on top of two
+        such bases of N therefore differ by elements of N, which carry no
+        kernel tags, so the relation rays are the same.
+        """
+        if self.reduced:
+            return
+        rows = self.rows
+        p = self.p
+        for lead in sorted(rows, reverse=True):
+            row = rows[lead]
+            hits = [k for k in row if k != lead and k in rows]
+            if not hits:
+                continue
+            # one loop per field, as in reduce_to_lead, keeps the field
+            # test out of the inner loop
+            if p is None:  # scale once so that every factor is an integer
+                scale = lcm(*(rows[k][k] for k in hits))
+                new = {k: c * scale for k, c in row.items()}
+                for k in hits:
+                    prow = rows[k]
+                    factor = new.pop(k) // prow[k]
+                    for kk, cc in prow.items():
+                        if kk != k:
+                            nv = new.get(kk, 0) - factor * cc
+                            if nv:
+                                new[kk] = nv
+                            else:
+                                new.pop(kk, None)
+                rows[lead] = _strip_content(new)
+            else:
+                new = dict(row)
+                for k in hits:
+                    c = new.pop(k)
+                    for kk, cc in rows[k].items():
+                        if kk != k:
+                            nv = (new.get(kk, 0) - c * cc) % p
+                            if nv:
+                                new[kk] = nv
+                            else:
+                                new.pop(kk, None)
+                rows[lead] = new
+        self.reduced = True
 
     # -- reduction ----------------------------------------------------
 
@@ -184,9 +251,11 @@ class SparseBasis:
             if inv != 1:
                 work = {k: c * inv % self.p for k, c in work.items()}
         self.rows[lead] = work
+        self.reduced = False
         return lead
 
     def contains(self, row: dict, cap=None) -> bool:
+        self.interreduce()
         lead, _ = self.reduce_to_lead(row, cap)
         return lead is None
 
@@ -196,8 +265,10 @@ def kernel_modulo(basis: SparseBasis, rows: list[dict], cap=None) -> list[dict]:
 
     Returns ray representatives of the relation space as dicts {i: coeff}.
     Exact and complete: the relation count equals len(rows) minus the rank
-    the rows add on top of the basis.
+    the rows add on top of the basis.  The basis is interreduced in place
+    first, and its clone takes the rows.
     """
+    basis.interreduce()
     work = basis.clone()
     kernels = []
     for i, row in enumerate(rows):

@@ -25,11 +25,22 @@ from . import staircase
 
 @dataclass
 class GenericSampler:
-    """Deterministic source of generic field coefficients."""
+    """Deterministic source of generic field coefficients.
+
+    The coefficient pool and the retry limit are read from `config`, so a
+    sampler built from the config in use honours its tunables.
+    """
 
     seed: int = 42
-    pool: int = DEFAULT.coefficient_pool
-    retries: int = DEFAULT.retry_limit
+    config: EngineConfig = DEFAULT
+
+    @property
+    def pool(self) -> int:
+        return self.config.coefficient_pool
+
+    @property
+    def retries(self) -> int:
+        return self.config.retry_limit
 
     def __post_init__(self):
         self._rng = random.Random(self.seed)
@@ -49,7 +60,7 @@ class GenericSampler:
         return out
 
     def spawn(self, offset: int) -> "GenericSampler":
-        return GenericSampler(self.seed + offset, self.pool, self.retries)
+        return GenericSampler(self.seed + offset, self.config)
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,7 @@ def _family_ideal_classics(runner: _Runner, seed: int, ideals, pairs):
     for i, a in enumerate(ideals):
         name = ideal_text(a)
         tr = _tr(runner, a)
-        sampler = GenericSampler(seed=_child_seed(seed, 11, i))
+        sampler = GenericSampler(_child_seed(seed, 11, i), runner.config)
         runner.start()
         J, cert = minimal_reduction(tr, sampler, config=runner.config)
         recheck = is_reduction(J, tr, nmax=cert.exponent, config=runner.config)
@@ -237,7 +237,7 @@ def _family_ideal_classics(runner: _Runner, seed: int, ideals, pairs):
                        f"a={ideal_text(a)}; factor=x*y^2",
                        adjoint(shifted), adjoint(a).shift((1, 2)))
     for i, a in enumerate(ideals):
-        sampler = GenericSampler(seed=_child_seed(seed, 12, i))
+        sampler = GenericSampler(_child_seed(seed, 12, i), runner.config)
         runner.start()
         core_a = core_module(_mod(runner, a), sampler, config=runner.config)
         adj_a = adjoint(a)
@@ -275,7 +275,8 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
         runner.eq_mono("adjoint-equals-first-fitting-ideal", label,
                        first_fit.to_monomial(), adj_oracle)
         for s in range(3):
-            sampler = GenericSampler(seed=_child_seed(seed, 21 + s, i))
+            sampler = GenericSampler(_child_seed(seed, 21 + s, i),
+                                     runner.config)
             runner.start()
             red, cert = minimal_reduction_module(mod, sampler,
                                                  config=runner.config)
@@ -314,7 +315,7 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
                       colength(ideal_of_minors), total)
     # colon-method adjoint agrees with the lattice oracle on the minor ideals
     for i, (label, mod) in enumerate(mods):
-        sampler = GenericSampler(seed=_child_seed(seed, 29, i))
+        sampler = GenericSampler(_child_seed(seed, 29, i), runner.config)
         runner.start()
         tri = mod.minor_ideal()
         adj_colon = adjoint_ideal(tri, sampler, config=runner.config)
@@ -328,7 +329,7 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
     fld = runner.field
     mods = _presented_modules(runner, ideals[:4], module_pairs)
     for i, (label, mod) in enumerate(mods):
-        sampler = GenericSampler(seed=_child_seed(seed, 31, i))
+        sampler = GenericSampler(_child_seed(seed, 31, i), runner.config)
         runner.start()
         minors = mod.minor_ideal().to_monomial()
         adj_oracle = adjoint(minors)
@@ -343,7 +344,7 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
     for a, b in module_pairs:
         label = f"M={ideal_text(a)}(+){ideal_text(b)}"
         big = _mod(runner, a).direct_sum(_mod(runner, b))
-        sampler = GenericSampler(seed=_child_seed(seed, 32))
+        sampler = GenericSampler(_child_seed(seed, 32), runner.config)
         runner.start()
         core = core_module(big, sampler, config=runner.config)
         adj_ab = adjoint(a.product(b))
@@ -366,7 +367,7 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
         _mod(runner, MonomialIdeal.max_power(3)))
     fixed_big = _mod(runner, MonomialIdeal.max_power(2)).direct_sum(
         _mod(runner, MonomialIdeal.max_power(3)))
-    sampler = GenericSampler(seed=_child_seed(seed, 33))
+    sampler = GenericSampler(_child_seed(seed, 33), runner.config)
     runner.start()
     runner.le_module("core-is-monotone-on-closed-submodules",
                      "M=m^3(+)m^3 inside N=m^2(+)m^3",
@@ -408,7 +409,7 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
                        scaled.minor_ideal().to_monomial(),
                        scaler.power(base.rank).product(
                            base.minor_ideal().to_monomial()))
-        sampler = GenericSampler(seed=_child_seed(seed, 35))
+        sampler = GenericSampler(_child_seed(seed, 35), runner.config)
         runner.start()
         core_scaled = core_module(scaled, sampler, config=runner.config)
         bound = _mod(runner, scaler.power(base.rank - 1)
@@ -421,7 +422,7 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
         runner.le_module("core-of-scaled-module-bound", label,
                          core_scaled, rhs)
     for i, (label, mod) in enumerate(mods[:6]):
-        sampler = GenericSampler(seed=_child_seed(seed, 36, i))
+        sampler = GenericSampler(_child_seed(seed, 36, i), runner.config)
         runner.start()
         minors = mod.minor_ideal().to_monomial()
         core = core_module(mod, sampler, config=runner.config)
@@ -433,7 +434,7 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
         runner.eq_module("second-core-closed-form", label, core2,
                          mod.scale_by_monomial_ideal(
                              adjoint(minors).power(mod.rank + 2)))
-    sampler = GenericSampler(seed=_child_seed(seed, 37))
+    sampler = GenericSampler(_child_seed(seed, 37), runner.config)
     fixed = _mod(runner, MonomialIdeal.max_power(2)).direct_sum(
         _mod(runner, MonomialIdeal.max_power(3)))
     runner.start()
@@ -446,7 +447,7 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
 def _family_multiplicity(runner: _Runner, seed: int, ideals):
     for n in range(1, 7):
         power = MonomialIdeal.max_power(n)
-        sampler = GenericSampler(seed=_child_seed(seed, 41, n))
+        sampler = GenericSampler(_child_seed(seed, 41, n), runner.config)
         runner.start()
         engine = hilbert_samuel(_tr(runner, power), sampler,
                                 config=runner.config)
@@ -457,7 +458,7 @@ def _family_multiplicity(runner: _Runner, seed: int, ideals):
             runner.add("power-multiplicity-three-ways", f"a=m^{n}",
                        str(engine), str(n * n), False)
     for i, a in enumerate(ideals):
-        sampler = GenericSampler(seed=_child_seed(seed, 42, i))
+        sampler = GenericSampler(_child_seed(seed, 42, i), runner.config)
         runner.start()
         engine = hilbert_samuel(_tr(runner, a), sampler, config=runner.config)
         runner.eq_int("multiplicity-methods-agree-with-covolume",
@@ -473,7 +474,7 @@ def _family_multiplicity(runner: _Runner, seed: int, ideals):
         runner.eq_int("colength-is-alternating-multiplicity-sum",
                       f"a={ideal_text(a)}", colength(a), total)
     for i, a in enumerate(ideals[:10]):
-        sampler = GenericSampler(seed=_child_seed(seed, 43, i))
+        sampler = GenericSampler(_child_seed(seed, 43, i), runner.config)
         runner.start()
         br = buchsbaum_rim(ModuleRep.from_monomial_ideal(a, runner.field,
                                                          runner.config),
@@ -494,7 +495,7 @@ def _family_multiplicity(runner: _Runner, seed: int, ideals):
 
 def _family_counterexamples(runner: _Runner, seed: int):
     m2 = MonomialIdeal.max_power(2)
-    sampler = GenericSampler(seed=_child_seed(seed, 51))
+    sampler = GenericSampler(_child_seed(seed, 51), runner.config)
     runner.start()
     runner.eq_mono("adjoint-of-m-squared", "a=m^2", adjoint(m2),
                    MonomialIdeal.max_power(1))

@@ -6,8 +6,10 @@ rank computations use a standalone Fraction Gaussian elimination, and
 determinants use the permutation-sum formula.  The exceptions are the
 references for the engine's faster routines, which reuse its echelon
 basis: `ReferenceSpan` builds a span the direct way, `reference_colon`
-tests every monomial below the certificate, and `reference_fitting`
-enumerates every minor size again for each k.
+tests every monomial below the certificate, `reference_fitting`
+enumerates every minor size again for each k, and `reference_kernel`
+runs the kernel loop against a basis as it stands, without interreducing
+it first.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from itertools import permutations
 
 from regcore.config import DEFAULT
 from regcore.errors import NotMPrimaryError, ZeroIdealError
-from regcore.linalg import SparseBasis, kernel_modulo
+from regcore.linalg import EPS_BASE, SparseBasis, kernel_modulo
 from regcore.modcore import _component_split
 from regcore.poly import Poly, matrix_minors
 from regcore.trunc import (TruncatedIdeal, TruncatedSpan, monomials_below,
@@ -184,6 +186,22 @@ def reference_span(columns, nslots, field, ceiling=64):
         if order >= ceiling:
             raise NotMPrimaryError("no certificate up to the ceiling")
         order = min(2 * order, ceiling)
+
+
+def reference_kernel(basis, rows, cap=None):
+    """`kernel_modulo`'s relation rays, by top reduction against the rows
+    of `basis` as stored (echelon, not necessarily reduced): `insert`
+    never interreduces."""
+    work = basis.clone()
+    kernels = []
+    for i, row in enumerate(rows):
+        aug = dict(row)
+        aug[EPS_BASE + i] = 1
+        lead = work.insert(aug, cap=cap)
+        if lead is not None and lead >= EPS_BASE:
+            stored = work.rows[lead]
+            kernels.append({k - EPS_BASE: c for k, c in stored.items()})
+    return kernels
 
 
 def reference_colon(span, columns, config=DEFAULT):

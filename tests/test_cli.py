@@ -6,6 +6,7 @@ from regcore.cli import main
 from regcore.serialize import ideal_from_obj, module_from_obj, module_to_obj
 from regcore.field import QQ
 from regcore.modcore import ModuleRep
+from regcore.poly import parse_poly
 from regcore.staircase import MonomialIdeal
 from regcore.trunc import TruncatedIdeal
 
@@ -56,6 +57,36 @@ def test_mult_rejects_non_m_primary(tmp_path, capsys):
     code, out, err = run(capsys, "mult", "--ideal", path)
     assert code == 1
     assert "ideal is not m-primary" in err
+
+
+def test_mult_names_the_truncation_ceiling(tmp_path, capsys):
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^40", "y^40"]})
+    code, out, err = run(capsys, "mult", "--ideal", path)
+    assert code == 1
+    assert "not m-primary" not in err
+    assert "n0 = 79" in err and "raise --ceiling" in err
+    mixed = write(tmp_path, "J.json",
+                  {"field": "Q", "gens": ["x^2 - y^3", "x*y"]})  # n0 = 4
+    code, out, err = run(capsys, "mult", "--ideal", mixed, "--ceiling", "3")
+    assert code == 1
+    assert "not m-primary, or" in err and "ceiling 3" in err
+
+
+def test_core_refuses_a_monomial_ideal_that_is_not_closed(tmp_path, capsys):
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^2", "y^2"]})
+    code, out, err = run(capsys, "core", "--ideal", path)
+    assert code == 1
+    assert out == ""
+    assert "integrally closed" in err and "(x^2, x*y, y^2)" in err
+    # the same monomial ideal given by non-monomial generators
+    path = write(tmp_path, "J.json",
+                 {"field": "Q", "gens": ["x^2 + y^2", "y^2"]})
+    assert run(capsys, "core", "--ideal", path)[0] == 1
+    path = write(tmp_path, "W.json", WORKED)
+    code, out, err = run(capsys, "core", "--ideal", path)
+    assert code == 0
+    assert ideal_from_obj(json.loads(out))[1] == \
+        [parse_poly(g, QQ) for g in ("x^4", "x^2*y", "x*y^2", "y^3")]
 
 
 def test_mult_of_worked_example(tmp_path, capsys):

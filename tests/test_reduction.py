@@ -1,6 +1,7 @@
 import pytest
 
-from regcore.errors import MathError, NotMPrimaryError
+from regcore.config import EngineConfig
+from regcore.errors import GenericityError, MathError, NotMPrimaryError
 from regcore.field import QQ, PrimeField
 from regcore.poly import parse_poly
 from regcore.reduction import (GenericSampler, NotUpToBound,
@@ -68,6 +69,30 @@ def test_minimal_reduction_of_worked_example():
     worked = Tr("x^3", "x*y", "y^2")
     J, cert = minimal_reduction(worked, GenericSampler(seed=7))
     assert J.colength() == 5 == multiplicity(worked.to_monomial())
+
+
+class StuckSampler(GenericSampler):
+    draws = 0
+
+    def combination(self, gens):
+        self.draws += 1
+        return gens[0]
+
+
+def test_sampler_takes_pool_and_retries_from_the_config():
+    # every draw of StuckSampler is the same polynomial, so each retry
+    # fails and the retry limit sets the number of draws
+    config = EngineConfig(truncation_ceiling=8, retry_limit=3)
+    sampler = StuckSampler(1, config)
+    with pytest.raises(GenericityError):
+        minimal_reduction(from_mono(M(2)), sampler, config=config)
+    assert sampler.draws == 2 * 3
+    config = EngineConfig(coefficient_pool=1)
+    sampler = GenericSampler(42, config)
+    assert sampler.spawn(1009).config is config
+    J, _ = minimal_reduction(from_mono(M(2)), sampler, config=config)
+    assert {abs(c) for g in J.gens for c in g.terms.values()} == {1}
+    assert J.colength() == 4
 
 
 def test_minimal_reduction_rejects_unit():

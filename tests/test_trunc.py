@@ -1,15 +1,19 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.field import QQ, PrimeField
+from regcore.linalg import kernel_modulo, pack_key, times_monomial
 from regcore.poly import Poly, parse_poly
 from regcore.staircase import MonomialIdeal, colength as mono_colength
 from regcore.modcore import ModuleRep, colon_into
 from regcore.trunc import (TruncatedIdeal, monomials_below,
-                           span_with_certificate, triangle)
+                           span_with_certificate, triangle, vector_row)
 
-from oracles import quotient_dimension, reference_colon, reference_span
+from oracles import (quotient_dimension, reference_colon, reference_kernel,
+                     reference_span)
 
 F7 = PrimeField(7)
 
@@ -290,6 +294,55 @@ def test_builder_matches_reference_builder(data):
     vectors = [(f, g) for f in probes for g in probes]
     assert [new.contains_vector(v) for v in vectors] == \
         [ref.contains_vector(v) for v in vectors]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_interreduce_keeps_leads_span_and_answers(data):
+    field = data.draw(st.sampled_from([QQ, F7]))
+    gens = st.one_of(mixed_ideals(field).map(lambda i: list(i.gens)),
+                     changed_monomial_gens(field))
+    i_gens, j_gens = data.draw(gens), data.draw(gens)
+    probes = data.draw(st.lists(probe_polys(field), min_size=3, max_size=3))
+    zero = Poly.zero(field)
+    rank_two = [(g, zero) for g in i_gens] + [(zero, h) for h in j_gens]
+    for columns, nslots in (([(g,) for g in i_gens], 1), (rank_two, 2)):
+        span = span_with_certificate(columns, nslots, field)
+        plain = span.basis
+        assert not plain.reduced  # building a span never interreduces
+        stored = {lead: dict(row) for lead, row in plain.rows.items()}
+        basis = plain.clone()
+        basis.interreduce()
+        assert plain.rows == stored  # clones share rows; none was mutated
+        assert basis.reduced and set(basis.rows) == set(plain.rows)
+        for lead, row in basis.rows.items():
+            assert min(row) == lead
+            assert not any(k in basis.rows for k in row if k != lead)
+            if field.p:
+                assert row[lead] == 1
+            else:
+                assert row[lead] > 0 and gcd(*row.values()) == 1
+        for a, b in ((plain, basis), (basis, plain)):
+            assert all(a.reduce_to_lead(row)[0] is None
+                       for row in b.rows.values())
+        cap = span.n0 - 1
+        vectors = [tuple(f if s == slot else zero for s in range(nslots))
+                   for f in probes for slot in range(nslots)]
+        vectors += [tuple(f.shift(1, 1) for f in col) for col in columns]
+        rows = [vector_row(v, cap=cap) for v in vectors]
+        rows = [r for r in rows if r]
+        assert [basis.contains(r, cap=cap) for r in rows] == \
+            [plain.reduce_to_lead(r, cap)[0] is None for r in rows]
+        rows += [times_monomial(r, 1, 0) for r in rows]
+        assert kernel_modulo(basis, rows, cap=cap) == \
+            reference_kernel(plain, rows, cap=cap)
+        before = dict(basis.rows)
+        basis.interreduce()  # a second call is a no-op
+        assert all(basis.rows[k] is before[k] for k in before)
+        assert basis.insert(next(iter(before.values()))) is None
+        assert basis.reduced  # a dependent row stores nothing
+        assert basis.insert({pack_key(0, 0, 0): 1}) == pack_key(0, 0, 0)
+        assert not basis.reduced
 
 
 def uneven_gens(field):
