@@ -38,16 +38,19 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _emit(args, payload: dict, text: str | None = None):
-    if args.format == "text" and text is not None:
-        out = text if text.endswith("\n") else text + "\n"
-    else:
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(args, out: str):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out)
     else:
         sys.stdout.write(out)
+
+
+def _emit(args, payload: dict, text: str | None = None):
+    if args.format == "text" and text is not None:
+        _write(args, text if text.endswith("\n") else text + "\n")
+    else:
+        _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _gens_payload(fld, gens, config) -> dict:
@@ -90,9 +93,8 @@ def _load_ideal(args, config) -> TruncatedIdeal:
 
 
 def _cmd_closure(args, config):
-    fld, gens = ideal_from_obj(_load_json(args.ideal))
-    ideal = TruncatedIdeal.materialize(gens, fld, config=config)
-    result = integral_closure_ideal(ideal, nmax=args.nmax, config=config)
+    result = integral_closure_ideal(_load_ideal(args, config), nmax=args.nmax,
+                                    config=config)
     payload = ideal_to_obj(result.ideal)
     payload["exact"] = result.exact
     _emit(args, payload, _ideal_with_art(result.ideal)
@@ -213,12 +215,7 @@ def _cmd_reduction(args, config):
 def _cmd_verify(args, config):
     reports = run_suite(args.family, count=args.count, seed=args.seed,
                         field=args.field, config=config)
-    rendered = render_report(reports, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    _write(args, render_report(reports, args.format))
     failed = sum(1 for r in reports if not r.verdict)
     if failed:
         print(f"verification failed: {failed} of {len(reports)} checks",

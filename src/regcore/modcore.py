@@ -93,11 +93,6 @@ class ModuleRep:
                                                self.field, config=self.config)
         return self._span
 
-    @property
-    def n0f(self) -> int:
-        """Certificate order: m^n0f * F lies inside the module."""
-        return self.span().n0
-
     def colength(self) -> int:
         return self.span().colength()
 
@@ -422,30 +417,18 @@ def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int,
     field = M.field
     rank = M.rank
     cap = _sym_certificate_order(M, t + 1, config)
-    slots = sym_slots(rank, t + 1)
+    slots, big_gens = sym_generators(M, t + 1)
     index = {exp: i for i, exp in enumerate(slots)}
-    _, big_gens = sym_generators(M, t + 1)
-    small_slots = sym_slots(rank, t)
-    _, small_gens = sym_generators(M, t)
+    small_slots, small_gens = sym_generators(M, t)
     zero = Poly.zero(field)
     products = []
     for ncol in N.columns:  # S_1(N) * S_t(M)
         for svec in small_gens:
-            # multiply the degree-t slot vector by the degree-1 column
-            state: dict[int, Poly] = {}
-            for si, exp in enumerate(small_slots):
-                if svec[si].is_zero:
-                    continue
-                for i in range(rank):
-                    if ncol[i].is_zero:
-                        continue
-                    key = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
-                    prod = svec[si] * ncol[i]
-                    j = index[key]
-                    state[j] = state.get(j, zero) + prod
+            state = _sym_multiply({exp: f for exp, f in zip(small_slots, svec)
+                                   if not f.is_zero}, ncol, rank)
             vec = [zero] * len(slots)
-            for j, poly in state.items():
-                vec[j] = poly
+            for exp, poly in state.items():
+                vec[index[exp]] = poly
             products.append(tuple(vec))
     return nakayama_covers(big_gens, products, len(slots), field, cap)
 

@@ -165,17 +165,14 @@ class ClosureResult:
     exact: bool
 
 
-def integral_closure_ideal(I: TruncatedIdeal, mode: str = "auto",
-                           nmax: int | None = None,
+def integral_closure_ideal(I: TruncatedIdeal, nmax: int | None = None,
                            config: EngineConfig = DEFAULT) -> ClosureResult:
     """Integral closure: exact via the staircase oracle for monomial input,
     otherwise a certified enlargement I <= J <= closure(I) from monomial
     candidates (flagged exact only in the monomial case)."""
     if I.is_unit:
         return ClosureResult(I, True)
-    mono = I.to_monomial() if mode in ("auto", "monomial") else None
-    if mode == "monomial" and mono is None:
-        raise MathError("monomial mode requested for a non-monomial ideal")
+    mono = I.to_monomial()
     if mono is not None:
         closed = staircase.integral_closure(mono)
         return ClosureResult(TruncatedIdeal.from_monomial(closed, I.field,

@@ -55,24 +55,14 @@ def ideal_text(x) -> str:
     raise TypeError(f"not an ideal: {x!r}")
 
 
-def ideal_to_obj(x, fld: Field | None = None) -> dict:
-    if isinstance(x, MonomialIdeal):
-        if fld is None:
-            raise ValueError("monomial ideal serialization needs a field")
-        return {"field": fld.name, "gens": [str(m) for m in x.gens]}
-    if isinstance(x, TruncatedIdeal):
-        mono = x.to_monomial()
-        if mono is not None:
-            gens = [str(m) for m in mono.gens]
-        else:
-            gens = [str(g) for g in x.gens]
-        return {"field": x.field.name, "gens": gens,
-                "n0": x.n0, "colength": x.colength()}
-    raise TypeError(f"not an ideal: {x!r}")
+def ideal_to_obj(x: TruncatedIdeal) -> dict:
+    mono = x.to_monomial()
+    gens = x.gens if mono is None else mono.gens
+    return {"field": x.field.name, "gens": [str(g) for g in gens],
+            "n0": x.n0, "colength": x.colength()}
 
 
-def module_from_obj(obj, config: EngineConfig = DEFAULT,
-                    validate: bool = True) -> ModuleRep:
+def module_from_obj(obj, config: EngineConfig = DEFAULT) -> ModuleRep:
     _require_keys(obj, {"field", "rank", "generators", "presentation"},
                   "module")
     for key in ("field", "rank", "generators"):
@@ -95,7 +85,7 @@ def module_from_obj(obj, config: EngineConfig = DEFAULT,
         module = ModuleRep(fld, rank, cols, presentation=pres, config=config)
     except MathError as exc:
         raise ParseError(f"module rejected: {exc}") from exc
-    if pres is not None and validate:
+    if pres is not None:
         # user-supplied presentation: maximal minors must regenerate I(M)
         n = module.ngens
         fit = fitting(module.presentation, n - rank, fld, config=config)

@@ -304,9 +304,6 @@ class TruncatedIdeal:
             return True
         return self.span.contains_vector((f,))
 
-    def max_gen_degree(self) -> int:
-        return max(g.degree() for g in self.gens)
-
     # -- comparisons ------------------------------------------------------
 
     def contains_ideal(self, other: "TruncatedIdeal") -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from time import perf_counter
 
 from .config import DEFAULT, EngineConfig
@@ -21,7 +22,7 @@ from .field import Field, field_from_name
 from .modcore import (ModuleRep, buchsbaum_rim, colon_into, core_iterate,
                       core_module, fitting, minimal_reduction_module,
                       sym_colength)
-from .poly import Poly
+from .poly import Monomial, Poly
 from .reduction import (GenericSampler, ReductionCertificate, adjoint_ideal,
                         hilbert_samuel, is_integral_element, is_reduction,
                         minimal_reduction)
@@ -60,103 +61,83 @@ def random_closed_ideal(rng: random.Random) -> MonomialIdeal:
 
 
 class _Runner:
+    """Collects the reports of one campaign.  Each check is timed from the
+    previous report, the first from the runner's creation, so the seconds
+    of all reports sum to the campaign's wall time after set-up."""
+
     def __init__(self, fld: Field, config: EngineConfig):
         self.field = fld
         self.config = config
         self.reports: list[VerificationReport] = []
-        self._t0 = None
-
-    def start(self):
         self._t0 = perf_counter()
 
     def add(self, theorem: str, instance: str, lhs: str, rhs: str,
             verdict: bool, witness: str | None = None, art: str | None = None):
-        dt = 0.0 if self._t0 is None else perf_counter() - self._t0
-        self._t0 = None
+        now = perf_counter()
         self.reports.append(VerificationReport(
-            theorem, instance, lhs, rhs, bool(verdict), witness, dt, art))
+            theorem, instance, lhs, rhs, bool(verdict), witness,
+            now - self._t0, art))
+        self._t0 = now
 
-    # equality/containment helpers producing re-checkable witnesses ------
+    def compare(self, theorem, instance, lhs, rhs, verdict: bool, show,
+                items, inside, both: bool = True, art: str | None = None):
+        """Report `verdict` on lhs vs rhs.  Only a failure searches for a
+        re-checkable witness: the first of items(lhs) that inside(rhs, item)
+        rejects, then, when `both`, the first of items(rhs) outside lhs."""
+        witness = None
+        if not verdict:
+            sides = [("lhs", lhs, "rhs", rhs)]
+            if both:
+                sides.append(("rhs", rhs, "lhs", lhs))
+            witness = next((f"{_item_text(item)} lies in {here} but not "
+                            f"{there}" for here, side, there, other in sides
+                            for item in items(side)
+                            if not inside(other, item)), None)
+        self.add(theorem, instance, show(lhs), show(rhs), verdict, witness,
+                 art)
+
+    # entry points: each passes the verdict its kind of comparison uses
 
     def eq_mono(self, theorem, instance, lhs: MonomialIdeal,
                 rhs: MonomialIdeal):
-        verdict = lhs == rhs
-        witness = art = None
-        if not verdict:
-            for g in lhs.gens:
-                if not rhs.contains_monomial(g):
-                    witness = f"{g} lies in lhs but not rhs"
-                    break
-            else:
-                for g in rhs.gens:
-                    if not lhs.contains_monomial(g):
-                        witness = f"{g} lies in rhs but not lhs"
-                        break
-            art = ascii_staircase(lhs) + "\nvs\n" + ascii_staircase(rhs)
-        self.add(theorem, instance, ideal_text(lhs), ideal_text(rhs),
-                 verdict, witness, art)
+        art = None if lhs == rhs else "\nvs\n".join(
+            map(ascii_staircase, (lhs, rhs)))  # staircases of a failure only
+        self.compare(theorem, instance, lhs, rhs, art is None, ideal_text,
+                     _GENS, MonomialIdeal.contains_monomial, art=art)
 
     def eq_trunc(self, theorem, instance, lhs: TruncatedIdeal,
                  rhs: TruncatedIdeal):
-        verdict = lhs.equals(rhs)
-        witness = None
-        if not verdict:
-            for g in lhs.gens:
-                if not rhs.contains_poly(g):
-                    witness = f"{g} lies in lhs but not rhs"
-                    break
-            else:
-                for g in rhs.gens:
-                    if not lhs.contains_poly(g):
-                        witness = f"{g} lies in rhs but not lhs"
-                        break
-        self.add(theorem, instance, ideal_text(lhs), ideal_text(rhs),
-                 verdict, witness)
+        self.compare(theorem, instance, lhs, rhs, lhs.equals(rhs),
+                     ideal_text, _GENS, TruncatedIdeal.contains_poly)
 
     def le_trunc(self, theorem, instance, small: TruncatedIdeal,
                  big: TruncatedIdeal):
-        verdict = big.contains_ideal(small)
-        witness = None
-        if not verdict:
-            for g in small.gens:
-                if not big.contains_poly(g):
-                    witness = f"{g} not in the right-hand ideal"
-                    break
-        self.add(theorem, instance, ideal_text(small),
-                 ideal_text(big), verdict, witness)
+        self.compare(theorem, instance, small, big, big.contains_ideal(small),
+                     ideal_text, _GENS, TruncatedIdeal.contains_poly,
+                     both=False)
 
     def eq_module(self, theorem, instance, lhs: ModuleRep, rhs: ModuleRep):
-        verdict = lhs.equals(rhs)
-        witness = None
-        if not verdict:
-            for col in lhs.columns:
-                if not rhs.contains_vector(col):
-                    witness = ("(" + ", ".join(str(f) for f in col) +
-                               ") lies in lhs but not rhs")
-                    break
-            else:
-                for col in rhs.columns:
-                    if not lhs.contains_vector(col):
-                        witness = ("(" + ", ".join(str(f) for f in col) +
-                                   ") lies in rhs but not lhs")
-                        break
-        self.add(theorem, instance, module_text(lhs), module_text(rhs),
-                 verdict, witness)
+        self.compare(theorem, instance, lhs, rhs, lhs.equals(rhs),
+                     module_text, _COLUMNS, ModuleRep.contains_vector)
 
     def le_module(self, theorem, instance, small: ModuleRep, big: ModuleRep):
-        verdict = big.contains_module(small)
-        witness = None
-        if not verdict:
-            for col in small.columns:
-                if not big.contains_vector(col):
-                    witness = ("(" + ", ".join(str(f) for f in col) +
-                               ") escapes the right-hand module")
-                    break
-        self.add(theorem, instance, module_text(small), module_text(big),
-                 verdict, witness)
+        self.compare(theorem, instance, small, big,
+                     big.contains_module(small), module_text, _COLUMNS,
+                     ModuleRep.contains_vector, both=False)
 
     def eq_int(self, theorem, instance, lhs: int, rhs: int):
         self.add(theorem, instance, str(lhs), str(rhs), lhs == rhs)
+
+
+_GENS = attrgetter("gens")
+_COLUMNS = attrgetter("columns")
+
+
+def _item_text(item) -> str:
+    """A generator as text, a module column as (f_1, ..., f_r)."""
+    if isinstance(item, (Monomial, Poly)):
+        return str(item)
+    return "(" + ", ".join(str(f) for f in item) + ")"
 
 
 def _instances(seed: int, count: int):
@@ -197,7 +178,6 @@ def _family_ideal_classics(runner: _Runner, seed: int, ideals, pairs):
         name = ideal_text(a)
         tr = _tr(runner, a)
         sampler = GenericSampler(_child_seed(seed, 11, i), runner.config)
-        runner.start()
         J, cert = minimal_reduction(tr, sampler, config=runner.config)
         recheck = is_reduction(J, tr, nmax=cert.exponent, config=runner.config)
         ok = (isinstance(recheck, ReductionCertificate)
@@ -207,7 +187,6 @@ def _family_ideal_classics(runner: _Runner, seed: int, ideals, pairs):
                    f"a={name}; seed={sampler.seed}",
                    f"colength(J)={J.colength()}, n={cert.exponent}",
                    f"e(a)={multiplicity(a)}", ok)
-        runner.start()
         closure_ok = True
         witness = None
         probe = [(m.a, m.b) for m in a.gens][:2]
@@ -226,25 +205,21 @@ def _family_ideal_classics(runner: _Runner, seed: int, ideals, pairs):
                    f"a={name}", "Newton-polyhedron membership",
                    "integral-dependence certificate", closure_ok, witness)
     for a, b in pairs:
-        runner.start()
         ab = a.product(b)
         runner.eq_mono("product-of-closed-ideals-is-closed",
                        f"a={ideal_text(a)}; b={ideal_text(b)}",
                        integral_closure(ab), ab)
-        runner.start()
         shifted = a.shift((1, 2))
         runner.eq_mono("adjoint-of-principal-multiple",
                        f"a={ideal_text(a)}; factor=x*y^2",
                        adjoint(shifted), adjoint(a).shift((1, 2)))
     for i, a in enumerate(ideals):
         sampler = GenericSampler(_child_seed(seed, 12, i), runner.config)
-        runner.start()
         core_a = core_module(_mod(runner, a), sampler, config=runner.config)
         adj_a = adjoint(a)
         runner.eq_module("core-equals-adjoint-times-ideal",
                          f"a={ideal_text(a)}", core_a,
                          _mod(runner, adj_a.product(a)))
-        runner.start()
         runner.eq_mono("core-equals-adjoint-of-square",
                        f"a={ideal_text(a)}", adj_a.product(a),
                        adjoint(a.product(a)))
@@ -262,13 +237,11 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
     mods = _presented_modules(runner, ideals, module_pairs)
     for i, (label, mod) in enumerate(mods):
         n, r = mod.ngens, mod.rank
-        runner.start()
         ideal_of_minors = mod.minor_ideal().to_monomial()
         fit = fitting(mod.presentation, n - r, runner.field,
                       config=runner.config)
         runner.eq_mono("maximal-minors-of-presentation-regenerate",
                        label, fit.to_monomial(), ideal_of_minors)
-        runner.start()
         adj_oracle = adjoint(ideal_of_minors)
         first_fit = fitting(mod.presentation, n - r - 1, runner.field,
                             config=runner.config)
@@ -277,7 +250,6 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
         for s in range(3):
             sampler = GenericSampler(_child_seed(seed, 21 + s, i),
                                      runner.config)
-            runner.start()
             red, cert = minimal_reduction_module(mod, sampler,
                                                  config=runner.config)
             col = colon_into(red, mod, config=runner.config)
@@ -285,7 +257,6 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
                            f"{label}; seed={sampler.seed}; "
                            f"sym-degree={cert.degree}",
                            col.to_monomial(), adj_oracle)
-        runner.start()
         chain_ok = True
         witness = None
         current = ideal_of_minors
@@ -303,7 +274,6 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
         runner.add("adjoint-chain-equals-fitting-chain", label,
                    "iterated adjoints", "descending fitting ideals",
                    chain_ok, witness)
-        runner.start()
         total = 0
         sign = 1
         for t in range(0, n - r):
@@ -316,7 +286,6 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
     # colon-method adjoint agrees with the lattice oracle on the minor ideals
     for i, (label, mod) in enumerate(mods):
         sampler = GenericSampler(_child_seed(seed, 29, i), runner.config)
-        runner.start()
         tri = mod.minor_ideal()
         adj_colon = adjoint_ideal(tri, sampler, config=runner.config)
         runner.eq_mono("colon-method-adjoint-matches-lattice-oracle", label,
@@ -330,14 +299,12 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
     mods = _presented_modules(runner, ideals[:4], module_pairs)
     for i, (label, mod) in enumerate(mods):
         sampler = GenericSampler(_child_seed(seed, 31, i), runner.config)
-        runner.start()
         minors = mod.minor_ideal().to_monomial()
         adj_oracle = adjoint(minors)
         core = core_module(mod, sampler, config=runner.config)
         runner.eq_module("core-equals-adjoint-of-minors-times-module", label,
                          core, mod.scale_by_monomial_ideal(adj_oracle))
         n, r = mod.ngens, mod.rank
-        runner.start()
         fit = fitting(mod.presentation, n - r - 1, fld, config=runner.config)
         runner.eq_module("core-equals-first-fitting-times-module", label,
                          core, mod.scale_by_gens(list(fit.gens)))
@@ -345,12 +312,10 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
         label = f"M={ideal_text(a)}(+){ideal_text(b)}"
         big = _mod(runner, a).direct_sum(_mod(runner, b))
         sampler = GenericSampler(_child_seed(seed, 32), runner.config)
-        runner.start()
         core = core_module(big, sampler, config=runner.config)
         adj_ab = adjoint(a.product(b))
         runner.eq_module("core-of-direct-sum-formula", label, core,
                          big.scale_by_monomial_ideal(adj_ab))
-        runner.start()
         ideal_form = _mod(runner, adj_ab.product(a)).direct_sum(
             _mod(runner, adj_ab.product(b)))
         runner.eq_module("core-of-direct-sum-ideal-form", label, core,
@@ -358,7 +323,6 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
         # monotonicity: a*m (+) b <= a (+) b, both integrally closed
         small = _mod(runner, a.product(MonomialIdeal.max_power(1))).direct_sum(
             _mod(runner, b))
-        runner.start()
         core_small = core_module(small, sampler, config=runner.config)
         runner.le_module("core-is-monotone-on-closed-submodules",
                          f"{label}; shrink first summand by m",
@@ -368,18 +332,15 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
     fixed_big = _mod(runner, MonomialIdeal.max_power(2)).direct_sum(
         _mod(runner, MonomialIdeal.max_power(3)))
     sampler = GenericSampler(_child_seed(seed, 33), runner.config)
-    runner.start()
     runner.le_module("core-is-monotone-on-closed-submodules",
                      "M=m^3(+)m^3 inside N=m^2(+)m^3",
                      core_module(fixed_small, sampler, config=runner.config),
                      core_module(fixed_big, sampler, config=runner.config))
     for i, (a, b) in enumerate(pairs):
         pair_label = f"a={ideal_text(a)}; b={ideal_text(b)}"
-        runner.start()
         runner.le_trunc("adjoint-subadditivity", pair_label,
                         _tr(runner, adjoint(a.product(b))),
                         _tr(runner, adjoint(a).product(adjoint(b))))
-        runner.start()
         skoda_ok = True
         witness = None
         # equality needs m >= 1; at m = 0 only the containment holds
@@ -404,17 +365,12 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
         label = (f"a={ideal_text(scaler)}; "
                  f"M={ideal_text(a)}(+){ideal_text(b)}")
         scaled = base.scale_by_monomial_ideal(scaler)
-        runner.start()
         runner.eq_mono("minors-of-scaled-module", label,
                        scaled.minor_ideal().to_monomial(),
                        scaler.power(base.rank).product(
                            base.minor_ideal().to_monomial()))
         sampler = GenericSampler(_child_seed(seed, 35), runner.config)
-        runner.start()
         core_scaled = core_module(scaled, sampler, config=runner.config)
-        bound = _mod(runner, scaler.power(base.rank - 1)
-                     .product(adjoint(scaler).product(scaler))) \
-            .scale_by_monomial_ideal(adjoint(base.minor_ideal().to_monomial()))
         rhs = base.scale_by_monomial_ideal(
             scaler.power(base.rank - 1)
             .product(adjoint(scaler).product(scaler))
@@ -423,13 +379,11 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
                          core_scaled, rhs)
     for i, (label, mod) in enumerate(mods[:6]):
         sampler = GenericSampler(_child_seed(seed, 36, i), runner.config)
-        runner.start()
         minors = mod.minor_ideal().to_monomial()
         core = core_module(mod, sampler, config=runner.config)
         runner.eq_mono("adjoint-of-core-minors", label,
                        adjoint(core.minor_ideal().to_monomial()),
                        adjoint(minors).power(mod.rank + 1))
-        runner.start()
         core2 = core_iterate(mod, 2, sampler, config=runner.config)
         runner.eq_module("second-core-closed-form", label, core2,
                          mod.scale_by_monomial_ideal(
@@ -437,7 +391,6 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
     sampler = GenericSampler(_child_seed(seed, 37), runner.config)
     fixed = _mod(runner, MonomialIdeal.max_power(2)).direct_sum(
         _mod(runner, MonomialIdeal.max_power(3)))
-    runner.start()
     runner.eq_module("second-core-closed-form", "M=m^2(+)m^3",
                      core_iterate(fixed, 2, sampler, config=runner.config),
                      _mod(runner, MonomialIdeal.max_power(18)).direct_sum(
@@ -448,7 +401,6 @@ def _family_multiplicity(runner: _Runner, seed: int, ideals):
     for n in range(1, 7):
         power = MonomialIdeal.max_power(n)
         sampler = GenericSampler(_child_seed(seed, 41, n), runner.config)
-        runner.start()
         engine = hilbert_samuel(_tr(runner, power), sampler,
                                 config=runner.config)
         runner.eq_int("power-multiplicity-three-ways",
@@ -459,11 +411,9 @@ def _family_multiplicity(runner: _Runner, seed: int, ideals):
                        str(engine), str(n * n), False)
     for i, a in enumerate(ideals):
         sampler = GenericSampler(_child_seed(seed, 42, i), runner.config)
-        runner.start()
         engine = hilbert_samuel(_tr(runner, a), sampler, config=runner.config)
         runner.eq_int("multiplicity-methods-agree-with-covolume",
                       f"a={ideal_text(a)}", engine, multiplicity(a))
-        runner.start()
         total = 0
         sign = 1
         current = a
@@ -475,7 +425,6 @@ def _family_multiplicity(runner: _Runner, seed: int, ideals):
                       f"a={ideal_text(a)}", colength(a), total)
     for i, a in enumerate(ideals[:10]):
         sampler = GenericSampler(_child_seed(seed, 43, i), runner.config)
-        runner.start()
         br = buchsbaum_rim(ModuleRep.from_monomial_ideal(a, runner.field,
                                                          runner.config),
                            config=runner.config)
@@ -483,12 +432,10 @@ def _family_multiplicity(runner: _Runner, seed: int, ideals):
                       f"a={ideal_text(a)}", br,
                       hilbert_samuel(_tr(runner, a), sampler,
                                      config=runner.config))
-    runner.start()
     mm = _mod(runner, MonomialIdeal.max_power(1)).direct_sum(
         _mod(runner, MonomialIdeal.max_power(1)))
     runner.eq_int("buchsbaum-rim-of-double-maximal-ideal", "M=m(+)m",
                   buchsbaum_rim(mm, config=runner.config), 3)
-    runner.start()
     runner.eq_int("symmetric-square-colength", "M=m(+)m",
                   sym_colength(mm, 2, config=runner.config), 9)
 
@@ -496,14 +443,11 @@ def _family_multiplicity(runner: _Runner, seed: int, ideals):
 def _family_counterexamples(runner: _Runner, seed: int):
     m2 = MonomialIdeal.max_power(2)
     sampler = GenericSampler(_child_seed(seed, 51), runner.config)
-    runner.start()
     runner.eq_mono("adjoint-of-m-squared", "a=m^2", adjoint(m2),
                    MonomialIdeal.max_power(1))
-    runner.start()
     core = core_module(_mod(runner, m2), sampler, config=runner.config)
     expected = _mod(runner, MonomialIdeal.max_power(3))
     runner.eq_module("core-of-m-squared", "a=m^2", core, expected)
-    runner.start()
     try:
         TruncatedIdeal.materialize([Poly.term(runner.field, 2, 0)],
                                    runner.field, config=runner.config)
@@ -517,7 +461,6 @@ def _family_counterexamples(runner: _Runner, seed: int):
                "rejects non-m-primary core computations",
                "NotMPrimaryError", message, rejected,
                None if rejected else "materialization accepted (x^2)")
-    runner.start()
     x2_in_core = _tr(runner, MonomialIdeal.max_power(3)).contains_poly(
         Poly.term(runner.field, 2, 0))
     runner.add("core-need-not-be-monotone-for-ideal-inclusion",
@@ -534,8 +477,8 @@ def run_suite(family: str, count: int = 50, seed: int = 42,
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; pick one of {FAMILIES}")
     fld = field_from_name(field) if isinstance(field, str) else field
-    runner = _Runner(fld, config)
     ideals, pairs, module_pairs = _instances(seed, count)
+    runner = _Runner(fld, config)
     if family in ("ideal-classics", "all"):
         _family_ideal_classics(runner, seed, ideals, pairs)
     if family in ("main-theorem", "all"):

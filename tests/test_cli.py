@@ -72,6 +72,18 @@ def test_mult_names_the_truncation_ceiling(tmp_path, capsys):
     assert "not m-primary, or" in err and "ceiling 3" in err
 
 
+def test_closure_names_the_truncation_ceiling(tmp_path, capsys):
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^40", "y^40"]})
+    code, out, err = run(capsys, "closure", "--ideal", path)
+    assert code == 1
+    assert "not finite colength" not in err
+    assert "n0 = 79" in err and "raise --ceiling" in err
+    code, out, err = run(capsys, "closure", "--ideal", path, "--ceiling", "80")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] and payload["colength"] == 820  # m^40
+
+
 def test_core_refuses_a_monomial_ideal_that_is_not_closed(tmp_path, capsys):
     path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^2", "y^2"]})
     code, out, err = run(capsys, "core", "--ideal", path)

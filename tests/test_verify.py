@@ -1,10 +1,15 @@
 import json
+import re
 
 import pytest
 
+from regcore import verify
 from regcore.config import DEFAULT
 from regcore.field import QQ
+from regcore.modcore import ModuleRep
+from regcore.poly import parse_poly
 from regcore.staircase import MonomialIdeal
+from regcore.trunc import TruncatedIdeal
 from regcore.verify import (VerificationReport, _Runner, render_report,
                             run_suite)
 
@@ -56,7 +61,6 @@ def test_text_rendering():
 
 def test_failure_witness_is_recheckable():
     runner = _Runner(QQ, DEFAULT)
-    runner.start()
     lhs, rhs = M(2), M(3)
     runner.eq_mono("synthetic-failure", "m^2 vs m^3", lhs, rhs)
     report = runner.reports[0]
@@ -81,3 +85,86 @@ def test_report_fields():
     payload = json.loads(render_report(reports, "json"))
     assert set(payload["reports"][0]) == {
         "theorem", "instance", "lhs", "rhs", "verdict", "witness"}
+
+
+def _trunc(n):
+    return TruncatedIdeal.from_monomial(M(n), QQ)
+
+
+def _module(*powers):
+    parts = [ModuleRep.from_monomial_ideal(M(n), QQ) for n in powers]
+    return parts[0] if len(parts) == 1 else parts[0].direct_sum(parts[1])
+
+
+def _parse_item(text, kind):
+    if kind == "mono":
+        return next(iter(parse_poly(text, QQ).terms))
+    if kind == "poly":
+        return parse_poly(text, QQ)
+    return tuple(parse_poly(f, QQ) for f in text[1:-1].split(", "))
+
+
+_MEMBERSHIP = {"mono": MonomialIdeal.contains_monomial,
+               "poly": TruncatedIdeal.contains_poly,
+               "column": ModuleRep.contains_vector}
+
+
+# (entry point, lhs, rhs, expected verdict, item kind); the le_ entry
+# points test lhs <= rhs
+@pytest.mark.parametrize("entry, lhs, rhs, expected, kind", [
+    ("eq_mono", M(2), M(3), False, "mono"),
+    ("eq_mono", M(3), M(2), False, "mono"),
+    ("eq_mono", M(3), M(3), True, "mono"),
+    ("eq_trunc", _trunc(2), _trunc(3), False, "poly"),
+    ("eq_trunc", _trunc(3), _trunc(2), False, "poly"),
+    ("eq_trunc", _trunc(2), _trunc(2), True, "poly"),
+    ("le_trunc", _trunc(2), _trunc(3), False, "poly"),
+    ("le_trunc", _trunc(3), _trunc(2), True, "poly"),
+    ("eq_module", _module(2, 3), _module(3, 3), False, "column"),
+    ("eq_module", _module(3, 3), _module(2, 3), False, "column"),
+    ("eq_module", _module(3), _module(2), False, "column"),
+    ("eq_module", _module(2, 3), _module(2, 3), True, "column"),
+    ("le_module", _module(2, 3), _module(3, 3), False, "column"),
+    ("le_module", _module(3, 3), _module(2, 3), True, "column"),
+])
+def test_comparator_witness_is_recheckable(entry, lhs, rhs, expected, kind):
+    runner = _Runner(QQ, DEFAULT)
+    getattr(runner, entry)("synthetic", f"{entry} case", lhs, rhs)
+    report = runner.reports[0]
+    assert report.verdict is expected
+    if expected:
+        assert report.witness is None
+        return
+    found = re.fullmatch(r"(.+) lies in (lhs|rhs) but not (lhs|rhs)",
+                         report.witness)
+    assert found, report.witness
+    item = _parse_item(found.group(1), kind)
+    sides = {"lhs": lhs, "rhs": rhs}
+    inside = _MEMBERSHIP[kind]
+    assert inside(sides[found.group(2)], item)
+    assert not inside(sides[found.group(3)], item)
+    if entry.startswith("le_"):  # a containment names an element of lhs
+        assert found.group(2) == "lhs"
+
+
+def test_check_seconds_sum_to_the_campaign_wall_after_set_up(monkeypatch):
+    readings = []
+
+    def perf_counter():  # a fake clock with uneven integer steps
+        readings.append(len(readings) ** 2)
+        return readings[-1]
+
+    instances = verify._instances
+    marks = {}
+
+    def timed_instances(*args, **kwargs):
+        result = instances(*args, **kwargs)
+        marks["setup_end"] = len(readings) ** 2  # the clock's next reading
+        return result
+
+    monkeypatch.setattr(verify, "perf_counter", perf_counter)
+    monkeypatch.setattr(verify, "_instances", timed_instances)
+    reports = run_suite("all", count=2, seed=42, field="Q")
+    assert all(r.seconds > 0 for r in reports)
+    assert sum(r.seconds for r in reports) == \
+        readings[-1] - marks["setup_end"]
