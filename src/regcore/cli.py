@@ -14,16 +14,17 @@ import sys
 from .config import DEFAULT, EngineConfig
 from .errors import (MathError, NotMPrimaryError, ParseError,
                      TruncationCeilingError)
-from .modcore import (ModuleRep, buchsbaum_rim, core_module, fitting,
-                      minimal_reduction_module)
+from .modcore import (ModuleRep, _slot_monomial_ideals, buchsbaum_rim,
+                      core_module, fitting, minimal_reduction_module)
 from .reduction import (GenericSampler, NotUpToBound, adjoint_of_generators,
-                        hilbert_samuel, integral_closure_ideal,
-                        is_reduction, minimal_reduction)
+                        divide_monomial_content, hilbert_samuel,
+                        integral_closure_ideal, is_reduction,
+                        minimal_reduction)
 from .serialize import (ideal_from_obj, ideal_text, ideal_to_obj,
                         matrix_from_obj, module_from_obj, module_text,
                         module_to_obj)
 from .staircase import (MonomialIdeal, ascii_staircase, integral_closure,
-                        power_certificate)
+                        multiplicity, power_certificate)
 from .trunc import TruncatedIdeal
 from .verify import FAMILIES, render_report, run_suite
 
@@ -70,26 +71,43 @@ def _ideal_with_art(ideal: TruncatedIdeal) -> str:
     return text
 
 
-def _load_ideal(args, config) -> TruncatedIdeal:
-    fld, gens = ideal_from_obj(_load_json(args.ideal))
+def _monomial_ideal(gens) -> MonomialIdeal | None:
+    """The monomial ideal of `gens` when every nonzero generator is a term."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens or not all(g.is_term for g in gens):
+        return None
+    return MonomialIdeal.from_exponents([next(iter(g.terms)) for g in gens])
+
+
+def _ceiling_diagnosis(gens, exc: NotMPrimaryError, config) -> MathError:
+    """Why `gens` have no Nakayama certificate below the ceiling: exact for
+    monomial generators, which are m-primary or not by their staircase."""
+    ceiling = config.truncation_ceiling
+    mono = _monomial_ideal(gens)
+    if mono is None:
+        return NotMPrimaryError(
+            f"ideal is not m-primary, or its Nakayama certificate lies "
+            f"above the truncation ceiling {ceiling}: raise --ceiling "
+            f"to tell")
+    if not mono.is_m_primary:
+        return NotMPrimaryError(f"ideal is not m-primary ({exc})")
+    n0 = power_certificate(mono)
+    return TruncationCeilingError(
+        f"ideal is m-primary, but its Nakayama certificate n0 = {n0} "
+        f"needs truncation order {n0 + 1}, above the truncation "
+        f"ceiling {ceiling}: raise --ceiling")
+
+
+def _materialize(fld, gens, config) -> TruncatedIdeal:
     try:
         return TruncatedIdeal.materialize(gens, fld, config=config)
     except NotMPrimaryError as exc:
-        ceiling = config.truncation_ceiling
-        gens = [g for g in gens if not g.is_zero]
-        if not all(g.is_term for g in gens):
-            raise NotMPrimaryError(
-                f"ideal is not m-primary, or its Nakayama certificate lies "
-                f"above the truncation ceiling {ceiling}: raise --ceiling "
-                f"to tell") from exc
-        mono = MonomialIdeal.from_exponents([next(iter(g.terms)) for g in gens])
-        if not mono.is_m_primary:
-            raise NotMPrimaryError(f"ideal is not m-primary ({exc})") from exc
-        n0 = power_certificate(mono)
-        raise TruncationCeilingError(
-            f"ideal is m-primary, but its Nakayama certificate n0 = {n0} "
-            f"needs truncation order {n0 + 1}, above the truncation "
-            f"ceiling {ceiling}: raise --ceiling") from exc
+        raise _ceiling_diagnosis(gens, exc, config) from exc
+
+
+def _load_ideal(args, config) -> TruncatedIdeal:
+    fld, gens = ideal_from_obj(_load_json(args.ideal))
+    return _materialize(fld, gens, config)
 
 
 def _cmd_closure(args, config):
@@ -104,6 +122,14 @@ def _cmd_closure(args, config):
 
 def _cmd_adjoint(args, config):
     fld, gens = ideal_from_obj(_load_json(args.ideal))
+    try:
+        return _adjoint(args, fld, gens, config)
+    except NotMPrimaryError as exc:  # adjoints divide out x^a*y^b first
+        _, reduced = divide_monomial_content(gens, fld)
+        raise _ceiling_diagnosis(reduced, exc, config) from exc
+
+
+def _adjoint(args, fld, gens, config):
     sampler = GenericSampler(args.seed, config)
     if args.method == "both":
         howald_gens, howald_mono = adjoint_of_generators(
@@ -111,18 +137,15 @@ def _cmd_adjoint(args, config):
         colon_gens, colon_mono = adjoint_of_generators(
             gens, fld, "colon", sampler, config=config)
         agree = (howald_mono is not None and howald_mono == colon_mono)
-        payload = {
-            "howald": _gens_payload(fld, howald_gens, config),
-            "colon": _gens_payload(fld, colon_gens, config),
-            "agreement": agree,
-        }
+        payload = {"howald": _gens_payload(fld, howald_gens, config),
+                   "colon": _gens_payload(fld, colon_gens, config),
+                   "agreement": agree}
         text = (f"howald: {ideal_text(howald_mono) if howald_mono else howald_gens}\n"
                 f"colon:  {ideal_text(colon_mono) if colon_mono else colon_gens}\n"
                 f"agreement: {agree}")
-        if not agree:
-            _emit(args, payload, text)
-            raise MathError("adjoint methods disagree")
         _emit(args, payload, text)
+        if not agree:
+            raise MathError("adjoint methods disagree")
         return 0
     out_gens, out_mono = adjoint_of_generators(gens, fld, args.method,
                                                sampler, config=config)
@@ -135,24 +158,29 @@ def _cmd_adjoint(args, config):
 
 
 def _cmd_core(args, config):
-    sampler = GenericSampler(args.seed, config)
     if args.module:
         module = module_from_obj(_load_json(args.module), config=config)
-        core = core_module(module, sampler, config=config)
+        parts = _slot_monomial_ideals(module) or []
+    else:
+        ideal = _load_ideal(args, config)
+        if ideal.is_unit:
+            raise MathError("ideal is not m-primary")
+        module = ModuleRep.from_ideal(ideal, config=config)
+        parts = [mono for mono in [ideal.to_monomial()] if mono is not None]
+    # core(M) = adj(I(M))*M needs M integrally closed; the closure of a
+    # direct sum of ideals is the direct sum of their closures
+    for slot, part in enumerate(parts, 1):
+        closure = integral_closure(part)
+        if closure != part:
+            raise MathError(
+                f"core needs integrally closed input (core(M) = adj(I(M))*M "
+                f"holds for integrally closed M); slot {slot} is {part}, "
+                f"whose integral closure is {closure}")
+    core = core_module(module, GenericSampler(args.seed, config),
+                       config=config)
+    if args.module:
         _emit(args, module_to_obj(core), module_text(core))
         return 0
-    ideal = _load_ideal(args, config)
-    if ideal.is_unit:
-        raise MathError("ideal is not m-primary")
-    mono = ideal.to_monomial()
-    closure = None if mono is None else integral_closure(mono)
-    if closure != mono:
-        raise MathError(
-            "core --ideal needs an integrally closed ideal (core(I) = "
-            "adj(I)*I holds for integrally closed I); the integral closure "
-            f"of this monomial ideal is {closure}")
-    core = core_module(ModuleRep.from_ideal(ideal, config=config),
-                       sampler, config=config)
     gens = [col[0] for col in core.columns]
     out = TruncatedIdeal.materialize(gens, ideal.field, config=config)
     _emit(args, ideal_to_obj(out), _ideal_with_art(out))
@@ -167,15 +195,15 @@ def _cmd_fitting(args, config):
 
 
 def _cmd_mult(args, config):
-    ideal = _load_ideal(args, config)
-    if ideal.is_unit:
-        _emit(args, {"multiplicity": 0}, "0")
-        return 0
-    mono = ideal.to_monomial()
-    if mono is not None and not mono.is_m_primary:
-        raise MathError("ideal is not m-primary")
-    value = hilbert_samuel(ideal, GenericSampler(args.seed, config),
-                           config=config)
+    fld, gens = ideal_from_obj(_load_json(args.ideal))
+    mono = _monomial_ideal(gens)
+    if mono is None:
+        value = hilbert_samuel(_materialize(fld, gens, config),
+                               GenericSampler(args.seed, config), config=config)
+    elif mono.is_unit or mono.is_m_primary:  # exact, with no truncation
+        value = multiplicity(mono)
+    else:
+        raise NotMPrimaryError("ideal is not m-primary")
     _emit(args, {"multiplicity": value}, str(value))
     return 0
 

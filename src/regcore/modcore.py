@@ -141,22 +141,16 @@ class ModuleRep:
         cols += [(zero,) * r1 + tuple(col) for col in other.columns]
         pres = None
         if self.presentation is not None and other.presentation is not None:
-            n1, n2 = self.ngens, other.ngens
-            c1, c2 = n1 - r1, n2 - r2
-            pres = []
-            for i in range(n1):
-                pres.append(tuple(self.presentation[i]) + (zero,) * c2)
-            for i in range(n2):
-                pres.append((zero,) * c1 + tuple(other.presentation[i]))
+            c1, c2 = self.ngens - r1, other.ngens - r2
+            pres = [row + (zero,) * c2 for row in self.presentation]
+            pres += [(zero,) * c1 + row for row in other.presentation]
         return ModuleRep(self.field, r1 + r2, cols, presentation=pres,
                          config=self.config)
 
     def scale_by_gens(self, ideal_gens) -> "ModuleRep":
         """The module a*M for the ideal a generated by ideal_gens."""
-        cols = []
-        for g in ideal_gens:
-            for col in self.columns:
-                cols.append(tuple(g * f for f in col))
+        cols = [tuple(g * f for f in col) for g in ideal_gens
+                for col in self.columns]
         return ModuleRep(self.field, self.rank, cols, config=self.config)
 
     def scale_by_monomial_ideal(self, ideal: staircase.MonomialIdeal) -> "ModuleRep":
@@ -326,10 +320,7 @@ def _sym_multiply(state: dict, column, rank: int):
                 continue
             key = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
             prod = poly * f
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
+            out[key] = out[key] + prod if key in out else prod
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
@@ -452,7 +443,7 @@ def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler,
     if M.is_free():
         return M, ModuleReductionCertificate(0, trivial=True)
     field = M.field
-    for _ in range(sampler.retries):
+    for _ in range(sampler.config.retry_limit):
         cand_cols = []
         for _i in range(M.rank + 1):
             col = [Poly.zero(field)] * M.rank

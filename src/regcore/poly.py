@@ -115,12 +115,8 @@ class Poly:
         f = self.field
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = f.add(terms.get(m, f.zero), c)
-            if s == f.zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return Poly(f, terms)
+            terms[m] = f.add(terms.get(m, f.zero), c)
+        return Poly(f, terms)  # drops the cancelled terms
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -136,12 +132,8 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1.times(m2)
-                s = f.add(terms.get(m, f.zero), f.mul(c1, c2))
-                if s == f.zero:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return Poly(f, terms)
+                terms[m] = f.add(terms.get(m, f.zero), f.mul(c1, c2))
+        return Poly(f, terms)  # drops the cancelled terms
 
     def scale(self, coeff) -> "Poly":
         f = self.field
@@ -191,10 +183,8 @@ def poly_to_str(f: Poly) -> str:
             body = str(mono)
         else:
             body = f"{mag}*{mono}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
+        sign = ("- " if neg else "+ ") if parts else ("-" if neg else "")
+        parts.append(sign + body)
     return " ".join(parts)
 
 
@@ -243,26 +233,14 @@ def parse_poly(text: str, field: Field) -> Poly:
     sign = 1
     expect_term = True
     for piece in pieces:
-        if piece in "+-":
-            if not expect_term and piece == "-":
-                sign = -1
-                expect_term = True
-            elif expect_term and piece == "-":
-                sign = -sign
-            elif expect_term and piece == "+":
-                pass
-            else:
-                expect_term = True
+        if piece in "+-":  # a run of signs multiplies out
+            sign = -sign if piece == "-" else sign
+            expect_term = True
             continue
         mono, coeff = _parse_term(field, piece)
         if sign < 0:
             coeff = field.neg(coeff)
-        prev = terms.get(mono, field.zero)
-        s = field.add(prev, coeff)
-        if s == field.zero:
-            terms.pop(mono, None)
-        else:
-            terms[mono] = s
+        terms[mono] = field.add(terms.get(mono, field.zero), coeff)
         sign = 1
         expect_term = False
     if expect_term:

@@ -3,7 +3,8 @@ for finite-colength ideals.
 
 A reduction J <= I with J*I^n = I^(n+1) is certified, never assumed: the
 equality is established by a Nakayama argument inside a high enough
-truncation, and the certificate is recorded so callers can re-verify.
+truncation, or, once such a reduction has fixed e(I), by Rees' theorem
+colength(J) = e(I); the certificate is recorded so callers can re-verify.
 Generic elements come from a seeded sampler; genericity failures are
 detected (certificate fails, or cross-seed disagreement) and resampled.
 """
@@ -34,21 +35,14 @@ class GenericSampler:
     seed: int = 42
     config: EngineConfig = DEFAULT
 
-    @property
-    def pool(self) -> int:
-        return self.config.coefficient_pool
-
-    @property
-    def retries(self) -> int:
-        return self.config.retry_limit
-
     def __post_init__(self):
         self._rng = random.Random(self.seed)
 
     def coefficient(self, fld: Field):
         if fld.p is None:
-            v = self._rng.randint(1, 2 * self.pool)
-            return Fraction(v - self.pool if v > self.pool else -v)
+            pool = self.config.coefficient_pool
+            v = self._rng.randint(1, 2 * pool)
+            return Fraction(v - pool if v > pool else -v)
         return self._rng.randrange(1, fld.p)
 
     def combination(self, gens: list[Poly]) -> Poly:
@@ -119,24 +113,65 @@ def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None,
     return NotUpToBound(nmax)
 
 
-def minimal_reduction(I: TruncatedIdeal, sampler: GenericSampler,
-                      config: EngineConfig = DEFAULT):
-    """Two seeded-generic combinations of the generators, with certificate."""
+def _first_reduction(I: TruncatedIdeal, sampler: GenericSampler, certify,
+                     config: EngineConfig):
+    """(J, certify(J)) for the first draw J of two seeded-generic
+    combinations of the generators that `certify` does not answer None."""
     if I.is_unit:
         raise NotMPrimaryError("the unit ideal has no minimal reduction")
     gens = list(I.gens)
-    for _ in range(sampler.retries):
+    for _ in range(sampler.config.retry_limit):
         cand = [sampler.combination(gens), sampler.combination(gens)]
         try:
             J = TruncatedIdeal.materialize(cand, I.field, config=config)
         except (NotMPrimaryError, TruncationCeilingError):
             continue
-        outcome = is_reduction(J, I, config=config)
-        if isinstance(outcome, ReductionCertificate):
-            return J, outcome
+        cert = certify(J)
+        if cert is not None:
+            return J, cert
     raise GenericityError(
         "no verified 2-generated reduction found; field may be too small "
         "or the input is pathological")
+
+
+def minimal_reduction(I: TruncatedIdeal, sampler: GenericSampler,
+                      config: EngineConfig = DEFAULT):
+    """Two seeded-generic combinations of the generators, with certificate."""
+    def certify(J):
+        outcome = is_reduction(J, I, config=config)
+        return outcome if isinstance(outcome, ReductionCertificate) else None
+    return _first_reduction(I, sampler, certify, config)
+
+
+@dataclass(frozen=True)
+class MultiplicityCertificate:
+    """Witness, by Rees' theorem, that the 2-generated J <= I is a reduction:
+    colength(J) = e, and e = e(I) is the colength of the reduction that
+    `reference` certifies, so both can be re-verified."""
+
+    subideal_gens: tuple[Poly, ...]
+    e: int
+    reference: ReductionCertificate
+
+
+def rees_reduction(I: TruncatedIdeal, sampler: GenericSampler, e: int,
+                   reference: ReductionCertificate,
+                   config: EngineConfig = DEFAULT):
+    """A 2-generated reduction of I, given e = e(I), by one colength per draw.
+
+    R is formally equidimensional, so an m-primary J <= I is a reduction
+    exactly when e(J) = e(I) (Rees 1961), and e(J) = colength(J) for a
+    parameter ideal J; e(J) >= e(I) always, so colength(J) > e refutes J,
+    and colength(J) < e means e is not e(I).
+    """
+    def certify(J):
+        ell = J.colength()
+        if ell < e:
+            raise MathError(f"a 2-generated J <= I has colength {ell} below "
+                            f"the reference e = {e}")
+        if ell == e:
+            return MultiplicityCertificate(tuple(J.gens), e, reference)
+    return _first_reduction(I, sampler, certify, config)
 
 
 def is_integral_element(f: Poly, I: TruncatedIdeal, nmax: int | None = None,
@@ -210,44 +245,26 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler,
 
     Requires I integrally closed (verified when I is monomial, asserted by
     the caller otherwise).  The result is recomputed for independent
-    sampler seeds and must agree; on monomial input the output is checked
-    to be integrally closed.
+    sampler seeds and must agree: the first seed's reduction is certified
+    by powers of I, the later ones by its colength e(I) (`rees_reduction`).
+    On monomial input the output is checked to be integrally closed.
     """
     if I.is_unit:
         return I
     closed = _is_integrally_closed_monomial(I)
     if closed is False:
         raise MathError("adjoint via colon requires an integrally closed ideal")
-    results = []
-    for k in range(max(1, config.adjoint_seed_checks)):
-        J, _cert = minimal_reduction(I, sampler.spawn(1009 * k), config=config)
-        results.append(J.colon(I))
-    first = results[0]
-    for other in results[1:]:
-        if not first.equals(other):
+    J, cert = minimal_reduction(I, sampler.spawn(0), config=config)
+    e, first = J.colength(), J.colon(I)
+    for k in range(1, config.adjoint_seed_checks):
+        J, _ = rees_reduction(I, sampler.spawn(1009 * k), e, cert,
+                              config=config)
+        if not first.equals(J.colon(I)):
             raise GenericityError("colon adjoints disagree across seeds")
-    if closed is True:
-        out_mono = first.to_monomial()
-        if out_mono is None or staircase.integral_closure(out_mono) != out_mono:
-            raise GenericityError("colon adjoint of a monomial ideal is not "
-                                  "integrally closed")
+    if closed and not _is_integrally_closed_monomial(first):
+        raise GenericityError("colon adjoint of a monomial ideal is not "
+                              "integrally closed")
     return first
-
-
-def adjoint_iterate(I: TruncatedIdeal, t: int, sampler: GenericSampler,
-                    config: EngineConfig = DEFAULT) -> TruncatedIdeal:
-    """t-fold adjoint; reaches the unit ideal in finitely many steps."""
-    current = I
-    for _ in range(t):
-        if current.is_unit:
-            return current
-        mono = current.to_monomial()
-        if mono is not None:
-            current = TruncatedIdeal.from_monomial(staircase.adjoint(mono),
-                                                   I.field, config=config)
-        else:
-            current = adjoint_ideal(current, sampler, config=config)
-    return current
 
 
 def hilbert_samuel(I: TruncatedIdeal, sampler: GenericSampler,
@@ -287,14 +304,14 @@ def hilbert_samuel(I: TruncatedIdeal, sampler: GenericSampler,
     return method_a
 
 
-def monomial_content_of_gens(gens: list[Poly]) -> Monomial:
-    """Largest monomial dividing every term of every generator."""
-    a = b = None
-    for g in gens:
-        for m in g.terms:
-            a = m.a if a is None else min(a, m.a)
-            b = m.b if b is None else min(b, m.b)
-    return Monomial(a or 0, b or 0)
+def divide_monomial_content(gens: list[Poly], fld: Field):
+    """(c, [g / c]) for the largest monomial c dividing every term of every
+    generator."""
+    a = min((m.a for g in gens for m in g.terms), default=0)
+    b = min((m.b for g in gens for m in g.terms), default=0)
+    reduced = [Poly(fld, {Monomial(m.a - a, m.b - b): c
+                          for m, c in g.terms.items()}) for g in gens]
+    return Monomial(a, b), reduced
 
 
 def adjoint_of_generators(gens: list[Poly], fld: Field, method: str,
@@ -305,11 +322,7 @@ def adjoint_of_generators(gens: list[Poly], fld: Field, method: str,
 
     Returns (generators, monomial_form_or_None).
     """
-    content = monomial_content_of_gens(gens)
-    reduced = gens
-    if content.a or content.b:
-        reduced = [Poly(fld, {Monomial(m.a - content.a, m.b - content.b): c
-                              for m, c in g.terms.items()}) for g in gens]
+    content, reduced = divide_monomial_content(gens, fld)
     core = TruncatedIdeal.materialize(reduced, fld, config=config)
     mono = core.to_monomial()
     if method == "howald":

@@ -122,14 +122,8 @@ def matrix_from_obj(obj) -> tuple[Field, list[list[Poly]]]:
     rows = obj["matrix"]
     if not isinstance(rows, list) or not rows:
         raise ParseError("'matrix' must be a nonempty list of rows")
-    width = None
-    out = []
-    for row in rows:
-        if not isinstance(row, list):
-            raise ParseError("matrix rows must be lists")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError("matrix rows have inconsistent lengths")
-        out.append([parse_poly(s, fld) for s in row])
-    return fld, out
+    if not all(isinstance(row, list) for row in rows):
+        raise ParseError("matrix rows must be lists")
+    if len({len(row) for row in rows}) != 1:
+        raise ParseError("matrix rows have inconsistent lengths")
+    return fld, [[parse_poly(s, fld) for s in row] for row in rows]

@@ -293,10 +293,6 @@ class TruncatedIdeal:
     def colength(self) -> int:
         return 0 if self.is_unit else self.span.colength()
 
-    def contains_power(self, t: int) -> bool:
-        """Exact answer to m^t <= I (Nakayama test)."""
-        return t >= self.n0
-
     def contains_poly(self, f: Poly) -> bool:
         if f.field != self.field:
             raise FieldMismatchError("membership across fields")

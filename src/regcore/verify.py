@@ -147,15 +147,13 @@ def _instances(seed: int, count: int):
     randoms = [random_closed_ideal(rng) for _ in range(count)]
     ideals = powers + [worked] + randoms
     pair_rng = random.Random(_child_seed(seed, 2))
-    pairs = []
-    for _ in range(max(4, count // 2)):
-        pairs.append((randoms[pair_rng.randrange(len(randoms))],
-                      randoms[pair_rng.randrange(len(randoms))]))
-    n_modules = max(2, (2 * count) // 5)
+
+    def pick():
+        return randoms[pair_rng.randrange(len(randoms))]
+    pairs = [(pick(), pick()) for _ in range(max(4, count // 2))]
     module_pairs = [(MonomialIdeal.max_power(2), MonomialIdeal.max_power(3))]
-    for _ in range(n_modules - 1):
-        module_pairs.append((randoms[pair_rng.randrange(len(randoms))],
-                             randoms[pair_rng.randrange(len(randoms))]))
+    module_pairs += [(pick(), pick())
+                     for _ in range(max(2, (2 * count) // 5) - 1)]
     return ideals, pairs, module_pairs
 
 

@@ -13,14 +13,24 @@ from pathlib import Path
 import pytest
 
 from regcore import verify
+from regcore.field import QQ
+from regcore.modcore import ModuleRep, minimal_reduction_module
+from regcore.reduction import GenericSampler, minimal_reduction
+from regcore.staircase import MonomialIdeal
+from regcore.trunc import TruncatedIdeal, span_with_certificate
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _hooks():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _hooks():
+    tracer = _tracer()
     return [(module, attr)
             for module, attr, _ in tracer.SPANS + tracer.COUNTED]
 
@@ -40,3 +50,31 @@ def test_campaign_hooks_keep_their_shape():
     assert params[:6] == ["self", "theorem", "instance", "lhs", "rhs",
                           "verdict"]
     assert callable(verify._instances)
+
+
+def test_hooks_read_what_the_boundaries_return():
+    # the after-hooks read fields of the return values: a refactor that
+    # changes these shapes breaks a traced run (--trace 1)
+    tracer = _tracer().Tracer()
+    hooks = tracer.hooks()
+    M = MonomialIdeal.max_power
+    ideal = TruncatedIdeal.from_monomial(M(2), QQ)
+
+    result = minimal_reduction(ideal, GenericSampler(seed=42))
+    hooks["reduction.minimal_reduction"][1]((), {}, result)
+    assert tracer.counts["reduction.cert_exponent_sum"] == \
+        result[1].exponent == 1
+
+    module = ModuleRep.from_monomial_ideal(M(2), QQ).direct_sum(
+        ModuleRep.from_monomial_ideal(M(3), QQ))
+    red, cert = minimal_reduction_module(module, GenericSampler(seed=42))
+    hooks["modcore.minimal_reduction_module"][1]((), {}, (red, cert))
+    assert isinstance(cert.trivial, bool) and isinstance(cert.degree, int)
+    assert tracer.counts["modcore.sym_degree_sum"] == \
+        (0 if cert.trivial else cert.degree)
+
+    span = span_with_certificate([(g,) for g in ideal.gens], 1, QQ)
+    hooks["trunc.spans"][1]((), {}, span)
+    assert (tracer.counts["trunc.order_sum"],
+            tracer.counts["trunc.n0_sum"]) == (span.order, span.n0)
+    assert span.n0 == 2

@@ -60,11 +60,12 @@ def test_mult_rejects_non_m_primary(tmp_path, capsys):
 
 
 def test_mult_names_the_truncation_ceiling(tmp_path, capsys):
-    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^40", "y^40"]})
+    # (x^40 + y^41, y^40) = (x^40, y^40), but its generators are not terms
+    path = write(tmp_path, "I.json",
+                 {"field": "Q", "gens": ["x^40 + y^41", "y^40"]})
     code, out, err = run(capsys, "mult", "--ideal", path)
     assert code == 1
-    assert "not m-primary" not in err
-    assert "n0 = 79" in err and "raise --ceiling" in err
+    assert "not m-primary, or" in err and "ceiling 64" in err
     mixed = write(tmp_path, "J.json",
                   {"field": "Q", "gens": ["x^2 - y^3", "x*y"]})  # n0 = 4
     code, out, err = run(capsys, "mult", "--ideal", mixed, "--ceiling", "3")
@@ -82,6 +83,51 @@ def test_closure_names_the_truncation_ceiling(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["exact"] and payload["colength"] == 820  # m^40
+
+
+def test_mult_of_monomial_input_needs_no_truncation(tmp_path, capsys):
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^40", "y^40"]})
+    code, out, err = run(capsys, "mult", "--ideal", path)
+    assert code == 0
+    assert json.loads(out)["multiplicity"] == 1600
+    path = write(tmp_path, "J.json", {"field": "Q", "gens": ["x^40", "x*y"]})
+    code, out, err = run(capsys, "mult", "--ideal", path)
+    assert code == 1
+    assert "ideal is not m-primary" in err
+
+
+def test_adjoint_names_the_truncation_ceiling(tmp_path, capsys):
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^40", "y^40"]})
+    for method in ("colon", "both"):
+        code, out, err = run(capsys, "adjoint", "--ideal", path,
+                             "--method", method)
+        assert code == 1
+        assert "not finite colength" not in err
+        assert "n0 = 79" in err and "raise --ceiling" in err
+    # the monomial content x is divided out first: x*(x^40, y^40)
+    path = write(tmp_path, "J.json", {"field": "Q",
+                                      "gens": ["x^41", "x*y^40"]})
+    code, out, err = run(capsys, "adjoint", "--ideal", path)
+    assert code == 1
+    assert "n0 = 79" in err
+
+
+def test_core_refuses_a_module_with_a_slot_that_is_not_closed(tmp_path,
+                                                              capsys):
+    # (x^2, y^2) (+) m: the first slot's closure is m^2
+    path = write(tmp_path, "M.json", {
+        "field": "Q", "rank": 2,
+        "generators": [["x^2", "0"], ["y^2", "0"], ["0", "x"], ["0", "y"]]})
+    code, out, err = run(capsys, "core", "--module", path)
+    assert code == 1
+    assert out == ""
+    assert "integrally closed" in err
+    assert "slot 1" in err and "(x^2, x*y, y^2)" in err
+    # m^2 (+) m^3 is closed and still answered: m^6 (+) m^7
+    path = write(tmp_path, "N.json", M23)
+    code, out, err = run(capsys, "core", "--module", path)
+    assert code == 0
+    assert module_from_obj(json.loads(out)).colength() == 21 + 28
 
 
 def test_core_refuses_a_monomial_ideal_that_is_not_closed(tmp_path, capsys):
@@ -245,7 +291,9 @@ def test_adjoint_lattice_method_needs_monomial(tmp_path, capsys):
 
 
 def test_ceiling_flag_limits_truncation(tmp_path, capsys):
-    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^9", "y^9"]})
+    # not terms, so the truncation engine answers: (x^9, y^9) has n0 = 16
+    path = write(tmp_path, "I.json",
+                 {"field": "Q", "gens": ["x^9 + y^10", "y^9"]})
     code, out, err = run(capsys, "mult", "--ideal", path, "--ceiling", "8")
     assert code == 1
     ok_code, out, err = run(capsys, "mult", "--ideal", path)

@@ -1,17 +1,24 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regcore.config import EngineConfig
 from regcore.errors import GenericityError, MathError, NotMPrimaryError
 from regcore.field import QQ, PrimeField
 from regcore.poly import parse_poly
-from regcore.reduction import (GenericSampler, NotUpToBound,
-                               ReductionCertificate, adjoint_ideal,
-                               adjoint_iterate, adjoint_of_generators,
+from regcore.poly import Poly
+from regcore.reduction import (GenericSampler, MultiplicityCertificate,
+                               NotUpToBound, ReductionCertificate,
+                               adjoint_ideal, adjoint_of_generators,
                                hilbert_samuel, integral_closure_ideal,
                                is_integral_element, is_reduction,
-                               minimal_reduction)
-from regcore.staircase import MonomialIdeal, multiplicity
+                               minimal_reduction, rees_reduction)
+from regcore.staircase import (MonomialIdeal, adjoint, integral_closure,
+                               multiplicity)
 from regcore.trunc import TruncatedIdeal
+
+from test_trunc import as_m_primary, mixed_ideals
+
+F7 = PrimeField(7)
 
 F65537 = PrimeField(65537)
 M = MonomialIdeal.max_power
@@ -145,15 +152,6 @@ def test_adjoint_m5_matches_lattice_oracle():
     assert adj.to_monomial() == M(4)
 
 
-def test_adjoint_iterate_chain():
-    assert adjoint_iterate(from_mono(M(5)), 2,
-                           GenericSampler(seed=5)).to_monomial() == M(3)
-    assert adjoint_iterate(from_mono(M(2)), 0,
-                           GenericSampler(seed=5)).to_monomial() == M(2)
-    assert adjoint_iterate(from_mono(M(2)), 2, GenericSampler(seed=5)).is_unit
-    assert adjoint_iterate(from_mono(M(2)), 9, GenericSampler(seed=5)).is_unit
-
-
 def test_adjoint_content_factoring():
     # adj(x^2*y * m^2) = x^2*y * m
     shifted = MonomialIdeal.from_exponents([(4, 1), (3, 2), (2, 3)])
@@ -183,3 +181,133 @@ def test_prime_field_reduction():
     assert J.colength() == 9
     adj = adjoint_ideal(I, GenericSampler(seed=42))
     assert adj.to_monomial() == M(2)
+
+
+def test_rees_reduction_accepts_by_colength_and_keeps_the_reference():
+    I = from_mono(M(2))
+    J1, cert = minimal_reduction(I, GenericSampler(seed=42))
+    J, mcert = rees_reduction(I, GenericSampler(seed=43), J1.colength(), cert)
+    assert isinstance(mcert, MultiplicityCertificate)
+    assert mcert.e == J.colength() == 4
+    assert mcert.reference is cert
+    assert mcert.subideal_gens == tuple(J.gens)
+
+
+class FixedPairSampler(GenericSampler):
+    """Draws the same pair (f, g) every time."""
+
+    def __init__(self, f, g):
+        super().__init__(0)
+        self.pair = [f, g]
+
+    def combination(self, gens):
+        self.pair.reverse()
+        return self.pair[0]
+
+
+def test_colength_above_e_is_not_a_reduction():
+    # I = m has e = 1; J = (x, y^2) has colength 2 and is no reduction
+    I, J = from_mono(M(1)), Tr("x", "y^2")
+    assert J.colength() == 2
+    assert isinstance(is_reduction(J, I), NotUpToBound)
+    _, cert = minimal_reduction(I, GenericSampler(seed=42))
+    with pytest.raises(GenericityError):  # every draw is J, and refuted
+        rees_reduction(I, FixedPairSampler(P("x"), P("y^2")), 1, cert)
+
+
+def test_reference_multiplicity_too_large_raises():
+    # e(m^2) = 4, so a reference e = 5 is wrong: every reduction drawn
+    # has colength 4 < 5
+    J1, cert = minimal_reduction(from_mono(M(2)), GenericSampler(seed=42))
+    with pytest.raises(MathError):
+        rees_reduction(from_mono(M(2)), GenericSampler(seed=43), 5, cert)
+
+
+def _changed(field, exponents, lin):
+    """Images of the monomials x^a*y^b under x -> a1*x + b1*y,
+    y -> c1*x + d1*y."""
+    (a1, b1), (c1, d1) = lin
+    x = Poly.term(field, 1, 0, a1) + Poly.term(field, 0, 1, b1)
+    y = Poly.term(field, 1, 0, c1) + Poly.term(field, 0, 1, d1)
+    out = []
+    for a, b in exponents:
+        g = Poly.one(field)
+        for _ in range(a):
+            g = g * x
+        for _ in range(b):
+            g = g * y
+        out.append(g)
+    return out
+
+
+def changed_monomial(field):
+    """An m-primary monomial ideal of degree <= 4 after an invertible
+    linear change of coordinates over Q and F7."""
+    pts = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                   min_size=1, max_size=4).map(as_m_primary).filter(
+        lambda mono: not mono.is_unit)
+    lin = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).flatmap(
+        lambda row: st.tuples(st.just(row), st.tuples(
+            st.integers(-3, 3), st.integers(-3, 3)).filter(
+            lambda r: (row[0] * r[1] - row[1] * r[0]) % 7 != 0)))
+    return st.tuples(pts, lin).map(lambda t: TruncatedIdeal.materialize(
+        _changed(field, [(m.a, m.b) for m in t[0].gens], t[1]), field))
+
+
+def _parent_adjoint_route(I, sampler):
+    """adj(I) as computed before, every seed certified by powers of I; None
+    when the seeds disagree."""
+    colons = [minimal_reduction(I, sampler.spawn(1009 * k))[0].colon(I)
+              for k in range(3)]
+    if all(colons[0].equals(c) for c in colons[1:]):
+        return colons[0]
+    return None
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.data())
+def test_rees_and_nakayama_agree(data):
+    field = data.draw(st.sampled_from([QQ, F7]))
+    I = data.draw(st.one_of(mixed_ideals(field), changed_monomial(field)))
+    seed = data.draw(st.integers(0, 10**6))
+    J1, cert = minimal_reduction(I, GenericSampler(seed))
+    e = J1.colength()
+    for k in (1, 2):
+        J, mcert = rees_reduction(I, GenericSampler(seed + 1009 * k), e, cert)
+        assert J.colength() == mcert.e == e
+        assert isinstance(is_reduction(J, I), ReductionCertificate)
+    # a wrong e below every colength: each draw is refuted, none accepted
+    with pytest.raises(GenericityError):
+        rees_reduction(I, GenericSampler(seed), e - 1, cert)
+    # the same draws are accepted, so the colon adjoint is unchanged; the
+    # seeds may disagree, as I need not be integrally closed
+    mono = I.to_monomial()
+    if mono is None or integral_closure(mono) == mono:  # else refused
+        expected = _parent_adjoint_route(I, GenericSampler(seed))
+        if expected is None:
+            with pytest.raises(GenericityError):
+                adjoint_ideal(I, GenericSampler(seed))
+        else:
+            assert adjoint_ideal(I, GenericSampler(seed)).equals(expected)
+
+
+def test_degree_four_coordinate_change_builds_no_powers(monkeypatch):
+    # I = phi(x^4, x^2*y, x*y^3, y^4), phi = (3x - 3y, 3x - y): with this
+    # seed a later draw is no reduction, which is_reduction can only learn
+    # by building I^n up to n = colength(J)
+    field = PrimeField(65537)
+    lin = ((3, -3), (3, -1))
+    mono = MonomialIdeal.from_exponents([(4, 0), (2, 1), (1, 3), (0, 4)])
+    I = TruncatedIdeal.materialize(
+        _changed(field, [(g.a, g.b) for g in mono.gens], lin), field)
+    calls = []
+    product = TruncatedIdeal.product
+    monkeypatch.setattr(TruncatedIdeal, "product",
+                        lambda self, other: calls.append(1)
+                        or product(self, other))
+    adj = adjoint_ideal(I, GenericSampler(seed=923069118))
+    assert len(calls) <= 2
+    expected = adjoint(mono)
+    assert adj.colength() == 3
+    assert all(adj.contains_poly(g) for g in
+               _changed(field, [(g.a, g.b) for g in expected.gens], lin))

@@ -46,13 +46,12 @@ def test_worked_mixed_ideal_certificate_and_colength():
 
 
 def test_nakayama_certificate_values():
-    assert Tr("x", "y", order=3).contains_power(1)
-    m2 = Tr("x^2", "x*y", "y^2", order=4)
-    assert m2.contains_power(2)
-    assert not m2.contains_power(1)
+    # n0 is the least t with m^t <= I
+    assert Tr("x", "y", order=3).n0 == 1
+    assert Tr("x^2", "x*y", "y^2", order=4).n0 == 2
     worked = Tr("x^3", "x*y", "y^2", order=6)
-    assert worked.contains_power(3)
-    assert not worked.contains_power(2)
+    assert worked.n0 == 3
+    assert worked.contains_poly(P("y^3")) and worked.contains_poly(P("x^3"))
     assert not worked.contains_poly(P("x^2"))
 
 
