@@ -16,10 +16,9 @@ from .errors import (MathError, NotMPrimaryError, ParseError,
                      TruncationCeilingError)
 from .modcore import (ModuleRep, _slot_monomial_ideals, buchsbaum_rim,
                       core_module, fitting, minimal_reduction_module)
-from .reduction import (GenericSampler, NotUpToBound, adjoint_of_generators,
+from .reduction import (GenericSampler, adjoint_of_generators,
                         divide_monomial_content, hilbert_samuel,
-                        integral_closure_ideal, is_reduction,
-                        minimal_reduction)
+                        integral_closure_ideal, minimal_reduction)
 from .serialize import (ideal_from_obj, ideal_text, ideal_to_obj,
                         matrix_from_obj, module_from_obj, module_text,
                         module_to_obj)
@@ -111,8 +110,7 @@ def _load_ideal(args, config) -> TruncatedIdeal:
 
 
 def _cmd_closure(args, config):
-    result = integral_closure_ideal(_load_ideal(args, config), nmax=args.nmax,
-                                    config=config)
+    result = integral_closure_ideal(_load_ideal(args, config), nmax=args.nmax)
     payload = ideal_to_obj(result.ideal)
     payload["exact"] = result.exact
     _emit(args, payload, _ideal_with_art(result.ideal)
@@ -130,7 +128,7 @@ def _cmd_adjoint(args, config):
 
 
 def _adjoint(args, fld, gens, config):
-    sampler = GenericSampler(args.seed, config)
+    sampler = GenericSampler(args.seed)
     if args.method == "both":
         howald_gens, howald_mono = adjoint_of_generators(
             gens, fld, "howald", sampler, config=config)
@@ -165,7 +163,7 @@ def _cmd_core(args, config):
         ideal = _load_ideal(args, config)
         if ideal.is_unit:
             raise MathError("ideal is not m-primary")
-        module = ModuleRep.from_ideal(ideal, config=config)
+        module = ModuleRep.from_ideal(ideal)
         parts = [mono for mono in [ideal.to_monomial()] if mono is not None]
     # core(M) = adj(I(M))*M needs M integrally closed; the closure of a
     # direct sum of ideals is the direct sum of their closures
@@ -176,8 +174,7 @@ def _cmd_core(args, config):
                 f"core needs integrally closed input (core(M) = adj(I(M))*M "
                 f"holds for integrally closed M); slot {slot} is {part}, "
                 f"whose integral closure is {closure}")
-    core = core_module(module, GenericSampler(args.seed, config),
-                       config=config)
+    core = core_module(module, GenericSampler(args.seed))
     if args.module:
         _emit(args, module_to_obj(core), module_text(core))
         return 0
@@ -199,7 +196,7 @@ def _cmd_mult(args, config):
     mono = _monomial_ideal(gens)
     if mono is None:
         value = hilbert_samuel(_materialize(fld, gens, config),
-                               GenericSampler(args.seed, config), config=config)
+                               GenericSampler(args.seed))
     elif mono.is_unit or mono.is_m_primary:  # exact, with no truncation
         value = multiplicity(mono)
     else:
@@ -210,31 +207,28 @@ def _cmd_mult(args, config):
 
 def _cmd_br(args, config):
     module = module_from_obj(_load_json(args.module), config=config)
-    value = buchsbaum_rim(module, config=config)
+    value = buchsbaum_rim(module)
     _emit(args, {"multiplicity": value}, str(value))
     return 0
 
 
 def _cmd_reduction(args, config):
-    sampler = GenericSampler(args.seed, config)
+    sampler = GenericSampler(args.seed)
     if args.module:
         module = module_from_obj(_load_json(args.module), config=config)
-        red, cert = minimal_reduction_module(module, sampler, config=config)
+        red, cert = minimal_reduction_module(module, sampler)
         payload = module_to_obj(red)
         payload["certificate"] = {"symmetric_degree": cert.degree,
                                   "trivial": cert.trivial}
         _emit(args, payload, module_text(red))
         return 0
     ideal = _load_ideal(args, config)
-    j, cert = minimal_reduction(ideal, sampler, config=config)
-    outcome = is_reduction(j, ideal, nmax=cert.exponent, config=config)
-    if isinstance(outcome, NotUpToBound):
-        raise MathError("reduction certificate failed to re-verify")
+    j, cert = minimal_reduction(ideal, sampler)
     payload = {
         "field": ideal.field.name,
         "gens": [str(g) for g in j.gens],
         "certificate": {"exponent": cert.exponent,
-                        "colength": cert.lhs_colength},
+                        "colength": cert.colength},
     }
     _emit(args, payload, ideal_text(j))
     return 0
@@ -250,6 +244,13 @@ def _cmd_verify(args, config):
               file=sys.stderr)
         return 1
     return 0
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--ceiling", type=int, default=None,
-                       help="truncation ceiling override")
+        p.add_argument("--ceiling", type=_positive_int,
+                       default=DEFAULT.truncation_ceiling,
+                       help="truncation ceiling")
 
     p = sub.add_parser("closure", help="integral closure of an ideal")
     common(p, ideal=True)
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seeded=True)
     p.add_argument("--field", default="Q")
     p.add_argument("--family", choices=FAMILIES, default="all")
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_positive_int, default=50)
 
     return parser
 
@@ -324,9 +326,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = DEFAULT
-    if getattr(args, "ceiling", None):
-        config = EngineConfig(truncation_ceiling=args.ceiling)
+    config = EngineConfig(truncation_ceiling=args.ceiling)
     needs_input = args.command in ("closure", "adjoint", "mult")
     if needs_input and not args.ideal:
         print("error: --ideal is required", file=sys.stderr)

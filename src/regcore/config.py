@@ -1,4 +1,4 @@
-"""Engine-wide tunables."""
+"""The engine's one setting, carried by every ideal and module."""
 
 from __future__ import annotations
 
@@ -9,16 +9,6 @@ from dataclasses import dataclass
 class EngineConfig:
     # Largest truncation order N for k[x,y]/m^N (dimension N(N+1)/2).
     truncation_ceiling: int = 64
-    # Generic coefficients over Q are drawn from {-B,...,B} minus 0.
-    coefficient_pool: int = 10
-    # Resampling attempts before a genericity failure is reported.
-    retry_limit: int = 8
-    # Independent sampler seeds used to cross-check colon-method adjoints.
-    adjoint_seed_checks: int = 3
-    # Symmetric-power degree bound tried for module reduction certificates.
-    sym_power_bound: int = 3
-    # Largest symmetric power materialised for Buchsbaum-Rim stabilisation.
-    br_degree_bound: int = 12
 
 
 DEFAULT = EngineConfig()

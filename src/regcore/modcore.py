@@ -15,13 +15,19 @@ from itertools import combinations_with_replacement
 
 from .config import DEFAULT, EngineConfig
 from .errors import (FieldMismatchError, GenericityError, MathError,
-                     NotMPrimaryError, TruncationCeilingError, ZeroIdealError)
+                     ZeroIdealError)
 from .field import Field
 from .poly import Poly, matrix_minors
-from .reduction import GenericSampler, adjoint_ideal
+from .reduction import (GenericSampler, adjoint_ideal, search_reduction,
+                        stable_difference)
 from .trunc import (TruncatedIdeal, TruncatedSpan, nakayama_covers,
                     span_colon, span_with_certificate)
 from . import staircase
+
+# Symmetric-power degree bound tried for module reduction certificates.
+SYM_POWER_BOUND = 3
+# Largest symmetric power materialised for Buchsbaum-Rim stabilisation.
+BR_DEGREE_BOUND = 12
 
 
 class ModuleRep:
@@ -64,9 +70,9 @@ class ModuleRep:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_ideal(cls, ideal: TruncatedIdeal,
-                   config: EngineConfig = DEFAULT) -> "ModuleRep":
-        return cls(ideal.field, 1, [(g,) for g in ideal.gens], config=config)
+    def from_ideal(cls, ideal: TruncatedIdeal) -> "ModuleRep":
+        return cls(ideal.field, 1, [(g,) for g in ideal.gens],
+                   config=ideal.config)
 
     @classmethod
     def from_monomial_ideal(cls, ideal: staircase.MonomialIdeal, field: Field,
@@ -286,13 +292,12 @@ def fitting(matrix, k: int, field: Field,
 # colon of modules into modules
 
 
-def colon_into(N: ModuleRep, M: ModuleRep,
-               config: EngineConfig = DEFAULT) -> TruncatedIdeal:
+def colon_into(N: ModuleRep, M: ModuleRep) -> TruncatedIdeal:
     """(N : M) = { r in R : r*M <= N } for N <= M of the same rank, by
     `span_colon`."""
     if N.rank != M.rank:
         raise MathError("colon needs modules of equal rank")
-    return span_colon(N.span(), M.columns, config)
+    return span_colon(N.span(), M.columns, N.config)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +376,7 @@ def _sym_slot_ideals(parts: list[staircase.MonomialIdeal], degree: int):
     return out
 
 
-def sym_colength(M: ModuleRep, degree: int,
-                 config: EngineConfig = DEFAULT) -> int:
+def sym_colength(M: ModuleRep, degree: int) -> int:
     """Exact length of Sym_degree(F) / S_degree(M)."""
     if degree == 0:
         return 0
@@ -381,24 +385,24 @@ def sym_colength(M: ModuleRep, degree: int,
         return sum(staircase.colength(ideal)
                    for ideal in _sym_slot_ideals(parts, degree))
     slots, vectors = sym_generators(M, degree)
-    span = span_with_certificate(vectors, len(slots), M.field, config=config)
+    span = span_with_certificate(vectors, len(slots), M.field,
+                                 config=M.config)
     return span.colength()
 
 
-def _sym_certificate_order(M: ModuleRep, degree: int,
-                           config: EngineConfig) -> int:
+def _sym_certificate_order(M: ModuleRep, degree: int) -> int:
     """Least c with m^c * Sym_degree(F) inside S_degree(M)."""
     parts = _slot_monomial_ideals(M)
     if parts is not None:
         return max(staircase.power_certificate(ideal)
                    for ideal in _sym_slot_ideals(parts, degree))
     slots, vectors = sym_generators(M, degree)
-    span = span_with_certificate(vectors, len(slots), M.field, config=config)
+    span = span_with_certificate(vectors, len(slots), M.field,
+                                 config=M.config)
     return span.n0
 
 
-def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int,
-                        config: EngineConfig = DEFAULT) -> bool:
+def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int) -> bool:
     """Exact test of S_1(N) * S_t(M) = S_(t+1)(M).
 
     Nakayama: equality follows once every generator of S_(t+1)(M) lies in
@@ -407,7 +411,7 @@ def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int,
     """
     field = M.field
     rank = M.rank
-    cap = _sym_certificate_order(M, t + 1, config)
+    cap = _sym_certificate_order(M, t + 1)
     slots, big_gens = sym_generators(M, t + 1)
     index = {exp: i for i, exp in enumerate(slots)}
     small_slots, small_gens = sym_generators(M, t)
@@ -432,8 +436,7 @@ class ModuleReductionCertificate:
     trivial: bool = False
 
 
-def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler,
-                             config: EngineConfig = DEFAULT):
+def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler):
     """r+1 seeded-generic column combinations with a verified
     symmetric-power certificate.
 
@@ -442,29 +445,20 @@ def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler,
     """
     if M.is_free():
         return M, ModuleReductionCertificate(0, trivial=True)
-    field = M.field
-    for _ in range(sampler.config.retry_limit):
-        cand_cols = []
-        for _i in range(M.rank + 1):
-            col = [Poly.zero(field)] * M.rank
-            for source in M.columns:
-                c = sampler.coefficient(field)
-                for i in range(M.rank):
-                    col[i] = col[i] + source[i].scale(c)
-            cand_cols.append(tuple(col))
-        N = ModuleRep(field, M.rank, cand_cols, config=config)
-        try:
-            N.span()  # must have finite colength in F
-        except (NotMPrimaryError, ZeroIdealError, TruncationCeilingError):
-            continue
-        for t in range(1, config.sym_power_bound + 1):
-            if sym_reduction_check(N, M, t, config=config):
-                return N, ModuleReductionCertificate(t)
-    raise GenericityError("no certified module reduction found; "
-                          "resampling limit exhausted")
+
+    def build(cand):
+        N = ModuleRep(M.field, M.rank, cand, config=M.config)
+        N.span()  # must have finite colength in F
+        return N
+
+    def certify(N):
+        return next((ModuleReductionCertificate(t)
+                     for t in range(1, SYM_POWER_BOUND + 1)
+                     if sym_reduction_check(N, M, t)), None)
+    return search_reduction(M.columns, sampler, build, certify)
 
 
-def buchsbaum_rim(M: ModuleRep, config: EngineConfig = DEFAULT) -> int:
+def buchsbaum_rim(M: ModuleRep) -> int:
     """Buchsbaum-Rim multiplicity of F/M by difference stabilization.
 
     (rank+1)-th finite differences of t -> len(Sym_t(F)/S_t(M)) must be
@@ -472,40 +466,30 @@ def buchsbaum_rim(M: ModuleRep, config: EngineConfig = DEFAULT) -> int:
     """
     if M.is_free():
         return 0
-    order = M.rank + 1
-    values = [0]
-    stable: list[int] = []
-    for t in range(1, config.br_degree_bound + 1):
-        values.append(sym_colength(M, t, config=config))
-        if len(values) >= order + 1:
-            diffs = list(values)
-            for _ in range(order):
-                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            stable.append(diffs[-1])
-            if len(stable) >= 3 and stable[-1] == stable[-2] == stable[-3]:
-                return stable[-1]
-    raise MathError(
-        f"Buchsbaum-Rim differences did not stabilize by degree "
-        f"{config.br_degree_bound}")
+    value = stable_difference((sym_colength(M, t)
+                               for t in range(1, BR_DEGREE_BOUND + 1)),
+                              M.rank + 1)
+    if value is None:
+        raise MathError(f"Buchsbaum-Rim differences did not stabilize by "
+                        f"degree {BR_DEGREE_BOUND}")
+    return value
 
 
 # ---------------------------------------------------------------------------
 # cores
 
 
-def _adjoint_gens_of_ideal(I: TruncatedIdeal, sampler: GenericSampler,
-                           config: EngineConfig):
+def _adjoint_gens_of_ideal(I: TruncatedIdeal, sampler: GenericSampler):
     """Generators of adj(I), via the lattice oracle when I is monomial."""
     mono = I.to_monomial()
     if mono is not None:
         adj = staircase.adjoint(mono)
         return [Poly.monomial(I.field, m) for m in adj.gens], adj
-    result = adjoint_ideal(I, sampler, config=config)
+    result = adjoint_ideal(I, sampler)
     return list(result.gens), None
 
 
-def core_module(M: ModuleRep, sampler: GenericSampler,
-                config: EngineConfig = DEFAULT) -> ModuleRep:
+def core_module(M: ModuleRep, sampler: GenericSampler) -> ModuleRep:
     """core(M) = adj(I(M)) * M for integrally closed M.
 
     With a presentation at hand the Fitting route I_(n-r-1)(A) * M is
@@ -514,14 +498,14 @@ def core_module(M: ModuleRep, sampler: GenericSampler,
     I = M.minor_ideal()
     if I.is_unit:
         return M  # free module: its only reduction is itself
-    adj_gens, adj_mono = _adjoint_gens_of_ideal(I, sampler, config)
+    adj_gens, adj_mono = _adjoint_gens_of_ideal(I, sampler)
     if adj_mono is not None:
         result = M.scale_by_monomial_ideal(adj_mono)
     else:
         result = M.scale_by_gens(adj_gens)
     if M.presentation is not None:
         fit = fitting(M.presentation, M.ngens - M.rank - 1, M.field,
-                      config=config)
+                      config=M.config)
         via_fitting = M.scale_by_gens(list(fit.gens))
         if not result.equals(via_fitting):
             raise GenericityError(
@@ -529,23 +513,22 @@ def core_module(M: ModuleRep, sampler: GenericSampler,
     return result
 
 
-def core_iterate(M: ModuleRep, t: int, sampler: GenericSampler,
-                 config: EngineConfig = DEFAULT) -> ModuleRep:
+def core_iterate(M: ModuleRep, t: int, sampler: GenericSampler) -> ModuleRep:
     """t-fold core; each step is checked against the closed form
     core^k(M) = adj(I(M))^((r+1)^k - 1)/r * M."""
     r = M.rank
     I = M.minor_ideal()
-    adj_gens, adj_mono = _adjoint_gens_of_ideal(I, sampler, config)
+    adj_gens, adj_mono = _adjoint_gens_of_ideal(I, sampler)
     current = M
     for k in range(1, t + 1):
-        current = core_module(current, sampler, config=config)
+        current = core_module(current, sampler)
         exponent = ((r + 1) ** k - 1) // r
         if adj_mono is not None:
             power = adj_mono.power(exponent)
             closed_form = M.scale_by_monomial_ideal(power)
         else:
             ideal = TruncatedIdeal.materialize(adj_gens, M.field,
-                                               config=config)
+                                               config=M.config)
             closed_form = M.scale_by_gens(list(ideal.power(exponent).gens))
         if not current.equals(closed_form):
             raise GenericityError("iterated core disagrees with closed form")

@@ -17,44 +17,87 @@ from fractions import Fraction
 
 from .config import DEFAULT, EngineConfig
 from .errors import (GenericityError, MathError, NotMPrimaryError,
-                     TruncationCeilingError)
+                     TruncationCeilingError, ZeroIdealError)
 from .field import Field
 from .poly import Monomial, Poly
 from .trunc import TruncatedIdeal, monomials_below, nakayama_covers
 from . import staircase
 
 
+# Generic coefficients over Q are drawn from {-B,...,B} minus 0.
+COEFFICIENT_POOL = 10
+# Draws of a reduction search before a genericity failure is reported.
+RETRY_LIMIT = 8
+# Independent sampler seeds used to cross-check colon-method adjoints.
+ADJOINT_SEEDS = 3
+
+
 @dataclass
 class GenericSampler:
-    """Deterministic source of generic field coefficients.
-
-    The coefficient pool and the retry limit are read from `config`, so a
-    sampler built from the config in use honours its tunables.
-    """
+    """Deterministic source of generic field coefficients."""
 
     seed: int = 42
-    config: EngineConfig = DEFAULT
 
     def __post_init__(self):
         self._rng = random.Random(self.seed)
 
     def coefficient(self, fld: Field):
         if fld.p is None:
-            pool = self.config.coefficient_pool
-            v = self._rng.randint(1, 2 * pool)
-            return Fraction(v - pool if v > pool else -v)
+            v = self._rng.randint(1, 2 * COEFFICIENT_POOL)
+            return Fraction(v - COEFFICIENT_POOL if v > COEFFICIENT_POOL
+                            else -v)
         return self._rng.randrange(1, fld.p)
 
-    def combination(self, gens: list[Poly]) -> Poly:
-        """A generic k-linear combination of all the given generators."""
-        fld = gens[0].field
-        out = Poly.zero(fld)
-        for g in gens:
-            out = out + g.scale(self.coefficient(fld))
-        return out
+    def combination(self, columns) -> tuple[Poly, ...]:
+        """A generic k-linear combination of the given columns, one
+        coefficient per column in order."""
+        fld = columns[0][0].field
+        out = [Poly.zero(fld)] * len(columns[0])
+        for col in columns:
+            c = self.coefficient(fld)
+            out = [acc + f.scale(c) for acc, f in zip(out, col)]
+        return tuple(out)
 
     def spawn(self, offset: int) -> "GenericSampler":
-        return GenericSampler(self.seed + offset, self.config)
+        return GenericSampler(self.seed + offset)
+
+
+def search_reduction(columns, sampler: GenericSampler, build, certify):
+    """(N, certify(N)) for the first draw of rank+1 seeded-generic
+    combinations of `columns` that `build` turns into a finite-colength N
+    and `certify` does not answer None; GenericityError after RETRY_LIMIT
+    draws."""
+    rank = len(columns[0])
+    for _ in range(RETRY_LIMIT):
+        cand = [sampler.combination(columns) for _ in range(rank + 1)]
+        try:
+            N = build(cand)
+        except (NotMPrimaryError, ZeroIdealError, TruncationCeilingError):
+            continue
+        cert = certify(N)
+        if cert is not None:
+            return N, cert
+    raise GenericityError(
+        f"no certified reduction by {rank + 1} generic combinations in "
+        f"{RETRY_LIMIT} draws; the field may be too small or the input "
+        f"pathological")
+
+
+def stable_difference(values, order: int) -> int | None:
+    """The order-th finite difference of 0, values..., once it takes one
+    value at three consecutive places; None if `values` run out first."""
+    seen = [0]
+    stable: list[int] = []
+    for value in values:
+        seen.append(value)
+        if len(seen) > order:
+            diffs = seen[-order - 1:]
+            for _ in range(order):
+                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            stable.append(diffs[0])
+            if stable[-3:] == [stable[-1]] * 3:
+                return stable[-1]
+    return None
 
 
 @dataclass(frozen=True)
@@ -63,8 +106,7 @@ class ReductionCertificate:
 
     subideal_gens: tuple[Poly, ...]
     exponent: int
-    lhs_colength: int
-    rhs_colength: int
+    colength: int  # of I^(n+1)
 
 
 @dataclass(frozen=True)
@@ -88,8 +130,7 @@ def smaller_ideal_equals(big: TruncatedIdeal, small_gens: list[Poly]) -> bool:
                            [(q,) for q in small_gens], 1, fld, big.n0)
 
 
-def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None,
-                 config: EngineConfig = DEFAULT):
+def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None):
     """First n <= nmax with J*I^n = I^(n+1), or a one-sided NotUpToBound.
 
     Absence up to the bound is not a disproof.  The default bound tries
@@ -107,40 +148,30 @@ def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None,
             return NotUpToBound(n - 1, "truncation ceiling reached")
         q_gens = [g * h for g in J.gens for h in power.gens]
         if smaller_ideal_equals(next_power, q_gens):
-            ell = next_power.colength()
-            return ReductionCertificate(tuple(J.gens), n, ell, ell)
+            return ReductionCertificate(tuple(J.gens), n,
+                                        next_power.colength())
         power = next_power
     return NotUpToBound(nmax)
 
 
-def _first_reduction(I: TruncatedIdeal, sampler: GenericSampler, certify,
-                     config: EngineConfig):
-    """(J, certify(J)) for the first draw J of two seeded-generic
-    combinations of the generators that `certify` does not answer None."""
+def _first_reduction(I: TruncatedIdeal, sampler: GenericSampler, certify):
+    """(J, certify(J)) for the first 2-generated draw J <= I that `certify`
+    does not answer None."""
     if I.is_unit:
         raise NotMPrimaryError("the unit ideal has no minimal reduction")
-    gens = list(I.gens)
-    for _ in range(sampler.config.retry_limit):
-        cand = [sampler.combination(gens), sampler.combination(gens)]
-        try:
-            J = TruncatedIdeal.materialize(cand, I.field, config=config)
-        except (NotMPrimaryError, TruncationCeilingError):
-            continue
-        cert = certify(J)
-        if cert is not None:
-            return J, cert
-    raise GenericityError(
-        "no verified 2-generated reduction found; field may be too small "
-        "or the input is pathological")
+    return search_reduction(
+        [(g,) for g in I.gens], sampler,
+        lambda cand: TruncatedIdeal.materialize([col[0] for col in cand],
+                                                I.field, config=I.config),
+        certify)
 
 
-def minimal_reduction(I: TruncatedIdeal, sampler: GenericSampler,
-                      config: EngineConfig = DEFAULT):
+def minimal_reduction(I: TruncatedIdeal, sampler: GenericSampler):
     """Two seeded-generic combinations of the generators, with certificate."""
     def certify(J):
-        outcome = is_reduction(J, I, config=config)
+        outcome = is_reduction(J, I)
         return outcome if isinstance(outcome, ReductionCertificate) else None
-    return _first_reduction(I, sampler, certify, config)
+    return _first_reduction(I, sampler, certify)
 
 
 @dataclass(frozen=True)
@@ -155,8 +186,7 @@ class MultiplicityCertificate:
 
 
 def rees_reduction(I: TruncatedIdeal, sampler: GenericSampler, e: int,
-                   reference: ReductionCertificate,
-                   config: EngineConfig = DEFAULT):
+                   reference: ReductionCertificate):
     """A 2-generated reduction of I, given e = e(I), by one colength per draw.
 
     R is formally equidimensional, so an m-primary J <= I is a reduction
@@ -171,24 +201,22 @@ def rees_reduction(I: TruncatedIdeal, sampler: GenericSampler, e: int,
                             f"the reference e = {e}")
         if ell == e:
             return MultiplicityCertificate(tuple(J.gens), e, reference)
-    return _first_reduction(I, sampler, certify, config)
+    return _first_reduction(I, sampler, certify)
 
 
-def is_integral_element(f: Poly, I: TruncatedIdeal, nmax: int | None = None,
-                        config: EngineConfig = DEFAULT):
+def is_integral_element(f: Poly, I: TruncatedIdeal, nmax: int | None = None):
     """Is f integral over I?  (I must be a reduction of I + (f).)
 
     Returns (True, certificate) or (False, NotUpToBound): the negative is
     one-sided.
     """
     if f.is_zero or I.contains_poly(f):
-        return True, ReductionCertificate(tuple(I.gens), 0,
-                                          I.colength(), I.colength())
+        return True, ReductionCertificate(tuple(I.gens), 0, I.colength())
     if f.constant_term() != I.field.zero:
         raise MathError("candidate element must lie in the maximal ideal")
     enlarged = TruncatedIdeal.materialize(list(I.gens) + [f], I.field,
-                                          config=config)
-    outcome = is_reduction(I, enlarged, nmax=nmax, config=config)
+                                          config=I.config)
+    outcome = is_reduction(I, enlarged, nmax=nmax)
     if isinstance(outcome, ReductionCertificate):
         return True, outcome
     return False, outcome
@@ -200,8 +228,8 @@ class ClosureResult:
     exact: bool
 
 
-def integral_closure_ideal(I: TruncatedIdeal, nmax: int | None = None,
-                           config: EngineConfig = DEFAULT) -> ClosureResult:
+def integral_closure_ideal(I: TruncatedIdeal,
+                           nmax: int | None = None) -> ClosureResult:
     """Integral closure: exact via the staircase oracle for monomial input,
     otherwise a certified enlargement I <= J <= closure(I) from monomial
     candidates (flagged exact only in the monomial case)."""
@@ -210,8 +238,8 @@ def integral_closure_ideal(I: TruncatedIdeal, nmax: int | None = None,
     mono = I.to_monomial()
     if mono is not None:
         closed = staircase.integral_closure(mono)
-        return ClosureResult(TruncatedIdeal.from_monomial(closed, I.field,
-                                                          config=config), True)
+        return ClosureResult(TruncatedIdeal.from_monomial(
+            closed, I.field, config=I.config), True)
     current = I
     bound = I.n0
     while True:
@@ -222,14 +250,13 @@ def integral_closure_ideal(I: TruncatedIdeal, nmax: int | None = None,
             cand = Poly.monomial(I.field, m)
             if current.contains_poly(cand):
                 continue
-            verdict, _ = is_integral_element(cand, current, nmax=nmax,
-                                             config=config)
+            verdict, _ = is_integral_element(cand, current, nmax=nmax)
             if verdict:
                 added.append(cand)
         if not added:
             return ClosureResult(current, False)
         current = TruncatedIdeal.materialize(list(current.gens) + added,
-                                             I.field, config=config)
+                                             I.field, config=I.config)
 
 
 def _is_integrally_closed_monomial(I: TruncatedIdeal) -> bool | None:
@@ -239,8 +266,7 @@ def _is_integrally_closed_monomial(I: TruncatedIdeal) -> bool | None:
     return staircase.integral_closure(mono) == mono
 
 
-def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler,
-                  config: EngineConfig = DEFAULT) -> TruncatedIdeal:
+def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
     """Adjoint by the colon formula: (J : I) for a minimal reduction J.
 
     Requires I integrally closed (verified when I is monomial, asserted by
@@ -254,11 +280,10 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler,
     closed = _is_integrally_closed_monomial(I)
     if closed is False:
         raise MathError("adjoint via colon requires an integrally closed ideal")
-    J, cert = minimal_reduction(I, sampler.spawn(0), config=config)
+    J, cert = minimal_reduction(I, sampler.spawn(0))
     e, first = J.colength(), J.colon(I)
-    for k in range(1, config.adjoint_seed_checks):
-        J, _ = rees_reduction(I, sampler.spawn(1009 * k), e, cert,
-                              config=config)
+    for k in range(1, ADJOINT_SEEDS):
+        J, _ = rees_reduction(I, sampler.spawn(1009 * k), e, cert)
         if not first.equals(J.colon(I)):
             raise GenericityError("colon adjoints disagree across seeds")
     if closed and not _is_integrally_closed_monomial(first):
@@ -267,8 +292,7 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler,
     return first
 
 
-def hilbert_samuel(I: TruncatedIdeal, sampler: GenericSampler,
-                   config: EngineConfig = DEFAULT) -> int:
+def hilbert_samuel(I: TruncatedIdeal, sampler: GenericSampler) -> int:
     """Multiplicity by two independent methods; they must agree.
 
     Method A: colength of a verified 2-generated minimal reduction.
@@ -277,26 +301,22 @@ def hilbert_samuel(I: TruncatedIdeal, sampler: GenericSampler,
     """
     if I.is_unit:
         return 0
-    J, _cert = minimal_reduction(I, sampler, config=config)
+    J, _cert = minimal_reduction(I, sampler)
     method_a = J.colength()
 
-    lengths = [0, I.colength()]
-    second_diffs: list[int] = []
-    method_b = None
-    power = I
-    while method_b is None:
-        try:
-            power = power.product(I)
-        except TruncationCeilingError:
-            raise TruncationCeilingError(
-                "cannot stabilize second differences under the truncation "
-                "ceiling; raise it or use the reduction method") from None
-        lengths.append(power.colength())
-        n = len(lengths) - 1
-        second_diffs.append(lengths[n] - 2 * lengths[n - 1] + lengths[n - 2])
-        if len(second_diffs) >= 3 and \
-                second_diffs[-1] == second_diffs[-2] == second_diffs[-3]:
-            method_b = second_diffs[-1]
+    def colengths():  # of I, I^2, ... up to the truncation ceiling
+        power = I
+        while True:
+            yield power.colength()
+            try:
+                power = power.product(I)
+            except TruncationCeilingError:
+                raise TruncationCeilingError(
+                    "cannot stabilize second differences under the "
+                    "truncation ceiling; raise it or use the reduction "
+                    "method") from None
+
+    method_b = stable_difference(colengths(), 2)
     if method_a != method_b:
         raise GenericityError(
             f"multiplicity methods disagree: reduction colength {method_a} "
@@ -330,7 +350,7 @@ def adjoint_of_generators(gens: list[Poly], fld: Field, method: str,
             raise MathError("the lattice method needs a monomial ideal")
         adj = staircase.adjoint(mono)
     elif method == "colon":
-        result = adjoint_ideal(core, sampler, config=config)
+        result = adjoint_ideal(core, sampler)
         out_mono = result.to_monomial()
         if out_mono is not None:
             adj = out_mono

@@ -175,9 +175,9 @@ def _family_ideal_classics(runner: _Runner, seed: int, ideals, pairs):
     for i, a in enumerate(ideals):
         name = ideal_text(a)
         tr = _tr(runner, a)
-        sampler = GenericSampler(_child_seed(seed, 11, i), runner.config)
-        J, cert = minimal_reduction(tr, sampler, config=runner.config)
-        recheck = is_reduction(J, tr, nmax=cert.exponent, config=runner.config)
+        sampler = GenericSampler(_child_seed(seed, 11, i))
+        J, cert = minimal_reduction(tr, sampler)
+        recheck = is_reduction(J, tr, nmax=cert.exponent)
         ok = (isinstance(recheck, ReductionCertificate)
               and recheck.exponent == cert.exponent
               and J.colength() == multiplicity(a))
@@ -193,8 +193,7 @@ def _family_ideal_classics(runner: _Runner, seed: int, ideals, pairs):
         for (pa, pb) in probe:
             mono = Poly.term(runner.field, pa, pb)
             lattice = closed.contains_monomial((pa, pb))
-            certified, _detail = is_integral_element(mono, tr, nmax=3,
-                                                     config=runner.config)
+            certified, _detail = is_integral_element(mono, tr, nmax=3)
             if lattice != certified:
                 closure_ok = False
                 witness = f"x^{pa}*y^{pb}: lattice {lattice} vs criterion {certified}"
@@ -212,8 +211,8 @@ def _family_ideal_classics(runner: _Runner, seed: int, ideals, pairs):
                        f"a={ideal_text(a)}; factor=x*y^2",
                        adjoint(shifted), adjoint(a).shift((1, 2)))
     for i, a in enumerate(ideals):
-        sampler = GenericSampler(_child_seed(seed, 12, i), runner.config)
-        core_a = core_module(_mod(runner, a), sampler, config=runner.config)
+        sampler = GenericSampler(_child_seed(seed, 12, i))
+        core_a = core_module(_mod(runner, a), sampler)
         adj_a = adjoint(a)
         runner.eq_module("core-equals-adjoint-times-ideal",
                          f"a={ideal_text(a)}", core_a,
@@ -246,11 +245,9 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
         runner.eq_mono("adjoint-equals-first-fitting-ideal", label,
                        first_fit.to_monomial(), adj_oracle)
         for s in range(3):
-            sampler = GenericSampler(_child_seed(seed, 21 + s, i),
-                                     runner.config)
-            red, cert = minimal_reduction_module(mod, sampler,
-                                                 config=runner.config)
-            col = colon_into(red, mod, config=runner.config)
+            sampler = GenericSampler(_child_seed(seed, 21 + s, i))
+            red, cert = minimal_reduction_module(mod, sampler)
+            col = colon_into(red, mod)
             runner.eq_mono("adjoint-equals-colon-of-minimal-reduction",
                            f"{label}; seed={sampler.seed}; "
                            f"sym-degree={cert.degree}",
@@ -283,9 +280,9 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
                       colength(ideal_of_minors), total)
     # colon-method adjoint agrees with the lattice oracle on the minor ideals
     for i, (label, mod) in enumerate(mods):
-        sampler = GenericSampler(_child_seed(seed, 29, i), runner.config)
+        sampler = GenericSampler(_child_seed(seed, 29, i))
         tri = mod.minor_ideal()
-        adj_colon = adjoint_ideal(tri, sampler, config=runner.config)
+        adj_colon = adjoint_ideal(tri, sampler)
         runner.eq_mono("colon-method-adjoint-matches-lattice-oracle", label,
                        adj_colon.to_monomial(),
                        adjoint(tri.to_monomial()))
@@ -296,10 +293,10 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
     fld = runner.field
     mods = _presented_modules(runner, ideals[:4], module_pairs)
     for i, (label, mod) in enumerate(mods):
-        sampler = GenericSampler(_child_seed(seed, 31, i), runner.config)
+        sampler = GenericSampler(_child_seed(seed, 31, i))
         minors = mod.minor_ideal().to_monomial()
         adj_oracle = adjoint(minors)
-        core = core_module(mod, sampler, config=runner.config)
+        core = core_module(mod, sampler)
         runner.eq_module("core-equals-adjoint-of-minors-times-module", label,
                          core, mod.scale_by_monomial_ideal(adj_oracle))
         n, r = mod.ngens, mod.rank
@@ -309,8 +306,8 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
     for a, b in module_pairs:
         label = f"M={ideal_text(a)}(+){ideal_text(b)}"
         big = _mod(runner, a).direct_sum(_mod(runner, b))
-        sampler = GenericSampler(_child_seed(seed, 32), runner.config)
-        core = core_module(big, sampler, config=runner.config)
+        sampler = GenericSampler(_child_seed(seed, 32))
+        core = core_module(big, sampler)
         adj_ab = adjoint(a.product(b))
         runner.eq_module("core-of-direct-sum-formula", label, core,
                          big.scale_by_monomial_ideal(adj_ab))
@@ -321,7 +318,7 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
         # monotonicity: a*m (+) b <= a (+) b, both integrally closed
         small = _mod(runner, a.product(MonomialIdeal.max_power(1))).direct_sum(
             _mod(runner, b))
-        core_small = core_module(small, sampler, config=runner.config)
+        core_small = core_module(small, sampler)
         runner.le_module("core-is-monotone-on-closed-submodules",
                          f"{label}; shrink first summand by m",
                          core_small, core)
@@ -329,11 +326,11 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
         _mod(runner, MonomialIdeal.max_power(3)))
     fixed_big = _mod(runner, MonomialIdeal.max_power(2)).direct_sum(
         _mod(runner, MonomialIdeal.max_power(3)))
-    sampler = GenericSampler(_child_seed(seed, 33), runner.config)
+    sampler = GenericSampler(_child_seed(seed, 33))
     runner.le_module("core-is-monotone-on-closed-submodules",
                      "M=m^3(+)m^3 inside N=m^2(+)m^3",
-                     core_module(fixed_small, sampler, config=runner.config),
-                     core_module(fixed_big, sampler, config=runner.config))
+                     core_module(fixed_small, sampler),
+                     core_module(fixed_big, sampler))
     for i, (a, b) in enumerate(pairs):
         pair_label = f"a={ideal_text(a)}; b={ideal_text(b)}"
         runner.le_trunc("adjoint-subadditivity", pair_label,
@@ -367,8 +364,8 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
                        scaled.minor_ideal().to_monomial(),
                        scaler.power(base.rank).product(
                            base.minor_ideal().to_monomial()))
-        sampler = GenericSampler(_child_seed(seed, 35), runner.config)
-        core_scaled = core_module(scaled, sampler, config=runner.config)
+        sampler = GenericSampler(_child_seed(seed, 35))
+        core_scaled = core_module(scaled, sampler)
         rhs = base.scale_by_monomial_ideal(
             scaler.power(base.rank - 1)
             .product(adjoint(scaler).product(scaler))
@@ -376,21 +373,21 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
         runner.le_module("core-of-scaled-module-bound", label,
                          core_scaled, rhs)
     for i, (label, mod) in enumerate(mods[:6]):
-        sampler = GenericSampler(_child_seed(seed, 36, i), runner.config)
+        sampler = GenericSampler(_child_seed(seed, 36, i))
         minors = mod.minor_ideal().to_monomial()
-        core = core_module(mod, sampler, config=runner.config)
+        core = core_module(mod, sampler)
         runner.eq_mono("adjoint-of-core-minors", label,
                        adjoint(core.minor_ideal().to_monomial()),
                        adjoint(minors).power(mod.rank + 1))
-        core2 = core_iterate(mod, 2, sampler, config=runner.config)
+        core2 = core_iterate(mod, 2, sampler)
         runner.eq_module("second-core-closed-form", label, core2,
                          mod.scale_by_monomial_ideal(
                              adjoint(minors).power(mod.rank + 2)))
-    sampler = GenericSampler(_child_seed(seed, 37), runner.config)
+    sampler = GenericSampler(_child_seed(seed, 37))
     fixed = _mod(runner, MonomialIdeal.max_power(2)).direct_sum(
         _mod(runner, MonomialIdeal.max_power(3)))
     runner.eq_module("second-core-closed-form", "M=m^2(+)m^3",
-                     core_iterate(fixed, 2, sampler, config=runner.config),
+                     core_iterate(fixed, 2, sampler),
                      _mod(runner, MonomialIdeal.max_power(18)).direct_sum(
                          _mod(runner, MonomialIdeal.max_power(19))))
 
@@ -398,9 +395,8 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
 def _family_multiplicity(runner: _Runner, seed: int, ideals):
     for n in range(1, 7):
         power = MonomialIdeal.max_power(n)
-        sampler = GenericSampler(_child_seed(seed, 41, n), runner.config)
-        engine = hilbert_samuel(_tr(runner, power), sampler,
-                                config=runner.config)
+        sampler = GenericSampler(_child_seed(seed, 41, n))
+        engine = hilbert_samuel(_tr(runner, power), sampler)
         runner.eq_int("power-multiplicity-three-ways",
                       f"a=m^{n} (reduction, differences, covolume)",
                       engine, multiplicity(power))
@@ -408,8 +404,8 @@ def _family_multiplicity(runner: _Runner, seed: int, ideals):
             runner.add("power-multiplicity-three-ways", f"a=m^{n}",
                        str(engine), str(n * n), False)
     for i, a in enumerate(ideals):
-        sampler = GenericSampler(_child_seed(seed, 42, i), runner.config)
-        engine = hilbert_samuel(_tr(runner, a), sampler, config=runner.config)
+        sampler = GenericSampler(_child_seed(seed, 42, i))
+        engine = hilbert_samuel(_tr(runner, a), sampler)
         runner.eq_int("multiplicity-methods-agree-with-covolume",
                       f"a={ideal_text(a)}", engine, multiplicity(a))
         total = 0
@@ -422,28 +418,25 @@ def _family_multiplicity(runner: _Runner, seed: int, ideals):
         runner.eq_int("colength-is-alternating-multiplicity-sum",
                       f"a={ideal_text(a)}", colength(a), total)
     for i, a in enumerate(ideals[:10]):
-        sampler = GenericSampler(_child_seed(seed, 43, i), runner.config)
-        br = buchsbaum_rim(ModuleRep.from_monomial_ideal(a, runner.field,
-                                                         runner.config),
-                           config=runner.config)
+        sampler = GenericSampler(_child_seed(seed, 43, i))
+        br = buchsbaum_rim(_mod(runner, a))
         runner.eq_int("buchsbaum-rim-of-ideal-equals-hilbert-samuel",
                       f"a={ideal_text(a)}", br,
-                      hilbert_samuel(_tr(runner, a), sampler,
-                                     config=runner.config))
+                      hilbert_samuel(_tr(runner, a), sampler))
     mm = _mod(runner, MonomialIdeal.max_power(1)).direct_sum(
         _mod(runner, MonomialIdeal.max_power(1)))
     runner.eq_int("buchsbaum-rim-of-double-maximal-ideal", "M=m(+)m",
-                  buchsbaum_rim(mm, config=runner.config), 3)
+                  buchsbaum_rim(mm), 3)
     runner.eq_int("symmetric-square-colength", "M=m(+)m",
-                  sym_colength(mm, 2, config=runner.config), 9)
+                  sym_colength(mm, 2), 9)
 
 
 def _family_counterexamples(runner: _Runner, seed: int):
     m2 = MonomialIdeal.max_power(2)
-    sampler = GenericSampler(_child_seed(seed, 51), runner.config)
+    sampler = GenericSampler(_child_seed(seed, 51))
     runner.eq_mono("adjoint-of-m-squared", "a=m^2", adjoint(m2),
                    MonomialIdeal.max_power(1))
-    core = core_module(_mod(runner, m2), sampler, config=runner.config)
+    core = core_module(_mod(runner, m2), sampler)
     expected = _mod(runner, MonomialIdeal.max_power(3))
     runner.eq_module("core-of-m-squared", "a=m^2", core, expected)
     try:

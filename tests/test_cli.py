@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from regcore import cli, reduction
 from regcore.cli import main
 from regcore.serialize import ideal_from_obj, module_from_obj, module_to_obj
 from regcore.field import QQ
@@ -225,6 +226,26 @@ def test_reduction_command_certificate(tmp_path, capsys):
     assert out2 == out
 
 
+def test_reduction_command_certifies_once(tmp_path, capsys, monkeypatch):
+    # minimal_reduction certifies J with is_reduction; the command prints
+    # that certificate and does not run the same deterministic check again
+    calls = []
+    original = reduction.is_reduction
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    for module in (cli, reduction):  # every module that binds it
+        if vars(module).get("is_reduction") is original:
+            monkeypatch.setattr(module, "is_reduction", counting)
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^2", "y^2"]})
+    code, out, err = run(capsys, "reduction", "--ideal", path, "--seed", "9")
+    assert code == 0
+    # J*I = I^2, and I^2 = (x^4, x^2*y^2, y^4) has colength 12
+    assert json.loads(out)["certificate"] == {"exponent": 1, "colength": 12}
+    assert len(calls) == 1
+
+
 def test_br_command(tmp_path, capsys):
     mm = {"field": "Q", "rank": 2,
           "generators": [["x", "0"], ["y", "0"], ["0", "x"], ["0", "y"]]}
@@ -279,6 +300,26 @@ def test_reduction_of_module(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["certificate"]["symmetric_degree"] == 1
     assert len(payload["generators"]) == 3  # rank + 1 columns
+
+
+def test_ceiling_must_be_a_positive_integer(tmp_path, capsys):
+    # a ceiling of 0 used to be ignored, a negative one used to be accepted
+    path = write(tmp_path, "I.json", WORKED)
+    for value in ("0", "-3", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["mult", "--ideal", path, "--ceiling", value])
+        assert exc.value.code == 2
+        assert "--ceiling: must be a positive integer" in \
+            capsys.readouterr().err
+
+
+def test_count_must_be_a_positive_integer(capsys):
+    for value in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "counterexamples", "--count", value])
+        assert exc.value.code == 2
+        assert "--count: must be a positive integer" in \
+            capsys.readouterr().err
 
 
 def test_adjoint_lattice_method_needs_monomial(tmp_path, capsys):

@@ -2,17 +2,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcore.config import EngineConfig
-from regcore.errors import MathError, NotMPrimaryError, ZeroIdealError
+from regcore.errors import (GenericityError, MathError, NotMPrimaryError,
+                            ZeroIdealError)
 from regcore.field import QQ, PrimeField
 from regcore.modcore import (ModuleRep, buchsbaum_rim, colon_into, core_iterate,
                              core_module, fitting, minimal_reduction_module,
                              sym_colength, sym_reduction_check, sym_slots)
 from regcore.poly import parse_poly
-from regcore.reduction import GenericSampler, hilbert_samuel
+from regcore.reduction import RETRY_LIMIT, GenericSampler, hilbert_samuel
 from regcore.staircase import MonomialIdeal, presentation_matrix
 from regcore.trunc import TruncatedIdeal
 
 from oracles import reference_fitting
+from test_reduction import StuckSampler
 
 F65537 = PrimeField(65537)
 F7 = PrimeField(7)
@@ -237,6 +239,18 @@ def test_sym_reduction_certificate_m_plus_m():
     assert cert.degree == 1
     assert n.ngens == 3
     assert sym_reduction_check(n, mm, 1)
+
+
+def test_module_search_gives_up_after_the_retry_limit():
+    # every column StuckSampler draws is the first generator, so no draw
+    # has finite colength; the low ceiling of M makes each failure fast
+    mm = ModuleRep.from_monomial_ideal(
+        M(1), QQ, config=EngineConfig(truncation_ceiling=8))
+    mm = mm.direct_sum(mm)
+    sampler = StuckSampler(1)
+    with pytest.raises(GenericityError):
+        minimal_reduction_module(mm, sampler)
+    assert sampler.draws == (mm.rank + 1) * RETRY_LIMIT
 
 
 def test_free_module_reduction_trivial():

@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regcore import reduction
 from regcore.config import EngineConfig
 from regcore.errors import GenericityError, MathError, NotMPrimaryError
 from regcore.field import QQ, PrimeField
 from regcore.poly import parse_poly
 from regcore.poly import Poly
-from regcore.reduction import (GenericSampler, MultiplicityCertificate,
+from regcore.reduction import (COEFFICIENT_POOL, RETRY_LIMIT, GenericSampler,
+                               MultiplicityCertificate,
                                NotUpToBound, ReductionCertificate,
                                adjoint_ideal, adjoint_of_generators,
                                hilbert_samuel, integral_closure_ideal,
@@ -42,7 +44,7 @@ def test_parameter_subideal_is_reduction_of_m2():
     cert = is_reduction(J, I)
     assert isinstance(cert, ReductionCertificate)
     assert cert.exponent == 1
-    assert cert.lhs_colength == cert.rhs_colength == 10  # colength of m^4
+    assert cert.colength == 10  # colength of m^4
 
 
 def test_generic_pair_is_reduction_of_m2():
@@ -79,25 +81,31 @@ def test_minimal_reduction_of_worked_example():
 
 
 class StuckSampler(GenericSampler):
+    """Every combination is the first column."""
+
     draws = 0
 
-    def combination(self, gens):
+    def combination(self, columns):
         self.draws += 1
-        return gens[0]
+        return columns[0]
 
 
-def test_sampler_takes_pool_and_retries_from_the_config():
-    # every draw of StuckSampler is the same polynomial, so each retry
-    # fails and the retry limit sets the number of draws
-    config = EngineConfig(truncation_ceiling=8, retry_limit=3)
-    sampler = StuckSampler(1, config)
+def test_sampler_takes_pool_and_retries_from_the_constants(monkeypatch):
+    # every draw of StuckSampler is (g, g), so each retry fails and the
+    # retry limit sets the number of combinations; the low ceiling of I
+    # makes each failure fast
+    I = TruncatedIdeal.from_monomial(M(2), QQ,
+                                     config=EngineConfig(truncation_ceiling=8))
+    sampler = StuckSampler(1)
     with pytest.raises(GenericityError):
-        minimal_reduction(from_mono(M(2)), sampler, config=config)
-    assert sampler.draws == 2 * 3
-    config = EngineConfig(coefficient_pool=1)
-    sampler = GenericSampler(42, config)
-    assert sampler.spawn(1009).config is config
-    J, _ = minimal_reduction(from_mono(M(2)), sampler, config=config)
+        minimal_reduction(I, sampler)
+    assert sampler.draws == 2 * RETRY_LIMIT
+    J, _ = minimal_reduction(from_mono(M(2)), GenericSampler(42))
+    assert all(1 <= abs(c) <= COEFFICIENT_POOL
+               for g in J.gens for c in g.terms.values())
+    # the pool is read when a coefficient is drawn
+    monkeypatch.setattr(reduction, "COEFFICIENT_POOL", 1)
+    J, _ = minimal_reduction(from_mono(M(2)), GenericSampler(42))
     assert {abs(c) for g in J.gens for c in g.terms.values()} == {1}
     assert J.colength() == 4
 
@@ -200,9 +208,9 @@ class FixedPairSampler(GenericSampler):
         super().__init__(0)
         self.pair = [f, g]
 
-    def combination(self, gens):
+    def combination(self, columns):
         self.pair.reverse()
-        return self.pair[0]
+        return (self.pair[0],)
 
 
 def test_colength_above_e_is_not_a_reduction():
