@@ -14,16 +14,16 @@ import sys
 from .config import DEFAULT, EngineConfig
 from .errors import (MathError, NotMPrimaryError, ParseError,
                      TruncationCeilingError)
-from .modcore import (ModuleRep, _slot_monomial_ideals, buchsbaum_rim,
-                      core_module, fitting, minimal_reduction_module)
+from .modcore import (ModuleRep, buchsbaum_rim, core_module, fitting,
+                      minimal_reduction_module)
 from .reduction import (GenericSampler, adjoint_of_generators,
                         divide_monomial_content, hilbert_samuel,
                         integral_closure_ideal, minimal_reduction)
 from .serialize import (ideal_from_obj, ideal_text, ideal_to_obj,
                         matrix_from_obj, module_from_obj, module_text,
                         module_to_obj)
-from .staircase import (MonomialIdeal, ascii_staircase, integral_closure,
-                        multiplicity, power_certificate)
+from .staircase import (MonomialIdeal, ascii_staircase, multiplicity,
+                        power_certificate)
 from .trunc import TruncatedIdeal
 from .verify import FAMILIES, render_report, run_suite
 
@@ -158,22 +158,11 @@ def _adjoint(args, fld, gens, config):
 def _cmd_core(args, config):
     if args.module:
         module = module_from_obj(_load_json(args.module), config=config)
-        parts = _slot_monomial_ideals(module) or []
     else:
         ideal = _load_ideal(args, config)
         if ideal.is_unit:
             raise MathError("ideal is not m-primary")
         module = ModuleRep.from_ideal(ideal)
-        parts = [mono for mono in [ideal.to_monomial()] if mono is not None]
-    # core(M) = adj(I(M))*M needs M integrally closed; the closure of a
-    # direct sum of ideals is the direct sum of their closures
-    for slot, part in enumerate(parts, 1):
-        closure = integral_closure(part)
-        if closure != part:
-            raise MathError(
-                f"core needs integrally closed input (core(M) = adj(I(M))*M "
-                f"holds for integrally closed M); slot {slot} is {part}, "
-                f"whose integral closure is {closure}")
     core = core_module(module, GenericSampler(args.seed))
     if args.module:
         _emit(args, module_to_obj(core), module_text(core))

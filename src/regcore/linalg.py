@@ -259,6 +259,17 @@ class SparseBasis:
         lead, _ = self.reduce_to_lead(row, cap)
         return lead is None
 
+    def term_leads(self, cap: int) -> list[tuple[int, int]] | None:
+        """(a, b) of each lead of degree <= cap if every such row, capped
+        there, is one term, else None (one slot).  A reduced basis is unique,
+        and a span of monomials has those monomials as its reduced basis."""
+        self.interreduce()
+        limit = degree_limit(cap)
+        rows = [(lead, row) for lead, row in self.rows.items() if lead < limit]
+        if any(k < limit for lead, row in rows for k in row if k != lead):
+            return None
+        return [key_exponents(lead) for lead, _ in rows]
+
 
 def kernel_modulo(basis: SparseBasis, rows: list[dict], cap=None) -> list[dict]:
     """Relations sum(lam_i * rows_i) in span(basis), within the capped quotient.

@@ -18,8 +18,8 @@ from .errors import (FieldMismatchError, GenericityError, MathError,
                      ZeroIdealError)
 from .field import Field
 from .poly import Poly, matrix_minors
-from .reduction import (GenericSampler, adjoint_ideal, search_reduction,
-                        stable_difference)
+from .reduction import (GenericSampler, adjoint_ideal, larger_closure,
+                        search_reduction, stable_difference)
 from .trunc import (TruncatedIdeal, TruncatedSpan, nakayama_covers,
                     span_colon, span_with_certificate)
 from . import staircase
@@ -376,30 +376,23 @@ def _sym_slot_ideals(parts: list[staircase.MonomialIdeal], degree: int):
     return out
 
 
+def _sym_quotient(M: ModuleRep, degree: int) -> tuple[int, int]:
+    """(length, c) for Sym_degree(F) / S_degree(M): its exact length, and
+    the least c with m^c * Sym_degree(F) inside S_degree(M)."""
+    parts = _slot_monomial_ideals(M)
+    if parts is not None:
+        ideals = _sym_slot_ideals(parts, degree)
+        return (sum(staircase.colength(ideal) for ideal in ideals),
+                max(staircase.power_certificate(ideal) for ideal in ideals))
+    slots, vectors = sym_generators(M, degree)
+    span = span_with_certificate(vectors, len(slots), M.field,
+                                 config=M.config)
+    return span.colength(), span.n0
+
+
 def sym_colength(M: ModuleRep, degree: int) -> int:
     """Exact length of Sym_degree(F) / S_degree(M)."""
-    if degree == 0:
-        return 0
-    parts = _slot_monomial_ideals(M)
-    if parts is not None:
-        return sum(staircase.colength(ideal)
-                   for ideal in _sym_slot_ideals(parts, degree))
-    slots, vectors = sym_generators(M, degree)
-    span = span_with_certificate(vectors, len(slots), M.field,
-                                 config=M.config)
-    return span.colength()
-
-
-def _sym_certificate_order(M: ModuleRep, degree: int) -> int:
-    """Least c with m^c * Sym_degree(F) inside S_degree(M)."""
-    parts = _slot_monomial_ideals(M)
-    if parts is not None:
-        return max(staircase.power_certificate(ideal)
-                   for ideal in _sym_slot_ideals(parts, degree))
-    slots, vectors = sym_generators(M, degree)
-    span = span_with_certificate(vectors, len(slots), M.field,
-                                 config=M.config)
-    return span.n0
+    return _sym_quotient(M, degree)[0]
 
 
 def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int) -> bool:
@@ -411,7 +404,7 @@ def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int) -> bool:
     """
     field = M.field
     rank = M.rank
-    cap = _sym_certificate_order(M, t + 1)
+    _, cap = _sym_quotient(M, t + 1)
     slots, big_gens = sym_generators(M, t + 1)
     index = {exp: i for i, exp in enumerate(slots)}
     small_slots, small_gens = sym_generators(M, t)
@@ -479,9 +472,9 @@ def buchsbaum_rim(M: ModuleRep) -> int:
 # cores
 
 
-def _adjoint_gens_of_ideal(I: TruncatedIdeal, sampler: GenericSampler):
-    """Generators of adj(I), via the lattice oracle when I is monomial."""
-    mono = I.to_monomial()
+def _adjoint_gens_of_ideal(I: TruncatedIdeal, mono, sampler: GenericSampler):
+    """Generators of adj(I), via the lattice oracle when I has the
+    monomial form `mono`."""
     if mono is not None:
         adj = staircase.adjoint(mono)
         return [Poly.monomial(I.field, m) for m in adj.gens], adj
@@ -490,7 +483,8 @@ def _adjoint_gens_of_ideal(I: TruncatedIdeal, sampler: GenericSampler):
 
 
 def core_module(M: ModuleRep, sampler: GenericSampler) -> ModuleRep:
-    """core(M) = adj(I(M)) * M for integrally closed M.
+    """core(M) = adj(I(M)) * M for integrally closed M, checked for monomial
+    M = I(M) of rank 1 and slot by slot for direct sums of monomial ideals.
 
     With a presentation at hand the Fitting route I_(n-r-1)(A) * M is
     computed as well and any mismatch is an error.
@@ -498,7 +492,16 @@ def core_module(M: ModuleRep, sampler: GenericSampler) -> ModuleRep:
     I = M.minor_ideal()
     if I.is_unit:
         return M  # free module: its only reduction is itself
-    adj_gens, adj_mono = _adjoint_gens_of_ideal(I, sampler)
+    mono = I.to_monomial()
+    parts = [mono] if M.rank == 1 else _slot_monomial_ideals(M) or []
+    for slot, part in enumerate(parts, 1):
+        closure = larger_closure(part)
+        if closure is not None:
+            raise MathError(
+                f"core needs integrally closed input (core(M) = adj(I(M))*M "
+                f"holds for integrally closed M); slot {slot} is {part}, "
+                f"whose integral closure is {closure}")
+    adj_gens, adj_mono = _adjoint_gens_of_ideal(I, mono, sampler)
     if adj_mono is not None:
         result = M.scale_by_monomial_ideal(adj_mono)
     else:
@@ -518,7 +521,7 @@ def core_iterate(M: ModuleRep, t: int, sampler: GenericSampler) -> ModuleRep:
     core^k(M) = adj(I(M))^((r+1)^k - 1)/r * M."""
     r = M.rank
     I = M.minor_ideal()
-    adj_gens, adj_mono = _adjoint_gens_of_ideal(I, sampler)
+    adj_gens, adj_mono = _adjoint_gens_of_ideal(I, I.to_monomial(), sampler)
     current = M
     for k in range(1, t + 1):
         current = core_module(current, sampler)

@@ -123,11 +123,8 @@ def smaller_ideal_equals(big: TruncatedIdeal, small_gens: list[Poly]) -> bool:
     Nakayama: it is enough that every generator of `big` lies in
     ideal(small_gens) + m*big, checked exactly in R/m^(n0(big)+1).
     """
-    fld = big.field
-    if big.is_unit:
-        return any(g.constant_term() != fld.zero for g in small_gens)
     return nakayama_covers([(g,) for g in big.gens],
-                           [(q,) for q in small_gens], 1, fld, big.n0)
+                           [(q,) for q in small_gens], 1, big.field, big.n0)
 
 
 def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None):
@@ -233,8 +230,6 @@ def integral_closure_ideal(I: TruncatedIdeal,
     """Integral closure: exact via the staircase oracle for monomial input,
     otherwise a certified enlargement I <= J <= closure(I) from monomial
     candidates (flagged exact only in the monomial case)."""
-    if I.is_unit:
-        return ClosureResult(I, True)
     mono = I.to_monomial()
     if mono is not None:
         closed = staircase.integral_closure(mono)
@@ -259,11 +254,13 @@ def integral_closure_ideal(I: TruncatedIdeal,
                                              I.field, config=I.config)
 
 
-def _is_integrally_closed_monomial(I: TruncatedIdeal) -> bool | None:
-    mono = I.to_monomial()
+def larger_closure(mono: staircase.MonomialIdeal | None):
+    """The integral closure of the monomial ideal `mono` if it is larger;
+    None when `mono` is closed or is None (not monomial: undecided here)."""
     if mono is None:
         return None
-    return staircase.integral_closure(mono) == mono
+    closure = staircase.integral_closure(mono)
+    return None if closure == mono else closure
 
 
 def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
@@ -277,8 +274,8 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
     """
     if I.is_unit:
         return I
-    closed = _is_integrally_closed_monomial(I)
-    if closed is False:
+    mono = I.to_monomial()
+    if larger_closure(mono) is not None:
         raise MathError("adjoint via colon requires an integrally closed ideal")
     J, cert = minimal_reduction(I, sampler.spawn(0))
     e, first = J.colength(), J.colon(I)
@@ -286,9 +283,11 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
         J, _ = rees_reduction(I, sampler.spawn(1009 * k), e, cert)
         if not first.equals(J.colon(I)):
             raise GenericityError("colon adjoints disagree across seeds")
-    if closed and not _is_integrally_closed_monomial(first):
-        raise GenericityError("colon adjoint of a monomial ideal is not "
-                              "integrally closed")
+    if mono is not None:
+        out = first.to_monomial()
+        if out is None or larger_closure(out) is not None:
+            raise GenericityError("colon adjoint of a monomial ideal is not "
+                                  "integrally closed")
     return first
 
 

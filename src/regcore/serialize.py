@@ -43,15 +43,13 @@ def ideal_from_obj(obj) -> tuple[Field, list[Poly]]:
 
 def ideal_text(x) -> str:
     """Canonical display: "(x^3, x*y, y^2)", with "R" for the unit ideal."""
+    if isinstance(x, TruncatedIdeal):
+        mono = x.to_monomial()
+        if mono is None:
+            return "(" + ", ".join(str(g) for g in x.gens) + ")"
+        x = mono
     if isinstance(x, MonomialIdeal):
         return "R" if x.is_unit else str(x)
-    if isinstance(x, TruncatedIdeal):
-        if x.is_unit:
-            return "R"
-        mono = x.to_monomial()
-        if mono is not None:
-            return str(mono)
-        return "(" + ", ".join(str(g) for g in x.gens) + ")"
     raise TypeError(f"not an ideal: {x!r}")
 
 

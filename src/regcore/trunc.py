@@ -211,13 +211,12 @@ def span_colon(span: TruncatedSpan, columns,
     exactly modulo m^n0 F, since m^n0 F <= N.  The candidates, coefficient
     vectors over the monomials, are refined one column c at a time: the
     new candidates are the kernel, against N, of the old ones times c.
-    For d <= 0 the colon is the unit ideal; zero columns impose nothing.
+    For d <= 0 no candidate is left: the colon is m^0 = R.  Zero columns
+    impose nothing.
     """
     field = span.field
     orders = [f.order() for col in columns for f in col if not f.is_zero]
-    d = span.n0 - min(orders, default=span.n0)
-    if d <= 0:
-        return TruncatedIdeal.unit(field, config)
+    d = max(span.n0 - min(orders, default=span.n0), 0)
     cap = span.n0 - 1
     limit = degree_limit(cap)
     monos = monomials_below(d - 1)
@@ -241,14 +240,14 @@ def span_colon(span: TruncatedSpan, columns,
 
 
 class TruncatedIdeal:
-    """Finite-colength ideal with a verified Nakayama certificate m^n0 <= I."""
+    """Finite-colength ideal with a verified Nakayama certificate m^n0 <= I,
+    held as its certified span; the unit ideal R is the span of 1, n0 = 0."""
 
-    def __init__(self, field: Field, gens, span: TruncatedSpan | None,
-                 is_unit: bool, config: EngineConfig = DEFAULT):
+    def __init__(self, field: Field, gens, span: TruncatedSpan,
+                 config: EngineConfig = DEFAULT):
         self.field = field
         self.gens = tuple(gens)
         self.span = span
-        self.is_unit = is_unit
         self.config = config
 
     # -- constructors ---------------------------------------------------
@@ -266,20 +265,18 @@ class TruncatedIdeal:
             if g.field != field:
                 raise FieldMismatchError("generators over different fields")
         if any(g.constant_term() != field.zero for g in gens):
-            return cls.unit(field, config)
+            gens = [Poly.one(field)]  # a unit generates R
         span = span_with_certificate([(g,) for g in gens], 1, field,
                                      config=config, order=order)
-        return cls(field, gens, span, False, config)
+        return cls(field, gens, span, config)
 
     @classmethod
     def unit(cls, field: Field, config: EngineConfig = DEFAULT) -> "TruncatedIdeal":
-        return cls(field, (Poly.one(field),), None, True, config)
+        return cls.materialize([Poly.one(field)], field, order=1, config=config)
 
     @classmethod
     def from_monomial(cls, ideal: staircase.MonomialIdeal, field: Field,
                       config: EngineConfig = DEFAULT) -> "TruncatedIdeal":
-        if ideal.is_unit:
-            return cls.unit(field, config)
         cert = staircase.power_certificate(ideal)
         gens = [Poly.monomial(field, g) for g in ideal.gens]
         return cls.materialize(gens, field, order=cert + 1, config=config)
@@ -288,50 +285,39 @@ class TruncatedIdeal:
 
     @property
     def n0(self) -> int:
-        return 0 if self.is_unit else self.span.n0
+        return self.span.n0
+
+    @property
+    def is_unit(self) -> bool:
+        return self.n0 == 0
 
     def colength(self) -> int:
-        return 0 if self.is_unit else self.span.colength()
+        return self.span.colength()
 
     def contains_poly(self, f: Poly) -> bool:
         if f.field != self.field:
             raise FieldMismatchError("membership across fields")
-        if self.is_unit:
-            return True
         return self.span.contains_vector((f,))
 
     # -- comparisons ------------------------------------------------------
 
     def contains_ideal(self, other: "TruncatedIdeal") -> bool:
-        if self.is_unit:
-            return True
-        if other.is_unit:
-            return False
         return all(self.contains_poly(g) for g in other.gens)
 
     def equals(self, other: "TruncatedIdeal") -> bool:
         if self.field != other.field:
             raise FieldMismatchError("comparing ideals over different fields")
-        if self.is_unit or other.is_unit:
-            return self.is_unit and other.is_unit
-        if self.colength() != other.colength():
-            return False
-        return self.contains_ideal(other)
+        return (self.colength() == other.colength()
+                and self.contains_ideal(other))
 
     # -- arithmetic ---------------------------------------------------------
 
     def plus(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
-        if self.is_unit or other.is_unit:
-            return TruncatedIdeal.unit(self.field, self.config)
         return TruncatedIdeal.materialize(
             self.gens + other.gens, self.field,
             order=min(self.n0, other.n0) + 1, config=self.config)
 
     def product(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
-        if self.is_unit:
-            return other
-        if other.is_unit:
-            return self
         seen: dict[Poly, None] = {}
         for g in self.gens:
             for h in other.gens:
@@ -351,21 +337,14 @@ class TruncatedIdeal:
         return result
 
     def intersect(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
-        if self.is_unit:
-            return other
-        if other.is_unit:
-            return self
         t = max(self.n0, other.n0)
         cap = t - 1
         self.span.grow(t)  # both spans must reach R/m^t
         other.span.grow(t)
         rows = self.span.basis_rows(cap)
         lams = kernel_modulo(other.span.basis, rows, cap=cap)
-        gens = []
-        for lam in lams:
-            combo = combine(lam, rows, self.field.p)
-            if combo:
-                gens.append(row_to_vector(combo, self.field, 1)[0])
+        combos = (combine(lam, rows, self.field.p) for lam in lams)
+        gens = [row_to_vector(c, self.field, 1)[0] for c in combos if c]
         gens += [Poly.term(self.field, t - b2, b2) for b2 in range(t + 1)]
         return TruncatedIdeal.materialize(gens, self.field, order=t + 1,
                                           config=self.config)
@@ -377,26 +356,20 @@ class TruncatedIdeal:
         """
         other_gens = other.gens if isinstance(other, TruncatedIdeal) \
             else list(other)
-        if self.is_unit:
-            return TruncatedIdeal.unit(self.field, self.config)
         if any(g.constant_term() != self.field.zero for g in other_gens):
-            return self
+            return self  # (I : R) = I
         return span_colon(self.span, [(g,) for g in other_gens], self.config)
 
     # -- conversions ---------------------------------------------------------
 
     def to_monomial(self) -> staircase.MonomialIdeal | None:
-        """The monomial ideal equal to self, if self is monomial."""
-        if self.is_unit:
-            return staircase.MonomialIdeal.unit()
-        found = [m for m in monomials_below(self.n0)
-                 if self.contains_poly(Poly.monomial(self.field, m))]
-        if not found:
+        """The monomial ideal equal to self, if self is monomial: as m^n0 <= I,
+        that is when monomials span I/m^n0, read off its reduced basis."""
+        leads = self.span.basis.term_leads(self.n0 - 1)
+        if leads is None:
             return None
-        candidate = staircase.MonomialIdeal.from_exponents(found)
-        if staircase.colength(candidate) == self.colength():
-            return candidate
-        return None
+        return staircase.MonomialIdeal.from_exponents(
+            leads + [(self.n0 - b, b) for b in range(self.n0 + 1)])
 
     def __repr__(self):
         return (f"TruncatedIdeal({self.field}, n0={self.n0}, "

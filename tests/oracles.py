@@ -7,9 +7,10 @@ determinants use the permutation-sum formula.  The exceptions are the
 references for the engine's faster routines, which reuse its echelon
 basis: `ReferenceSpan` builds a span the direct way, `reference_colon`
 tests every monomial below the certificate, `reference_fitting`
-enumerates every minor size again for each k, and `reference_kernel`
+enumerates every minor size again for each k, `reference_kernel`
 runs the kernel loop against a basis as it stands, without interreducing
-it first.
+it first, and `reference_to_monomial` tests every monomial up to the
+certificate for membership.
 """
 
 from fractions import Fraction
@@ -20,6 +21,7 @@ from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.linalg import EPS_BASE, SparseBasis, kernel_modulo
 from regcore.modcore import _component_split
 from regcore.poly import Poly, matrix_minors
+from regcore.staircase import MonomialIdeal, colength
 from regcore.trunc import (TruncatedIdeal, TruncatedSpan, monomials_below,
                            vector_row)
 
@@ -276,3 +278,13 @@ def reference_fitting(matrix, k, field, config=DEFAULT):
         return TruncatedIdeal.unit(field, config)
     return TruncatedIdeal.materialize(list(dict.fromkeys(value)), field,
                                       config=config)
+
+
+def reference_to_monomial(ideal):
+    """The monomial ideal equal to a TruncatedIdeal, or None: the monomials
+    of degree <= n0 that the ideal contains generate a monomial ideal
+    inside it, and the two are equal exactly when their colengths agree."""
+    found = [m for m in monomials_below(ideal.n0)
+             if ideal.contains_poly(Poly.monomial(ideal.field, m))]
+    candidate = MonomialIdeal.from_exponents(found)
+    return candidate if colength(candidate) == ideal.colength() else None

@@ -290,6 +290,18 @@ def test_core_of_direct_sum():
     assert core.equals(msum(M(6), M(7)))
 
 
+def test_core_module_refuses_input_that_is_not_closed():
+    # (x^2, y^2) is not integrally closed (its closure is m^2), so the
+    # formula core = adj(I(M))*M does not hold: refused by core_module itself
+    bad = MonomialIdeal.from_exponents([(2, 0), (0, 2)])
+    disguised = ModuleRep(QQ, 1, [(P("x^2 + y^2"),), (P("y^2"),)])
+    for module, slot in ((mono_module(bad).direct_sum(mono_module(M(1))), 1),
+                         (mono_module(M(1)).direct_sum(mono_module(bad)), 2),
+                         (mono_module(bad), 1), (disguised, 1)):
+        with pytest.raises(MathError, match=f"integrally closed.*slot {slot}"):
+            core_module(module, GenericSampler(seed=42))
+
+
 def test_core_iterate_closed_form():
     # core^2(m^2 (+) m^3) = m^18 (+) m^19 and rank-1 core^2(m^2) = m^5
     core2 = core_iterate(msum(M(2), M(3)), 2, GenericSampler(seed=42))

@@ -7,13 +7,14 @@ from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.field import QQ, PrimeField
 from regcore.linalg import kernel_modulo, pack_key, times_monomial
 from regcore.poly import Poly, parse_poly
+from regcore.serialize import ideal_text
 from regcore.staircase import MonomialIdeal, colength as mono_colength
 from regcore.modcore import ModuleRep, colon_into
 from regcore.trunc import (TruncatedIdeal, monomials_below,
                            span_with_certificate, triangle, vector_row)
 
 from oracles import (quotient_dimension, reference_colon, reference_kernel,
-                     reference_span)
+                     reference_span, reference_to_monomial)
 
 F7 = PrimeField(7)
 
@@ -75,6 +76,21 @@ def test_unit_short_circuit():
     assert ideal.is_unit
     assert ideal.colength() == 0
     assert ideal.contains_poly(P("y^9"))
+    # R is the span of 1, certified at n0 = 0, and answers as R everywhere
+    unit = TruncatedIdeal.materialize([P("1 + x"), P("y")], QQ)
+    assert unit.gens == (Poly.one(QQ),)
+    assert unit.n0 == 0 and unit.span.n0 == 0
+    i = Tr("x^3", "x*y", "y^2")
+    assert unit.contains_ideal(i) and not i.contains_ideal(unit)
+    assert unit.equals(ideal) and ideal.equals(unit)
+    assert not unit.equals(i) and not i.equals(unit)
+    assert unit.product(i).equals(i) and i.product(unit).equals(i)  # R*I
+    assert i.colon(unit).equals(i)  # I:R
+    assert unit.colon(i).is_unit  # R:I
+    assert unit.intersect(i).equals(i) and i.intersect(unit).equals(i)
+    assert i.plus(unit).is_unit and unit.plus(i).is_unit
+    assert ideal_text(unit) == "R"
+    assert unit.to_monomial() == MonomialIdeal.unit()
 
 
 def test_colength_of_powers():
@@ -157,6 +173,9 @@ def test_results_independent_of_order():
 def test_to_monomial_detects_and_rejects():
     assert Tr("x^2", "x*y", "y^2").to_monomial() == M(2)
     assert Tr("x^2 - y^3", "x*y").to_monomial() is None
+    # a monomial ideal given by generators that are not terms
+    assert Tr("x^2 + y^2", "y^2").to_monomial() == \
+        MonomialIdeal.from_exponents([(2, 0), (0, 2)])
 
 
 def test_prime_field_engine():
@@ -273,7 +292,7 @@ def test_builder_matches_reference_builder(data):
     new_i, new_j = (TruncatedIdeal.materialize(g, field)
                     for g in (i_gens, j_gens))
     ref_i, ref_j = (TruncatedIdeal(field, g, reference_span(
-        [(f,) for f in g], 1, field), False) for g in (i_gens, j_gens))
+        [(f,) for f in g], 1, field)) for g in (i_gens, j_gens))
     for new, ref in ((new_i, ref_i), (new_j, ref_j)):
         assert new.n0 == ref.n0
         assert new.colength() == ref.colength()
@@ -293,6 +312,39 @@ def test_builder_matches_reference_builder(data):
     vectors = [(f, g) for f in probes for g in probes]
     assert [new.contains_vector(v) for v in vectors] == \
         [ref.contains_vector(v) for v in vectors]
+
+
+def to_monomial_inputs(field):
+    """Generator lists of m-primary ideals, monomial or not: mixed ideals,
+    monomial ideals as terms, as g1 + gk, g2, ..., gk and under a linear
+    change of coordinates, and generators of R."""
+    def terms(pts):
+        return [Poly.monomial(field, g) for g in as_m_primary(pts).gens]
+
+    def disguised(pts):
+        gens = terms(pts)
+        return [gens[0] + gens[-1]] + gens[1:]
+    return st.one_of(mixed_ideals(field).map(lambda i: list(i.gens)),
+                     changed_monomial_gens(field), mono_pts.map(terms),
+                     mono_pts.map(disguised),
+                     probe_polys(field).map(
+                         lambda f: [Poly.one(field) + f.shift(1, 0),
+                                    P("y", field)]))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_to_monomial_matches_reference_scan(data):
+    field = data.draw(st.sampled_from([QQ, F7]))
+    gens = data.draw(to_monomial_inputs(field))
+    ideal = TruncatedIdeal.materialize(gens, field)
+    answer = ideal.to_monomial()
+    assert answer == reference_to_monomial(ideal)
+    # a span grown past its certificate keeps the same monomial form
+    grown = TruncatedIdeal.materialize(gens, field)
+    grown.span.grow(grown.n0 + data.draw(st.integers(1, 3)))
+    assert grown.to_monomial() == answer
+    assert answer is not None or not all(g.is_term for g in gens)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
