@@ -16,14 +16,14 @@ from .errors import (MathError, NotMPrimaryError, ParseError,
                      TruncationCeilingError)
 from .modcore import (ModuleRep, buchsbaum_rim, core_module, fitting,
                       minimal_reduction_module)
-from .reduction import (GenericSampler, adjoint_of_generators,
+from .reduction import (ClosureResult, GenericSampler, adjoint_of_generators,
                         divide_monomial_content, hilbert_samuel,
                         integral_closure_ideal, minimal_reduction)
 from .serialize import (ideal_from_obj, ideal_text, ideal_to_obj,
                         matrix_from_obj, module_from_obj, module_text,
                         module_to_obj)
-from .staircase import (MonomialIdeal, ascii_staircase, multiplicity,
-                        power_certificate)
+from .staircase import (MonomialIdeal, ascii_staircase, integral_closure,
+                        multiplicity, power_certificate)
 from .trunc import TruncatedIdeal
 from .verify import FAMILIES, render_report, run_suite
 
@@ -78,6 +78,15 @@ def _monomial_ideal(gens) -> MonomialIdeal | None:
     return MonomialIdeal.from_exponents([next(iter(g.terms)) for g in gens])
 
 
+def _staircase_input(gens) -> MonomialIdeal | None:
+    """The monomial ideal of term generators, which the staircase answers
+    exactly with no truncation; None for other generators."""
+    mono = _monomial_ideal(gens)
+    if mono is not None and not (mono.is_unit or mono.is_m_primary):
+        raise NotMPrimaryError("ideal is not m-primary")
+    return mono
+
+
 def _ceiling_diagnosis(gens, exc: NotMPrimaryError, config) -> MathError:
     """Why `gens` have no Nakayama certificate below the ceiling: exact for
     monomial generators, which are m-primary or not by their staircase."""
@@ -110,7 +119,14 @@ def _load_ideal(args, config) -> TruncatedIdeal:
 
 
 def _cmd_closure(args, config):
-    result = integral_closure_ideal(_load_ideal(args, config), nmax=args.nmax)
+    fld, gens = ideal_from_obj(_load_json(args.ideal))
+    mono = _staircase_input(gens)
+    if mono is None:
+        result = integral_closure_ideal(_materialize(fld, gens, config),
+                                        nmax=args.nmax)
+    else:  # only the closure, not the input, is certified below the ceiling
+        result = ClosureResult(TruncatedIdeal.from_monomial(
+            integral_closure(mono), fld, config=config), True)
     payload = ideal_to_obj(result.ideal)
     payload["exact"] = result.exact
     _emit(args, payload, _ideal_with_art(result.ideal)
@@ -182,14 +198,12 @@ def _cmd_fitting(args, config):
 
 def _cmd_mult(args, config):
     fld, gens = ideal_from_obj(_load_json(args.ideal))
-    mono = _monomial_ideal(gens)
+    mono = _staircase_input(gens)
     if mono is None:
         value = hilbert_samuel(_materialize(fld, gens, config),
                                GenericSampler(args.seed))
-    elif mono.is_unit or mono.is_m_primary:  # exact, with no truncation
-        value = multiplicity(mono)
     else:
-        raise NotMPrimaryError("ideal is not m-primary")
+        value = multiplicity(mono)
     _emit(args, {"multiplicity": value}, str(value))
     return 0
 
@@ -268,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="integral closure of an ideal")
     common(p, ideal=True)
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=_positive_int, default=None)
 
     p = sub.add_parser("adjoint", help="adjoint of an ideal")
     common(p, ideal=True, seeded=True)

@@ -187,12 +187,30 @@ def nakayama_covers(big, small, nslots: int, field: Field, cap: int) -> bool:
 
     For span(small) <= span(big) with m^(cap+1)F <= m*span(big), this
     decides span(small) == span(big) by Nakayama.
+
+    The span of the x- and y-shifted `big` columns, which no draw of
+    `small` changes, is built first; its rows span m*span(big) modulo
+    m^(cap+1)F, an R-module.  The `small` rows go in next, and x*p, y*p
+    for each new pivot p of lead degree < cap (a pivot of lead degree cap
+    times x or y is 0 here).  A new pivot differs from its inserted row by
+    an element of the span so far, so the rows end up spanning
+    span(small) + m*span(big) modulo m^(cap+1)F, the span one joint build
+    of both sides gives; membership depends on the span only.  Each pivot
+    below the cap is multiplied once, as in the joint build, but the dense
+    `small` rows now meet the short pivot rows of `big`.
     """
     columns = [tuple(f.shift(*xy) for f in col) for col in big
                for xy in ((1, 0), (0, 1))]
-    span = TruncatedSpan(field, nslots, columns + list(small), cap + 1,
-                         certify=False)
-    return all(span.basis.contains(vector_row(col, cap=cap), cap=cap)
+    basis = TruncatedSpan(field, nslots, columns, cap + 1,
+                          certify=False).basis
+    work = [vector_row(col, cap=cap) for col in small]
+    while work:
+        row = work.pop()
+        lead = basis.insert(row, cap=cap) if row else None
+        if lead is not None and key_degree(lead) < cap:
+            p = basis.rows[lead]
+            work += [times_monomial(p, 1, 0), times_monomial(p, 0, 1)]
+    return all(basis.contains(vector_row(col, cap=cap), cap=cap)
                for col in big)
 
 

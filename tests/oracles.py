@@ -9,8 +9,9 @@ basis: `ReferenceSpan` builds a span the direct way, `reference_colon`
 tests every monomial below the certificate, `reference_fitting`
 enumerates every minor size again for each k, `reference_kernel`
 runs the kernel loop against a basis as it stands, without interreducing
-it first, and `reference_to_monomial` tests every monomial up to the
-certificate for membership.
+it first, `reference_to_monomial` tests every monomial up to the
+certificate for membership, and `reference_nakayama_covers` builds both
+sides of a Nakayama test in one span.
 """
 
 from fractions import Fraction
@@ -288,3 +289,14 @@ def reference_to_monomial(ideal):
              if ideal.contains_poly(Poly.monomial(ideal.field, m))]
     candidate = MonomialIdeal.from_exponents(found)
     return candidate if colength(candidate) == ideal.colength() else None
+
+
+def reference_nakayama_covers(big, small, nslots, field, cap):
+    """`trunc.nakayama_covers` by one joint build: the shifted `big` columns
+    and the `small` columns go into a single span modulo m^(cap+1)F."""
+    columns = [tuple(f.shift(*xy) for f in col) for col in big
+               for xy in ((1, 0), (0, 1))]
+    span = TruncatedSpan(field, nslots, columns + list(small), cap + 1,
+                         certify=False)
+    return all(span.basis.contains(vector_row(col, cap=cap), cap=cap)
+               for col in big)

@@ -76,15 +76,45 @@ def test_mult_names_the_truncation_ceiling(tmp_path, capsys):
 
 
 def test_closure_names_the_truncation_ceiling(tmp_path, capsys):
+    # term generators are answered from the staircase, with no --ceiling
     path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^40", "y^40"]})
+    code, out, err = run(capsys, "closure", "--ideal", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] is True
+    assert payload["n0"] == 40 and payload["colength"] == 820  # m^40
+    assert run(capsys, "closure", "--ideal", path, "--ceiling", "80") == \
+        (0, out, "")
+    # the same ideal by generators that are not terms: n0 = 79 > 64
+    path = write(tmp_path, "J.json",
+                 {"field": "Q", "gens": ["x^40 + y^41", "y^40"]})
     code, out, err = run(capsys, "closure", "--ideal", path)
     assert code == 1
     assert "not finite colength" not in err
-    assert "n0 = 79" in err and "raise --ceiling" in err
-    code, out, err = run(capsys, "closure", "--ideal", path, "--ceiling", "80")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["exact"] and payload["colength"] == 820  # m^40
+    assert "not m-primary, or" in err and "ceiling 64" in err
+    # the closure m^80 needs truncation order 81
+    path = write(tmp_path, "K.json", {"field": "Q", "gens": ["x^80", "y^80"]})
+    code, out, err = run(capsys, "closure", "--ideal", path)
+    assert code == 1 and out == ""
+    assert "ceiling 64" in err
+    path = write(tmp_path, "L.json", {"field": "Q", "gens": ["x^40", "x*y"]})
+    code, out, err = run(capsys, "closure", "--ideal", path)
+    assert code == 1
+    assert "ideal is not m-primary" in err
+
+
+@pytest.mark.parametrize("gens", [WORKED["gens"], ["x^4", "x*y", "y^4"],
+                                  ["x^2", "y^2"], ["1"]])
+def test_closure_of_terms_matches_the_engine_route(tmp_path, capsys,
+                                                   monkeypatch, gens):
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": gens})
+    argvs = [("closure", "--ideal", path, "--format", fmt)
+             for fmt in ("json", "text")]
+    answers = [run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in answers)
+    # without the staircase route the truncation engine answers
+    monkeypatch.setattr(cli, "_staircase_input", lambda gens: None)
+    assert [run(capsys, *argv) for argv in argvs] == answers
 
 
 def test_mult_of_monomial_input_needs_no_truncation(tmp_path, capsys):
@@ -332,6 +362,18 @@ def test_ceiling_must_be_a_positive_integer(tmp_path, capsys):
             main(["mult", "--ideal", path, "--ceiling", value])
         assert exc.value.code == 2
         assert "--ceiling: must be a positive integer" in \
+            capsys.readouterr().err
+
+
+def test_nmax_must_be_a_positive_integer(tmp_path, capsys):
+    # --nmax 0 or -3 used to skip the candidate search and echo the input
+    path = write(tmp_path, "I.json",
+                 {"field": "Q", "gens": ["x^2 - y^3", "x*y"]})
+    for value in ("0", "-3", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["closure", "--ideal", path, "--nmax", value])
+        assert exc.value.code == 2
+        assert "--nmax: must be a positive integer" in \
             capsys.readouterr().err
 
 

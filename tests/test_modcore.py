@@ -241,6 +241,15 @@ def test_sym_reduction_certificate_m_plus_m():
     assert sym_reduction_check(n, mm, 1)
 
 
+def test_sym_reduction_check_refutes_a_non_reduction():
+    # N = m (+) m without (0, y): F/N has infinite length, so no t works
+    mm = msum(M(1), M(1))
+    n = ModuleRep(QQ, 2, [(P("x"), P("0")), (P("y"), P("0")),
+                          (P("0"), P("x"))])
+    for t in (1, 2):
+        assert not sym_reduction_check(n, mm, t)
+
+
 def test_module_search_gives_up_after_the_retry_limit():
     # every column StuckSampler draws is the first generator, so no draw
     # has finite colength; the low ceiling of M makes each failure fast

@@ -10,11 +10,12 @@ from regcore.poly import Poly, parse_poly
 from regcore.serialize import ideal_text
 from regcore.staircase import MonomialIdeal, colength as mono_colength
 from regcore.modcore import ModuleRep, colon_into
-from regcore.trunc import (TruncatedIdeal, monomials_below,
+from regcore.trunc import (TruncatedIdeal, monomials_below, nakayama_covers,
                            span_with_certificate, triangle, vector_row)
 
 from oracles import (quotient_dimension, reference_colon, reference_kernel,
-                     reference_span, reference_to_monomial)
+                     reference_nakayama_covers, reference_span,
+                     reference_to_monomial)
 
 F7 = PrimeField(7)
 
@@ -470,3 +471,60 @@ def test_monomials_below_ordering():
     ms = monomials_below(2)
     assert [(m.a, m.b) for m in ms] == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     assert triangle(4) == 10
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_nakayama_covers_matches_reference_joint_build(data):
+    # M: a direct sum of coordinate-changed monomial ideals, its slots mixed
+    # by a unitriangular constant matrix, so its columns are still minimal
+    # generators; at cap = n0(M), m^(cap+1)F <= m*M and the test is exact
+    field = data.draw(st.sampled_from([QQ, F7]))
+    nslots = data.draw(st.integers(1, 3))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    zero = Poly.zero(field)
+    big = [tuple(g if s == slot else zero for s in range(nslots))
+           for slot in range(nslots)
+           for g in data.draw(changed_monomial_gens(field))]
+    mix = [[rnd.choice([0, 1, -1, 2]) for _ in range(nslots)]
+           for _ in range(nslots)]
+    big = [tuple(sum((col[t].scale(mix[s][t]) for t in range(s + 1, nslots)),
+                     col[s]) for s in range(nslots)) for col in big]
+    cap = span_with_certificate(big, nslots, field).n0
+
+    def times(f, col):
+        return tuple(f * h for h in col)
+
+    def plus(col, other):
+        return tuple(f + h for f, h in zip(col, other))
+
+    # generic combinations, unitriangular modulo m*M: they generate M
+    combos = []
+    for i, col in enumerate(big):
+        for other in big[i + 1:]:
+            f = (Poly.term(field, 0, 0, rnd.randint(-3, 3))
+                 + Poly.term(field, rnd.randint(0, 2), rnd.randint(1, 2),
+                             rnd.randint(-3, 3)))
+            col = plus(col, times(f, other))
+        combos.append(col)
+    rnd.shuffle(combos)
+    dropped = list(big)
+    del dropped[rnd.randrange(len(big))]  # a minimal generator is missing
+    high = times(Poly.term(field, rnd.randint(0, cap + 1), cap + 1), big[0])
+    extra = [tuple([zero] * nslots), high]  # nothing at or below the cap
+    units = [tuple(Poly.one(field) if s == slot else zero
+                   for s in range(nslots)) for slot in range(nslots)]
+    for small, expected in ((combos, True), (combos + extra, True),
+                            (dropped, False), (extra + dropped, False),
+                            ([], False), (extra, False), (units, True)):
+        assert nakayama_covers(big, small, nslots, field, cap) == expected
+        assert reference_nakayama_covers(big, small, nslots, field,
+                                         cap) == expected
+    # columns outside M: only x*p and y*p of their new pivots p reach the
+    # monomials above them
+    stray = [tuple(Poly.term(field, rnd.randint(0, cap), rnd.randint(0, 1),
+                             rnd.randint(-2, 2)) for _ in range(nslots))
+             for _ in range(2)]
+    small = dropped + stray
+    assert nakayama_covers(big, small, nslots, field, cap) == \
+        reference_nakayama_covers(big, small, nslots, field, cap)
