@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 
 from .config import DEFAULT, EngineConfig
 from .errors import (FieldMismatchError, GenericityError, MathError,
@@ -58,12 +59,12 @@ class ModuleRep:
         self._minor_ideal = None
 
     def _check_syzygies(self):
-        n = len(self.columns)
-        for j in range(n - self.rank):
+        for j in range(len(self.columns) - self.rank):
             for i in range(self.rank):
                 acc = Poly.zero(self.field)
-                for l in range(n):
-                    acc = acc + self.columns[l][i] * self.presentation[l][j]
+                for col, row in zip(self.columns, self.presentation):
+                    if not (col[i].is_zero or row[j].is_zero):
+                        acc = acc + col[i] * row[j]
                 if not acc.is_zero:
                     raise MathError("presentation columns are not syzygies")
 
@@ -207,58 +208,73 @@ def _component_split(matrix, nrows, ncols):
 _MINOR_BUDGET = 500_000
 
 
-def _block_minors(matrix, rows, cols, size, field) -> list[Poly]:
-    """The nonzero size x size minors of one block."""
-    from math import comb
-    if comb(len(rows), size) * comb(len(cols), size) > _MINOR_BUDGET:
-        raise MathError("Fitting ideal needs too many minors to enumerate")
-    sub = [[matrix[i][j] for j in cols] for i in rows]
-    return [m for m in matrix_minors(sub, size, field) if not m.is_zero]
-
-
 class _FittingChain:
-    """I_0(A), ..., I_min(n,m)(A) of one presentation A, from one pass.
+    """I_0(A), ..., I_min(n,m)(A) of one presentation A, each on demand.
 
     Block-diagonal structure is detected and exploited: minors crossing
-    independent blocks factor, so each I_k is the convolution of the
-    blocks' Fitting ideals, which keeps structured presentations
-    (bidiagonal blocks) tractable at every k.  Each block's minors of each
-    size are enumerated once; each I_k is materialized on first request.
+    independent blocks factor, so I_k is generated by the products of one
+    s_b-minor of each block b with sum s_b = k, which keeps structured
+    presentations (bidiagonal blocks) tractable at every k.  A block's
+    minors of one size are enumerated when a requested I_k first needs
+    them, and every size reads and fills the block's one memo of
+    sub-determinants, so a k-minor reuses the (k-1)-minors its expansion
+    asks for.
     """
 
     def __init__(self, matrix, nrows: int, ncols: int, field: Field,
                  config: EngineConfig):
-        self.field = field
-        self.config = config
-        # nonzero generators per size; a missing size is the zero ideal
-        gens: dict[int, list[Poly]] = {0: [Poly.one(field)]}
-        for rows, cols in _component_split(matrix, nrows, ncols):
-            block = {0: [Poly.one(field)]}
-            for size in range(1, min(len(rows), len(cols)) + 1):
-                block[size] = _block_minors(matrix, rows, cols, size, field)
-            new: dict[int, list[Poly]] = {}
-            for have, value in gens.items():
-                for size, minors in block.items():
-                    if not minors:
-                        continue
-                    if have == 0:
-                        contrib = minors
-                    elif size == 0:
-                        contrib = value
-                    else:
-                        contrib = [u * v for u in value for v in minors]
-                    new.setdefault(have + size, []).extend(contrib)
-            gens = new
-        self.gens = gens
+        self.field, self.config = field, config
+        # per block: its submatrix, its nonzero minors by size, its memo
+        self.blocks = [([[matrix[i][j] for j in cols] for i in rows],
+                        {0: [Poly.one(field)]}, {})
+                       for rows, cols in _component_split(matrix, nrows, ncols)]
+        # (b, s) -> the nonzero generators of I_s of the first b blocks
+        self.partial = {(0, 0): [Poly.one(field)]}
         self.ideals: dict[int, TruncatedIdeal] = {}
+
+    def _minors(self, b: int, size: int, k: int) -> list[Poly]:
+        sub, minors, memo = self.blocks[b]
+        if size not in minors:
+            count = comb(len(sub), size) * comb(len(sub[0]), size)
+            if count > _MINOR_BUDGET:
+                raise MathError(
+                    f"I_{k} needs the {size}x{size} minors of a {len(sub)}x"
+                    f"{len(sub[0])} block of the presentation: {count} "
+                    f"minors, over the budget of {_MINOR_BUDGET}")
+            minors[size] = [m for m in matrix_minors(sub, size, self.field,
+                                                     memo) if not m.is_zero]
+        return minors[size]
+
+    def _gens(self, nblocks: int, size: int, k: int) -> list[Poly]:
+        """I_size of the first nblocks blocks: for each size `have` of the
+        blocks before the last, their generators times the last's minors."""
+        key = (nblocks, size)
+        if key not in self.partial:
+            gens: list[Poly] = []
+            if nblocks:
+                sub = self.blocks[nblocks - 1][0]
+                top = min(len(sub), len(sub[0]))
+                for have in range(max(0, size - top), size + 1):
+                    value = self._gens(nblocks - 1, have, k)
+                    if value:
+                        minors = self._minors(nblocks - 1, size - have, k)
+                        gens.extend(
+                            minors if have == 0 else value if have == size
+                            else (u * v for u in value for v in minors))
+            self.partial[key] = gens
+        return self.partial[key]
+
+    def generators(self, k: int) -> list[Poly]:
+        """The nonzero generators of I_k, repeats included."""
+        return self._gens(len(self.blocks), k, k)
 
     def ideal(self, k: int) -> TruncatedIdeal:
         if k not in self.ideals:
-            if k not in self.gens:
+            gens = self.generators(k)
+            if not gens:
                 raise ZeroIdealError(f"I_{k} vanishes: all {k}-minors are zero")
-            dedup = list(dict.fromkeys(self.gens[k]))
             self.ideals[k] = TruncatedIdeal.materialize(
-                dedup, self.field, config=self.config)
+                list(dict.fromkeys(gens)), self.field, config=self.config)
         return self.ideals[k]
 
 
@@ -273,7 +289,7 @@ def fitting(matrix, k: int, field: Field,
     """I_k(A): the ideal of k x k minors of A, as a truncated ideal.
 
     Unit for k <= 0; ZeroIdealError when I_k is zero.  A view of the
-    Fitting chain of A, which is computed once per presentation.
+    Fitting chain of A, which is kept for the latest presentation.
     """
     if k <= 0:
         return TruncatedIdeal.unit(field, config)

@@ -252,12 +252,15 @@ def parse_poly(text: str, field: Field) -> Poly:
 # determinants and minors
 
 
-def poly_det(matrix: list[list[Poly]], field: Field) -> Poly:
-    """Exact determinant by expansion along the sparsest column, with memo."""
-    n = len(matrix)
-    if n == 0:
-        return Poly.one(field)
-    memo: dict[tuple, Poly] = {}
+def poly_det(matrix: list[list[Poly]], field: Field, rows=None, cols=None,
+             memo: dict | None = None) -> Poly:
+    """Exact determinant of the rows x cols submatrix (default: all of it),
+    by expansion along the sparsest column.  `memo` maps (rows, cols) to
+    determinants; calls on one matrix that share it share sub-determinants."""
+    if rows is None:
+        rows = tuple(range(len(matrix)))
+        cols = tuple(range(len(matrix[0]) if matrix else 0))
+    memo = {} if memo is None else memo
 
     def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Poly:
         if not rows:
@@ -288,11 +291,13 @@ def poly_det(matrix: list[list[Poly]], field: Field) -> Poly:
         memo[key] = result
         return result
 
-    return det(tuple(range(n)), tuple(range(len(matrix[0]))))
+    return det(rows, cols)
 
 
-def matrix_minors(matrix: list[list[Poly]], k: int, field: Field):
-    """All k x k minors of a rectangular Poly matrix.
+def matrix_minors(matrix: list[list[Poly]], k: int, field: Field,
+                  memo: dict | None = None):
+    """All k x k minors of a rectangular Poly matrix, sharing
+    sub-determinants through `memo` (a fresh one by default).
 
     For k <= 0 the one minor is the empty one, 1; an empty list when k
     exceeds either dimension.
@@ -305,9 +310,7 @@ def matrix_minors(matrix: list[list[Poly]], k: int, field: Field):
     ncols = len(matrix[0]) if nrows else 0
     if k > nrows or k > ncols:
         return []
-    minors = []
-    for rows in combinations(range(nrows), k):
-        for cols in combinations(range(ncols), k):
-            sub = [[matrix[i][j] for j in cols] for i in rows]
-            minors.append(poly_det(sub, field))
-    return minors
+    memo = {} if memo is None else memo
+    return [poly_det(matrix, field, rows, cols, memo)
+            for rows in combinations(range(nrows), k)
+            for cols in combinations(range(ncols), k)]

@@ -21,13 +21,12 @@ from .poly import Monomial, Poly
 
 def minimalize(points) -> tuple[Monomial, ...]:
     """Minimal antichain generating the same monomial ideal."""
-    pts = sorted({Monomial(*p) for p in points})
     keep: list[Monomial] = []
-    for p in pts:  # sorted by (a, b): earlier points never dominated by later
-        if not any(q.divides(p) for q in keep):
-            keep = [q for q in keep if not p.divides(q)]
+    for p in sorted({Monomial(*p) for p in points}):
+        # by (a, b), p is minimal exactly when its b is below every kept b
+        if not keep or p.b < keep[-1].b:
             keep.append(p)
-    return tuple(sorted(keep, key=lambda m: (-m.a, m.b)))
+    return tuple(reversed(keep))
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,20 @@ tests every monomial below the certificate, `reference_fitting`
 enumerates every minor size again for each k, `reference_kernel`
 runs the kernel loop against a basis as it stands, without interreducing
 it first, `reference_to_monomial` tests every monomial up to the
-certificate for membership, and `reference_nakayama_covers` builds both
-sides of a Nakayama test in one span.
+certificate for membership, `reference_nakayama_covers` builds both
+sides of a Nakayama test in one span, `reference_chain_gens` builds every
+generator list of a Fitting chain eagerly, one determinant per minor, and
+`reference_minimalize` drops dominated monomials by pairwise divisibility.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from regcore.config import DEFAULT
 from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.linalg import EPS_BASE, SparseBasis, kernel_modulo
 from regcore.modcore import _component_split
-from regcore.poly import Poly, matrix_minors
+from regcore.poly import Monomial, Poly, matrix_minors, poly_det
 from regcore.staircase import MonomialIdeal, colength
 from regcore.trunc import (TruncatedIdeal, TruncatedSpan, monomials_below,
                            vector_row)
@@ -300,3 +302,45 @@ def reference_nakayama_covers(big, small, nslots, field, cap):
                          certify=False)
     return all(span.basis.contains(vector_row(col, cap=cap), cap=cap)
                for col in big)
+
+
+def reference_chain_gens(matrix, field):
+    """{k: nonzero generators of I_k(A)}, repeats and order included: the
+    whole chain built eagerly, block by block and size by size, with each
+    minor a determinant of its own submatrix."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    gens = {0: [Poly.one(field)]}
+    for rows, cols in _component_split(matrix, nrows, ncols):
+        block = {0: [Poly.one(field)]}
+        for size in range(1, min(len(rows), len(cols)) + 1):
+            minors = (poly_det([[matrix[i][j] for j in c] for i in r], field)
+                      for r in combinations(rows, size)
+                      for c in combinations(cols, size))
+            block[size] = [m for m in minors if not m.is_zero]
+        new = {}
+        for have, value in gens.items():
+            for size, minors in block.items():
+                if not minors:
+                    continue
+                if have == 0:
+                    contrib = minors
+                elif size == 0:
+                    contrib = value
+                else:
+                    contrib = [u * v for u in value for v in minors]
+                new.setdefault(have + size, []).extend(contrib)
+        gens = new
+    return gens
+
+
+def reference_minimalize(points):
+    """Minimal antichain of a monomial point set, by pairwise divisibility,
+    in decreasing x-exponent."""
+    pts = sorted({Monomial(*p) for p in points})
+    keep = []
+    for p in pts:
+        if not any(q.divides(p) for q in keep):
+            keep = [q for q in keep if not p.divides(q)]
+            keep.append(p)
+    return tuple(sorted(keep, key=lambda m: (-m.a, m.b)))

@@ -8,13 +8,16 @@ benchmark run.
 import importlib
 import importlib.util
 import inspect
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from regcore import verify
+from regcore import modcore, poly, verify
 from regcore.field import QQ
-from regcore.modcore import ModuleRep, minimal_reduction_module
+from regcore.modcore import (ModuleRep, core_module, fitting,
+                             minimal_reduction_module)
 from regcore.reduction import GenericSampler, minimal_reduction
 from regcore.staircase import MonomialIdeal
 from regcore.trunc import TruncatedIdeal, span_with_certificate
@@ -78,3 +81,40 @@ def test_hooks_read_what_the_boundaries_return():
     assert (tracer.counts["trunc.order_sum"],
             tracer.counts["trunc.n0_sum"]) == (span.order, span.n0)
     assert span.n0 == 2
+
+
+def count_boundary_calls(monkeypatch, names):
+    """Count calls of regcore.poly functions the way the tracer wraps
+    them: in every regcore module that binds them."""
+    calls = Counter()
+    for name in names:
+        original = getattr(poly, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        for mod_name, mod in sorted(sys.modules.items()):
+            if mod_name == "regcore" or mod_name.startswith("regcore."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+    return calls
+
+
+def test_fitting_goes_through_the_traced_minor_boundaries(monkeypatch):
+    # a traced run (--trace 1) fails when no call reaches one of these
+    M = MonomialIdeal.max_power
+    calls = count_boundary_calls(monkeypatch, ("poly_det", "matrix_minors"))
+    one_block = ModuleRep.from_monomial_ideal(M(3), QQ)
+    two_blocks = one_block.direct_sum(ModuleRep.from_monomial_ideal(M(2), QQ))
+    for module in (one_block, two_blocks):
+        calls.clear()
+        monkeypatch.setattr(modcore, "_last_chain", [None, None])
+        fitting(module.presentation, module.ngens - module.rank - 1, QQ)
+        assert calls["poly_det"] >= calls["matrix_minors"] > 0
+
+    two_blocks.minor_ideal()  # core_module's other minors, computed first
+    calls.clear()
+    monkeypatch.setattr(modcore, "_last_chain", [None, None])
+    core_module(two_blocks, GenericSampler(seed=42))
+    assert calls["poly_det"] >= calls["matrix_minors"] > 0

@@ -244,6 +244,22 @@ def test_fitting_command(tmp_path, capsys):
     assert json.loads(out)["gens"] == ["1"]
 
 
+def test_fitting_names_the_minor_budget(tmp_path, capsys):
+    # one dense 24 x 24 block: its 12-minors are far too many to enumerate
+    entries = ["x", "y", "x + y^2", "2*x - y", "x*y", "y^3"]
+    matrix = [[entries[(5 * i + 7 * j + i * j) % 6] for j in range(24)]
+              for i in range(24)]
+    path = write(tmp_path, "A.json", {"field": "F7", "matrix": matrix})
+    code, out, err = run(capsys, "fitting", "--presentation", path,
+                         "--k", "12")
+    assert code == 1 and out == ""
+    assert err.startswith("error: I_12 needs the 12x12 minors of a 24x24 "
+                          "block of the presentation: 7312459672336 minors")
+    code, out, err = run(capsys, "fitting", "--presentation", path,
+                         "--k", "1")
+    assert code == 0 and json.loads(out)["gens"] == ["x", "y"]
+
+
 def test_reduction_command_certificate(tmp_path, capsys):
     path = write(tmp_path, "I.json", WORKED)
     code, out, err = run(capsys, "reduction", "--ideal", path, "--seed", "9")

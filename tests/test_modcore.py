@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regcore import modcore
 from regcore.config import EngineConfig
 from regcore.errors import (GenericityError, MathError, NotMPrimaryError,
                             ZeroIdealError)
@@ -8,12 +11,12 @@ from regcore.field import QQ, PrimeField
 from regcore.modcore import (ModuleRep, buchsbaum_rim, colon_into, core_iterate,
                              core_module, fitting, minimal_reduction_module,
                              sym_colength, sym_reduction_check, sym_slots)
-from regcore.poly import parse_poly
+from regcore.poly import matrix_minors, parse_poly
 from regcore.reduction import RETRY_LIMIT, GenericSampler, hilbert_samuel
 from regcore.staircase import MonomialIdeal, presentation_matrix
 from regcore.trunc import TruncatedIdeal
 
-from oracles import reference_fitting
+from oracles import reference_chain_gens, reference_fitting
 from test_reduction import StuckSampler
 
 F65537 = PrimeField(65537)
@@ -174,6 +177,90 @@ def test_presentation_syzygy_validation():
     with pytest.raises(MathError):
         ModuleRep(QQ, 1, [(P("x"),), (P("y"),)],
                   presentation=[[P("y")], [P("x")]])  # sign is wrong
+
+
+def test_syzygy_validation_sees_one_wrong_entry_of_a_block():
+    good = msum(M(2), M(3))  # block-diagonal, mostly zeros
+    for i, j in [(1, 1), (5, 3)]:  # an entry of each block
+        bad = [list(row) for row in good.presentation]
+        bad[i][j] = -bad[i][j]
+        with pytest.raises(MathError):
+            ModuleRep(QQ, 2, good.columns, presentation=bad)
+    bad = [list(row) for row in good.presentation]
+    bad[1][3] = P("x")  # a zero entry of the other block made nonzero
+    with pytest.raises(MathError):
+        ModuleRep(QQ, 2, good.columns, presentation=bad)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.data())
+def test_lazy_chain_answers_each_k_in_any_order(data):
+    field = data.draw(st.sampled_from([QQ, F7]))
+    A = data.draw(fitting_matrices(field))
+    other = [[P("y", field)], [P("-x", field)]]
+    top = min(len(A), len(A[0]))
+    chain_gens = reference_chain_gens(A, field)
+    shuffled = list(range(1, top + 1))
+    random.Random(top).shuffle(shuffled)
+    for order in (list(range(top, 0, -1)), shuffled):
+        fitting(other, 1, field, SMALL)  # the next request builds a fresh chain
+        for at, k in enumerate(order):
+            if at == len(order) // 2:
+                fitting(other, 1, field, SMALL)
+            assert_same_fitting(
+                fitting_outcome(lambda: fitting(A, k, field, SMALL)),
+                fitting_outcome(lambda: reference_fitting(A, k, field, SMALL)))
+            assert modcore._last_chain[1].generators(k) == \
+                chain_gens.get(k, [])
+
+
+def count_minors(monkeypatch):
+    """Fresh Fitting chains whose enumerated minors are counted."""
+    counted = [0]
+
+    def counting(*args):
+        minors = matrix_minors(*args)
+        counted[0] += len(minors)
+        return minors
+    monkeypatch.setattr(modcore, "matrix_minors", counting)
+    monkeypatch.setattr(modcore, "_last_chain", [None, None])
+    return counted
+
+
+def test_fitting_enumerates_only_the_sizes_it_needs(monkeypatch):
+    counted = count_minors(monkeypatch)
+    pres = presentation_matrix(M(10), F65537)  # 11 x 10, one block
+    assert fitting(pres, 9, F65537).to_monomial() == M(9)
+    # the 9-minors alone are 55 * 10 = 550; every size is 352,715
+    assert counted[0] <= 600
+    # the chain keeps them: I_10 adds only its own size
+    assert fitting(pres, 10, F65537).to_monomial() == M(10)
+    assert counted[0] <= 600 + 11
+
+
+def test_fitting_of_a_large_bidiagonal_block():
+    # I_11 of m^12's presentation is adj(m^12) = m^11; a chain that
+    # enumerates every size refuses it (its 6-minors exceed the budget)
+    pres = presentation_matrix(M(12), F65537)
+    assert fitting(pres, 11, F65537).to_monomial() == M(11)
+
+
+def dense_block(n, seed):
+    rng = random.Random(seed)
+    entries = [e for e in ENTRIES if e not in ("0", "1")]
+    return [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+
+
+def test_minor_budget_refusal_names_its_cause():
+    A = [[P(e, F7) for e in row] for row in dense_block(24, 3)]
+    with pytest.raises(MathError) as err:
+        fitting(A, 12, F7)
+    message = str(err.value)
+    for part in ("I_12", "12x12 minors", "24x24 block",
+                 f"{2704156 ** 2} minors"):
+        assert part in message
+    # a size within the budget is enumerated: the entries generate m
+    assert fitting(A, 1, F7).to_monomial() == M(1)
 
 
 def test_membership_componentwise():

@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from regcore.poly import Poly, matrix_minors, parse_poly, poly_det
 from oracles import permutation_determinant
 
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def P(text, field=QQ):
@@ -128,3 +130,38 @@ def test_minors_k_zero_is_unit_marker():
 def test_minors_oversized_empty():
     A = [[P("y")], [P("-x")]]
     assert matrix_minors(A, 2, QQ) == []
+
+
+MINOR_ENTRIES = ["0", "0", "x", "y", "x^2", "x*y", "y^2", "x + y^2",
+                 "2*x - y", "x^2 - 3*y^2", "1"]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([QQ, F7]), st.integers(1, 4), st.integers(1, 4),
+       st.data())
+def test_minors_are_the_determinants_of_the_submatrices(field, nrows, ncols,
+                                                         data):
+    A = [[P(data.draw(st.sampled_from(MINOR_ENTRIES)), field)
+          for _ in range(ncols)] for _ in range(nrows)]
+    memo = {}  # one memo shared by every size, as in the Fitting chain
+    for k in range(1, min(nrows, ncols) + 1):
+        expected = [poly_det([[A[i][j] for j in cols] for i in rows], field)
+                    for rows in combinations(range(nrows), k)
+                    for cols in combinations(range(ncols), k)]
+        assert matrix_minors(A, k, field) == expected
+        assert matrix_minors(A, k, field, memo) == expected
+    for k in (0, min(nrows, ncols) + 1):
+        assert matrix_minors(A, k, field, memo) == \
+            ([Poly.one(field)] if k == 0 else [])
+
+
+def test_determinant_of_a_submatrix_by_index():
+    A = [[P("x"), P("0"), P("y")], [P("y^2"), P("x"), P("0")],
+         [P("0"), P("1"), P("x*y")]]
+    memo = {}
+    for rows, cols in [((0, 2), (0, 1)), ((1, 2), (1, 2)), ((0, 1, 2),) * 2]:
+        sub = [[A[i][j] for j in cols] for i in rows]
+        assert poly_det(A, QQ, rows, cols, memo) == poly_det(sub, QQ)
+        assert memo[rows, cols] == poly_det(sub, QQ)
+    assert poly_det(A, QQ) == poly_det(A, QQ, (0, 1, 2), (0, 1, 2))
+    assert poly_det([], QQ) == Poly.one(QQ)

@@ -6,10 +6,11 @@ from regcore.field import QQ
 from regcore.poly import Monomial
 from regcore.staircase import (MonomialIdeal, adjoint, ascii_staircase,
                                colength, hull_vertices, integral_closure,
-                               multiplicity, power_certificate,
+                               minimalize, multiplicity, power_certificate,
                                presentation_matrix)
 
-from oracles import brute_colength, brute_colon, brute_product, mono_member
+from oracles import (brute_colength, brute_colon, brute_product,
+                     mono_member, reference_minimalize)
 
 
 def I(*pts):
@@ -187,3 +188,15 @@ def test_membership_against_brute_force(pts):
     for a in range(7):
         for b in range(7):
             assert ideal.contains_monomial((a, b)) == mono_member((a, b), gens)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                min_size=1, max_size=12),
+       st.integers(0, 3), st.booleans())
+def test_minimalize_matches_pairwise_divisibility(pts, repeats, unit):
+    # repeated points, points on the axes and the unit among them
+    pts = pts + pts[:repeats] + [(0, 0)] * unit
+    got = minimalize(pts)
+    assert got == reference_minimalize(pts)
+    assert all(isinstance(m, Monomial) for m in got)
