@@ -14,8 +14,8 @@ import sys
 from .config import DEFAULT, EngineConfig
 from .errors import (MathError, NotMPrimaryError, ParseError,
                      TruncationCeilingError)
-from .modcore import (ModuleRep, buchsbaum_rim, core_module, fitting,
-                      minimal_reduction_module)
+from .modcore import (ModuleRep, buchsbaum_rim, check_closed_slots,
+                      core_module, fitting, minimal_reduction_module)
 from .reduction import (ClosureResult, GenericSampler, adjoint_of_generators,
                         divide_monomial_content, hilbert_samuel,
                         integral_closure_ideal, minimal_reduction)
@@ -113,11 +113,6 @@ def _materialize(fld, gens, config) -> TruncatedIdeal:
         raise _ceiling_diagnosis(gens, exc, config) from exc
 
 
-def _load_ideal(args, config) -> TruncatedIdeal:
-    fld, gens = ideal_from_obj(_load_json(args.ideal))
-    return _materialize(fld, gens, config)
-
-
 def _cmd_closure(args, config):
     fld, gens = ideal_from_obj(_load_json(args.ideal))
     mono = _staircase_input(gens)
@@ -175,7 +170,11 @@ def _cmd_core(args, config):
     if args.module:
         module = module_from_obj(_load_json(args.module), config=config)
     else:
-        ideal = _load_ideal(args, config)
+        fld, gens = ideal_from_obj(_load_json(args.ideal))
+        mono = _staircase_input(gens)
+        if mono is not None:  # refused by its closure, not by a ceiling
+            check_closed_slots([mono])
+        ideal = _materialize(fld, gens, config)
         if ideal.is_unit:
             raise MathError("ideal is not m-primary")
         module = ModuleRep.from_ideal(ideal)
@@ -225,7 +224,7 @@ def _cmd_reduction(args, config):
                                   "trivial": cert.trivial}
         _emit(args, payload, module_text(red))
         return 0
-    ideal = _load_ideal(args, config)
+    ideal = _materialize(*ideal_from_obj(_load_json(args.ideal)), config)
     j, cert = minimal_reduction(ideal, sampler)
     payload = {
         "field": ideal.field.name,
@@ -265,10 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, ideal=False, module=False, presentation=False,
                seeded=False):
+        # an ideal or a module, exactly one when a command takes either
+        inputs = (p.add_mutually_exclusive_group(required=True)
+                  if ideal and module else p)
         if ideal:
-            p.add_argument("--ideal", help="ideal JSON file")
+            inputs.add_argument("--ideal", required=not module,
+                                help="ideal JSON file")
         if module:
-            p.add_argument("--module", help="module JSON file")
+            inputs.add_argument("--module", required=not ideal,
+                                help="module JSON file")
         if presentation:
             p.add_argument("--presentation", required=True,
                            help="matrix JSON file")
@@ -330,17 +334,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = EngineConfig(truncation_ceiling=args.ceiling)
-    needs_input = args.command in ("closure", "adjoint", "mult")
-    if needs_input and not args.ideal:
-        print("error: --ideal is required", file=sys.stderr)
-        return 2
-    if args.command in ("core", "reduction") and \
-            not (args.ideal or args.module):
-        print("error: --ideal or --module is required", file=sys.stderr)
-        return 2
-    if args.command == "br" and not args.module:
-        print("error: --module is required", file=sys.stderr)
-        return 2
     try:
         return _COMMANDS[args.command](args, config)
     except ParseError as exc:

@@ -392,39 +392,32 @@ def _sym_slot_ideals(parts: list[staircase.MonomialIdeal], degree: int):
     return out
 
 
-def _sym_quotient(M: ModuleRep, degree: int) -> tuple[int, int]:
-    """(length, c) for Sym_degree(F) / S_degree(M): its exact length, and
-    the least c with m^c * Sym_degree(F) inside S_degree(M)."""
-    parts = _slot_monomial_ideals(M)
-    if parts is not None:
-        ideals = _sym_slot_ideals(parts, degree)
-        return (sum(staircase.colength(ideal) for ideal in ideals),
-                max(staircase.power_certificate(ideal) for ideal in ideals))
-    slots, vectors = sym_generators(M, degree)
-    span = span_with_certificate(vectors, len(slots), M.field,
-                                 config=M.config)
-    return span.colength(), span.n0
-
-
 def sym_colength(M: ModuleRep, degree: int) -> int:
     """Exact length of Sym_degree(F) / S_degree(M)."""
-    return _sym_quotient(M, degree)[0]
+    parts = _slot_monomial_ideals(M)
+    if parts is not None:
+        return sum(staircase.colength(ideal)
+                   for ideal in _sym_slot_ideals(parts, degree))
+    slots, vectors = sym_generators(M, degree)
+    return span_with_certificate(vectors, len(slots), M.field,
+                                 config=M.config).colength()
 
 
 def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int) -> bool:
-    """Exact test of S_1(N) * S_t(M) = S_(t+1)(M).
+    """Exact test of S_1(N) * S_t(M) = S_(t+1)(M), for N <= M.
 
-    Nakayama: equality follows once every generator of S_(t+1)(M) lies in
-    S_1(N)*S_t(M) + m*S_(t+1)(M), checked in the truncation one past the
-    certificate of S_(t+1)(M).
+    N <= M puts S_1(N) * S_t(M) inside S_(t+1)(M), so `nakayama_covers`
+    decides the equality on the certified span of S_(t+1)(M).
     """
-    field = M.field
+    if not M.contains_module(N):
+        raise MathError("N is not contained in M")
     rank = M.rank
-    _, cap = _sym_quotient(M, t + 1)
     slots, big_gens = sym_generators(M, t + 1)
+    big = span_with_certificate(big_gens, len(slots), M.field,
+                                config=M.config)
     index = {exp: i for i, exp in enumerate(slots)}
     small_slots, small_gens = sym_generators(M, t)
-    zero = Poly.zero(field)
+    zero = Poly.zero(M.field)
     products = []
     for ncol in N.columns:  # S_1(N) * S_t(M)
         for svec in small_gens:
@@ -434,7 +427,7 @@ def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int) -> bool:
             for exp, poly in state.items():
                 vec[index[exp]] = poly
             products.append(tuple(vec))
-    return nakayama_covers(big_gens, products, len(slots), field, cap)
+    return nakayama_covers(big, products)
 
 
 @dataclass(frozen=True)
@@ -498,6 +491,18 @@ def _adjoint_gens_of_ideal(I: TruncatedIdeal, mono, sampler: GenericSampler):
     return list(result.gens), None
 
 
+def check_closed_slots(parts):
+    """Refuse a module whose slot ideals (monomial, or None where that is
+    not known) include one that is not integrally closed."""
+    for slot, part in enumerate(parts, 1):
+        closure = larger_closure(part)
+        if closure is not None:
+            raise MathError(
+                f"core needs integrally closed input (core(M) = adj(I(M))*M "
+                f"holds for integrally closed M); slot {slot} is {part}, "
+                f"whose integral closure is {closure}")
+
+
 def core_module(M: ModuleRep, sampler: GenericSampler) -> ModuleRep:
     """core(M) = adj(I(M)) * M for integrally closed M, checked for monomial
     M = I(M) of rank 1 and slot by slot for direct sums of monomial ideals.
@@ -509,14 +514,8 @@ def core_module(M: ModuleRep, sampler: GenericSampler) -> ModuleRep:
     if I.is_unit:
         return M  # free module: its only reduction is itself
     mono = I.to_monomial()
-    parts = [mono] if M.rank == 1 else _slot_monomial_ideals(M) or []
-    for slot, part in enumerate(parts, 1):
-        closure = larger_closure(part)
-        if closure is not None:
-            raise MathError(
-                f"core needs integrally closed input (core(M) = adj(I(M))*M "
-                f"holds for integrally closed M); slot {slot} is {part}, "
-                f"whose integral closure is {closure}")
+    check_closed_slots([mono] if M.rank == 1
+                       else _slot_monomial_ideals(M) or [])
     adj_gens, adj_mono = _adjoint_gens_of_ideal(I, mono, sampler)
     if adj_mono is not None:
         result = M.scale_by_monomial_ideal(adj_mono)

@@ -118,13 +118,9 @@ class NotUpToBound:
 
 
 def smaller_ideal_equals(big: TruncatedIdeal, small_gens: list[Poly]) -> bool:
-    """Decide ideal(small_gens) == big, given ideal(small_gens) <= big.
-
-    Nakayama: it is enough that every generator of `big` lies in
-    ideal(small_gens) + m*big, checked exactly in R/m^(n0(big)+1).
-    """
-    return nakayama_covers([(g,) for g in big.gens],
-                           [(q,) for q in small_gens], 1, big.field, big.n0)
+    """Decide ideal(small_gens) == big, given ideal(small_gens) <= big, by
+    `nakayama_covers` on the certified span of `big`."""
+    return nakayama_covers(big.span, [(q,) for q in small_gens])
 
 
 def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None):

@@ -3,11 +3,11 @@
 Working in k[x,y]/m^N is exact as soon as a Nakayama certificate
 m^N0 <= I with N0 < N is in hand: membership, colons, colengths and
 equality tests all reduce to row operations below the certificate degree.
-A span is built one degree at a time, and the certificate is a pivot count:
-the first degree t at which every degree-t monomial leads a stored row.
-The same machinery drives finite-colength submodules of R^s, so the
+A span is built once, one degree at a time, and the certificate is a pivot
+count: the first degree t at which every degree-t monomial leads a stored
+row.  The same machinery drives finite-colength submodules of R^s, so the
 module layer reuses TruncatedSpan with more slots, and the Nakayama
-equality tests of the reduction layers reuse it too.
+equality test of the reduction layers is a pivot count on a certified span.
 """
 
 from __future__ import annotations
@@ -74,12 +74,13 @@ def row_to_vector(row: dict, field: Field, nslots: int):
 
 class TruncatedSpan:
     """Echelonized R-span I of column vectors inside F/m^order F, F = R^nslots,
-    built one degree at a time like a Macaulay matrix.
+    built once, one degree at a time like a Macaulay matrix, and never
+    changed afterwards.
 
     Stage t inserts the generator columns of order t, and x*b and y*b for
     every stored pivot row b of lead degree t-1.  Rows are kept untruncated
-    below the stage bound `order` (the truncation ceiling when the caller
-    names no order) until the certificate, so every stored row lies in I.
+    below the stage bound `order` until the certificate, so every stored
+    row lies in I.
 
     Invariant: after stage t, the stored rows together with m^(t+1)F span
     I + m^(t+1)F.  Take f in I and write f = sum c_j(0) g_j + x*h' + y*h''
@@ -96,54 +97,35 @@ class TruncatedSpan:
     nslots*(t+1) exactly when m^t F <= I + m^(t+1)F, which by Nakayama
     means m^t F <= I.  The first such t is the certificate n0: building
     stops there with order = n0 + 1, and since m^n0 F <= I the rows are
-    trimmed to degree <= n0 and rows of higher lead are dropped.  No
-    certificate below `order` leaves n0 = None.  With certify=False every
-    stage below `order` is built and no certificate is sought.
+    trimmed to degree <= n0 and rows of higher lead are dropped, leaving a
+    basis of I/m^(n0+1)F.  No certificate below `order` leaves n0 = None.
     """
 
-    def __init__(self, field: Field, nslots: int, columns, order: int,
-                 certify: bool = True):
+    def __init__(self, field: Field, nslots: int, columns, order: int):
         self.field = field
         self.nslots = nslots
         self.basis = SparseBasis(field)
         self.n0 = None
-        self.order = 0  # stages built so far
-        self._cap = order - 1
-        self._leads: list[list[int]] = [[] for _ in range(order)]
+        self.order = order
+        cap = order - 1
         pending: list[list[dict]] = [[] for _ in range(order)]
         for col in columns:
-            row = vector_row(col, cap=self._cap)
+            row = vector_row(col, cap=cap)
             if row:
                 pending[key_degree(min(row))].append(row)
-        for t in range(order):
-            self._stage(pending[t])
-            if certify and len(self._leads[t]) == nslots * (t + 1):
-                self.n0 = t
-                self._cap = t
-                self.basis.truncate(t)
-                del self._leads[t + 1:]
-                return
-
-    def _stage(self, rows: list[dict]):
-        t = self.order
-        if t:
-            for lead in self._leads[t - 1]:
+        leads: list[list[int]] = [[] for _ in range(order)]  # by degree
+        for t, rows in enumerate(pending):
+            for lead in leads[t - 1] if t else ():
                 b = self.basis.rows[lead]
                 rows += [times_monomial(b, 1, 0), times_monomial(b, 0, 1)]
-        for row in rows:
-            lead = self.basis.insert(row, cap=self._cap)
-            if lead is not None:
-                self._leads[key_degree(lead)].append(lead)
-        self.order = t + 1
-
-    def grow(self, order: int):
-        """Build the stages below `order` in place, past the certificate."""
-        if order <= self.order:
-            return
-        self._cap = order - 1
-        self._leads += [[] for _ in range(order - len(self._leads))]
-        while self.order < order:
-            self._stage([])
+            for row in rows:
+                lead = self.basis.insert(row, cap=cap)
+                if lead is not None:
+                    leads[key_degree(lead)].append(lead)
+            if len(leads[t]) == nslots * (t + 1):
+                self.n0, self.order = t, t + 1
+                self.basis.truncate(t)
+                return
 
     def colength(self) -> int:
         return self.nslots * triangle(self.n0) - self.basis.dim_up_to(self.n0 - 1)
@@ -181,37 +163,28 @@ def span_with_certificate(columns, nslots: int, field: Field,
         f"{ceiling}: not finite colength")
 
 
-def nakayama_covers(big, small, nslots: int, field: Field, cap: int) -> bool:
-    """Does span(small) + m*span(big) hold every column of `big`, modulo
-    m^(cap+1)F?
+def nakayama_covers(big: TruncatedSpan, small) -> bool:
+    """Is the certified span `big` generated by the columns `small`?
 
-    For span(small) <= span(big) with m^(cap+1)F <= m*span(big), this
-    decides span(small) == span(big) by Nakayama.
-
-    The span of the x- and y-shifted `big` columns, which no draw of
-    `small` changes, is built first; its rows span m*span(big) modulo
-    m^(cap+1)F, an R-module.  The `small` rows go in next, and x*p, y*p
-    for each new pivot p of lead degree < cap (a pivot of lead degree cap
-    times x or y is 0 here).  A new pivot differs from its inserted row by
-    an element of the span so far, so the rows end up spanning
-    span(small) + m*span(big) modulo m^(cap+1)F, the span one joint build
-    of both sides gives; membership depends on the span only.  Each pivot
-    below the cap is multiplied once, as in the joint build, but the dense
-    `small` rows now meet the short pivot rows of `big`.
+    Requires span(small) <= big: every caller knows it.  With n0 = n0(big),
+    m^(n0+1)F = m*m^n0 F <= m*big, so by Nakayama span(small) = big exactly
+    when span(small) + m*big = big modulo m^(n0+1)F, and as the left side
+    lies in the right one, exactly when their dimensions there agree.
+    m*big is spanned there by x*b and y*b for the rows b of `big`, a basis
+    of big/m^(n0+1)F, and only those of lead degree < n0 leave anything
+    below degree n0+1; m*span(small) <= m*big, so the `small` columns go
+    in unshifted.
     """
-    columns = [tuple(f.shift(*xy) for f in col) for col in big
-               for xy in ((1, 0), (0, 1))]
-    basis = TruncatedSpan(field, nslots, columns, cap + 1,
-                          certify=False).basis
-    work = [vector_row(col, cap=cap) for col in small]
-    while work:
-        row = work.pop()
-        lead = basis.insert(row, cap=cap) if row else None
-        if lead is not None and key_degree(lead) < cap:
-            p = basis.rows[lead]
-            work += [times_monomial(p, 1, 0), times_monomial(p, 0, 1)]
-    return all(basis.contains(vector_row(col, cap=cap), cap=cap)
-               for col in big)
+    n0 = big.n0
+    basis = SparseBasis(big.field)
+    for b in big.basis_rows(n0 - 1):
+        basis.insert(times_monomial(b, 1, 0), cap=n0)
+        basis.insert(times_monomial(b, 0, 1), cap=n0)
+    for col in small:
+        row = vector_row(col, cap=n0)
+        if row:
+            basis.insert(row, cap=n0)
+    return basis.dim_up_to(n0) == big.basis.dim_up_to(n0)
 
 
 def span_colon(span: TruncatedSpan, columns,
@@ -355,12 +328,15 @@ class TruncatedIdeal:
         return result
 
     def intersect(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
-        t = max(self.n0, other.n0)
-        cap = t - 1
-        self.span.grow(t)  # both spans must reach R/m^t
-        other.span.grow(t)
-        rows = self.span.basis_rows(cap)
-        lams = kernel_modulo(other.span.basis, rows, cap=cap)
+        """I meet J, for n0(I) >= n0(J) = s (else the other way round): the
+        rows of I below t = n0(I) are a basis of I/m^t, the combinations of
+        them that lie in J, decided modulo m^s <= J, span (I meet J)/m^t,
+        and m^t <= I meet J.  Neither span changes."""
+        if self.n0 < other.n0:
+            return other.intersect(self)
+        t = self.n0
+        rows = self.span.basis_rows(t - 1)
+        lams = kernel_modulo(other.span.basis, rows, cap=other.n0 - 1)
         combos = (combine(lam, rows, self.field.p) for lam in lams)
         gens = [row_to_vector(c, self.field, 1)[0] for c in combos if c]
         gens += [Poly.term(self.field, t - b2, b2) for b2 in range(t + 1)]

@@ -11,13 +11,16 @@ enumerates every minor size again for each k, `reference_kernel`
 runs the kernel loop against a basis as it stands, without interreducing
 it first, `reference_to_monomial` tests every monomial up to the
 certificate for membership, `reference_nakayama_covers` builds both
-sides of a Nakayama test in one span, `reference_chain_gens` builds every
-generator list of a Fitting chain eagerly, one determinant per minor, and
-`reference_minimalize` drops dominated monomials by pairwise divisibility.
+sides of a Nakayama test in one ReferenceSpan, `reference_sym_product`
+multiplies symmetric-power generators out term by term,
+`reference_chain_gens` builds every generator list of a Fitting chain
+eagerly, one determinant per minor, and `reference_minimalize` drops
+dominated monomials by pairwise divisibility.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 from regcore.config import DEFAULT
 from regcore.errors import NotMPrimaryError, ZeroIdealError
@@ -148,22 +151,11 @@ class ReferenceSpan(TruncatedSpan):
     def __init__(self, field, nslots, columns, order):
         self.field = field
         self.nslots = nslots
-        self.columns = [tuple(col) for col in columns]
-        self.n0 = None
-        self._fill(order)
-        for t in range(order):
-            probes = [tuple(Poly.term(field, t - b, b) if s == slot
-                            else Poly.zero(field) for s in range(nslots))
-                      for slot in range(nslots) for b in range(t + 1)]
-            if all(self.basis.contains(vector_row(v), cap=t) for v in probes):
-                self.n0 = t
-                return
-
-    def _fill(self, order):
         self.order = order
-        self.basis = SparseBasis(self.field)
+        self.n0 = None
+        self.basis = SparseBasis(field)
         cap = order - 1
-        for col in self.columns:
+        for col in columns:
             nonzero = [f for f in col if not f.is_zero]
             if not nonzero:
                 continue
@@ -173,11 +165,13 @@ class ReferenceSpan(TruncatedSpan):
                                      cap=cap)
                     if row:
                         self.basis.insert(row, cap=cap)
-
-    def grow(self, order):
-        """Rebuild at a larger truncation order; the certificate stands."""
-        if order > self.order:
-            self._fill(order)
+        for t in range(order):
+            probes = [tuple(Poly.term(field, t - b, b) if s == slot
+                            else Poly.zero(field) for s in range(nslots))
+                      for slot in range(nslots) for b in range(t + 1)]
+            if all(self.basis.contains(vector_row(v), cap=t) for v in probes):
+                self.n0 = t
+                return
 
 
 def reference_span(columns, nslots, field, ceiling=64):
@@ -294,14 +288,42 @@ def reference_to_monomial(ideal):
 
 
 def reference_nakayama_covers(big, small, nslots, field, cap):
-    """`trunc.nakayama_covers` by one joint build: the shifted `big` columns
-    and the `small` columns go into a single span modulo m^(cap+1)F."""
+    """`trunc.nakayama_covers` by one joint build and a membership pass:
+    the x- and y-shifted `big` columns and the `small` columns go into a
+    single ReferenceSpan modulo m^(cap+1)F, which must hold every column of
+    `big`."""
     columns = [tuple(f.shift(*xy) for f in col) for col in big
                for xy in ((1, 0), (0, 1))]
-    span = TruncatedSpan(field, nslots, columns + list(small), cap + 1,
-                         certify=False)
+    span = ReferenceSpan(field, nslots, columns + list(small), cap + 1)
     return all(span.basis.contains(vector_row(col, cap=cap), cap=cap)
                for col in big)
+
+
+def reference_sym_product(N, M, t):
+    """(slots, columns) of S_1(N) * S_t(M) inside Sym_(t+1)(F): each column
+    of N times each product of t columns of M, expanded term by term in the
+    slot variables e_1, ..., e_r as {exponent vector: Poly}."""
+    zero = Poly.zero(M.field)
+
+    def times(element, column):
+        out = {}
+        for exp, f in element.items():
+            for i, g in enumerate(column):
+                if not g.is_zero:
+                    key = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
+                    out[key] = out.get(key, zero) + f * g
+        return out
+
+    slots = sorted(e for e in product(range(t + 2), repeat=M.rank)
+                   if sum(e) == t + 1)
+    columns = []
+    for ncol in N.columns:
+        for combo in combinations_with_replacement(M.columns, t):
+            element = times({(0,) * M.rank: Poly.one(M.field)}, ncol)
+            for col in combo:
+                element = times(element, col)
+            columns.append(tuple(element.get(e, zero) for e in slots))
+    return slots, columns
 
 
 def reference_chain_gens(matrix, field):

@@ -1,8 +1,8 @@
 """The benchmark's tracer wraps regcore functions and methods by name.
 
-perfbench/tracer.py is loaded by path and only read: a refactor that
-renames or removes a traced boundary fails here, not only in a traced
-benchmark run.
+perfbench/tracer.py and perfbench/run.py are loaded by path and only read:
+a refactor that renames or removes a traced boundary, or stops calling one
+on a workload, fails here, not only in a traced benchmark run.
 """
 
 import importlib
@@ -11,6 +11,7 @@ import inspect
 import sys
 from collections import Counter
 from pathlib import Path
+from time import monotonic
 
 import pytest
 
@@ -22,14 +23,25 @@ from regcore.reduction import GenericSampler, minimal_reduction
 from regcore.staircase import MonomialIdeal
 from regcore.trunc import TruncatedIdeal, span_with_certificate
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    # run.py imports its sibling speed.py, so perfbench/ is on the path
+    # while a file loads
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
 
 
 def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _load("tracer")
 
 
 def _hooks():
@@ -118,3 +130,17 @@ def test_fitting_goes_through_the_traced_minor_boundaries(monkeypatch):
     monkeypatch.setattr(modcore, "_last_chain", [None, None])
     core_module(two_blocks, GenericSampler(seed=42))
     assert calls["poly_det"] >= calls["matrix_minors"] > 0
+
+
+BENCH = _load("run")
+
+
+@pytest.mark.parametrize("workload", BENCH.WORKLOADS)
+def test_traced_child_reaches_every_expected_layer(workload):
+    # the first unit of `run.py --trace 1`, in a child process of its own
+    unit = next(BENCH.units(workload, BENCH.DEFAULT_SEED))[0]
+    child = BENCH.spawn(workload, unit, 1, 1, monotonic())
+    assert BENCH.child_ok(child)
+    calls = BENCH.tally(child["trace"])
+    assert [name for name in BENCH.EXPECTED[workload]
+            if not calls.get(name)] == []

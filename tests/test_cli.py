@@ -179,6 +179,18 @@ def test_core_refuses_a_monomial_ideal_that_is_not_closed(tmp_path, capsys):
         [parse_poly(g, QQ) for g in ("x^4", "x^2*y", "x*y^2", "y^3")]
 
 
+def test_core_names_the_closure_of_monomial_input_above_the_ceiling(
+        tmp_path, capsys):
+    # (x^40, y^40) needs truncation order 80 > 64, but the reason it is
+    # refused is that its closure is m^40
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^40", "y^40"]})
+    code, out, err = run(capsys, "core", "--ideal", path)
+    assert code == 1
+    assert out == ""
+    assert "integrally closed" in err and "whose integral closure is" in err
+    assert "x^39*y" in err and "ceiling" not in err
+
+
 def test_mult_of_worked_example(tmp_path, capsys):
     path = write(tmp_path, "I.json", WORKED)
     code, out, err = run(capsys, "mult", "--ideal", path)
@@ -343,8 +355,26 @@ def test_verify_text_format(capsys):
 
 
 def test_missing_required_input(capsys):
-    code, out, err = run(capsys, "core")
-    assert code == 2
+    # argparse refuses the command line, with exit code 2
+    for argv, named in ((["core"], "--ideal --module"),
+                        (["reduction"], "--ideal --module"),
+                        (["closure"], "--ideal"), (["adjoint"], "--ideal"),
+                        (["mult"], "--ideal"), (["br"], "--module")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
+
+def test_ideal_and_module_together_are_refused(tmp_path, capsys):
+    # the module used to be read and the ideal dropped, with exit code 0
+    ideal = write(tmp_path, "I.json", WORKED)
+    module = write(tmp_path, "M.json", M23)
+    for command in ("core", "reduction"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--ideal", ideal, "--module", module])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_unread_flags_are_rejected(tmp_path, capsys):

@@ -11,12 +11,13 @@ from regcore.field import QQ, PrimeField
 from regcore.modcore import (ModuleRep, buchsbaum_rim, colon_into, core_iterate,
                              core_module, fitting, minimal_reduction_module,
                              sym_colength, sym_reduction_check, sym_slots)
-from regcore.poly import matrix_minors, parse_poly
+from regcore.poly import Poly, matrix_minors, parse_poly
 from regcore.reduction import RETRY_LIMIT, GenericSampler, hilbert_samuel
 from regcore.staircase import MonomialIdeal, presentation_matrix
-from regcore.trunc import TruncatedIdeal
+from regcore.trunc import TruncatedIdeal, span_with_certificate
 
-from oracles import reference_chain_gens, reference_fitting
+from oracles import (reference_chain_gens, reference_fitting,
+                     reference_sym_product)
 from test_reduction import StuckSampler
 
 F65537 = PrimeField(65537)
@@ -335,6 +336,43 @@ def test_sym_reduction_check_refutes_a_non_reduction():
                           (P("0"), P("x"))])
     for t in (1, 2):
         assert not sym_reduction_check(n, mm, t)
+
+
+def twisted_sum(a, b, f, field):
+    """g*(A (+) B) for g = [[1, f], [0, 1]]: not slot-monomial, and
+    isomorphic to A (+) B, so still integrally closed when A and B are."""
+    zero = Poly.zero(field)
+    gens = [Poly.monomial(field, m) for m in a.gens]
+    return ModuleRep(field, 2, [(g, zero) for g in gens]
+                     + [(P(f, field) * h, h) for h in
+                        (Poly.monomial(field, m) for m in b.gens)])
+
+
+@pytest.mark.parametrize("field", [QQ, F65537], ids=str)
+@pytest.mark.parametrize("t", [1, 2])
+def test_sym_reduction_check_on_twisted_sums(field, t):
+    # oracle: with N <= M, S_1(N)*S_t(M) = S_(t+1)(M) exactly when the
+    # certified span of the products has the colength of S_(t+1)(M)
+    cases = [(M(2), M(1), "x"), (WORKED, M(2), "y^2"), (M(1), WORKED, "x + y")]
+    for seed, (a, b, f) in enumerate(cases):
+        mod = twisted_sum(a, b, f, field)
+        sampler = GenericSampler(seed)
+        inside_m = mod.scale_by_gens([P("x", field), P("y", field)])
+        for source, expected in ((mod, True), (inside_m, False)):
+            n = ModuleRep(field, 2, [sampler.combination(source.columns)
+                                     for _ in range(3)])
+            slots, products = reference_sym_product(n, mod, t)
+            span = span_with_certificate(products, len(slots), field)
+            assert (span.colength() == sym_colength(mod, t + 1)) == expected
+            assert sym_reduction_check(n, mod, t) == expected
+
+
+def test_sym_reduction_check_refuses_n_outside_m():
+    mm = msum(M(1), M(1))
+    n = ModuleRep(QQ, 2, [(P("x"), P("0")), (P("y"), P("0")),
+                          (P("1"), P("x"))])
+    with pytest.raises(MathError, match="N is not contained in M"):
+        sym_reduction_check(n, mm, 1)
 
 
 def test_module_search_gives_up_after_the_retry_limit():

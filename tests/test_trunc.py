@@ -137,8 +137,32 @@ def test_intersection_of_ideals_with_different_certificates():
     expected = small_mono.intersect(big_mono)
     assert small.intersect(big).to_monomial() == expected
     assert big.intersect(small).to_monomial() == expected
-    # growing a span in place leaves its own answers alone
     assert small.n0 == 3 and small.colength() == mono_colength(small_mono)
+
+
+def test_intersect_leaves_both_spans_unchanged():
+    # certified spans are built once: intersecting reads them, in either
+    # order, and grows or truncates neither
+    def state(ideal):
+        span = ideal.span
+        return span.order, span.n0, dict(span.basis.rows)
+
+    pairs = [(TruncatedIdeal.from_monomial(
+                 MonomialIdeal.from_exponents([(3, 0), (0, 1)]), QQ),
+              TruncatedIdeal.from_monomial(M(5), QQ)),
+             (Tr("x^2 + 2*x*y^2", "x*y + y^3", "y^2"),
+              Tr("x^2 + 2*x*y^2 - y^5", "y^6"))]
+    for small, big in pairs:
+        assert small.n0 < big.n0
+        for left, right in ((small, big), (big, small)):
+            for ideal in (left, right):
+                ideal.span.basis.interreduce()  # as any query leaves it
+            before = [state(left), state(right)]
+            meet = left.intersect(right)
+            assert [state(left), state(right)] == before
+            assert left.contains_ideal(meet) and right.contains_ideal(meet)
+            assert meet.colength() + left.plus(right).colength() == \
+                left.colength() + right.colength()
 
 
 def test_colon_workhorse():
@@ -341,10 +365,6 @@ def test_to_monomial_matches_reference_scan(data):
     ideal = TruncatedIdeal.materialize(gens, field)
     answer = ideal.to_monomial()
     assert answer == reference_to_monomial(ideal)
-    # a span grown past its certificate keeps the same monomial form
-    grown = TruncatedIdeal.materialize(gens, field)
-    grown.span.grow(grown.n0 + data.draw(st.integers(1, 3)))
-    assert grown.to_monomial() == answer
     assert answer is not None or not all(g.is_term for g in gens)
 
 
@@ -478,7 +498,7 @@ def test_monomials_below_ordering():
 def test_nakayama_covers_matches_reference_joint_build(data):
     # M: a direct sum of coordinate-changed monomial ideals, its slots mixed
     # by a unitriangular constant matrix, so its columns are still minimal
-    # generators; at cap = n0(M), m^(cap+1)F <= m*M and the test is exact
+    # generators; every `small` below lies in M, as nakayama_covers requires
     field = data.draw(st.sampled_from([QQ, F7]))
     nslots = data.draw(st.integers(1, 3))
     rnd = data.draw(st.randoms(use_true_random=False))
@@ -490,7 +510,8 @@ def test_nakayama_covers_matches_reference_joint_build(data):
            for _ in range(nslots)]
     big = [tuple(sum((col[t].scale(mix[s][t]) for t in range(s + 1, nslots)),
                      col[s]) for s in range(nslots)) for col in big]
-    cap = span_with_certificate(big, nslots, field).n0
+    span = span_with_certificate(big, nslots, field)
+    cap = span.n0
 
     def times(f, col):
         return tuple(f * h for h in col)
@@ -512,19 +533,23 @@ def test_nakayama_covers_matches_reference_joint_build(data):
     del dropped[rnd.randrange(len(big))]  # a minimal generator is missing
     high = times(Poly.term(field, rnd.randint(0, cap + 1), cap + 1), big[0])
     extra = [tuple([zero] * nslots), high]  # nothing at or below the cap
-    units = [tuple(Poly.one(field) if s == slot else zero
-                   for s in range(nslots)) for slot in range(nslots)]
     for small, expected in ((combos, True), (combos + extra, True),
                             (dropped, False), (extra + dropped, False),
-                            ([], False), (extra, False), (units, True)):
-        assert nakayama_covers(big, small, nslots, field, cap) == expected
+                            ([], False), (extra, False)):
+        assert nakayama_covers(span, small) == expected
         assert reference_nakayama_covers(big, small, nslots, field,
                                          cap) == expected
-    # columns outside M: only x*p and y*p of their new pivots p reach the
-    # monomials above them
-    stray = [tuple(Poly.term(field, rnd.randint(0, cap), rnd.randint(0, 1),
-                             rnd.randint(-2, 2)) for _ in range(nslots))
-             for _ in range(2)]
-    small = dropped + stray
-    assert nakayama_covers(big, small, nslots, field, cap) == \
-        reference_nakayama_covers(big, small, nslots, field, cap)
+
+
+def test_nakayama_covers_the_free_module():
+    # n0 = 0: only the constant terms of `small` count
+    for field in (QQ, F7):
+        zero, one = Poly.zero(field), Poly.one(field)
+        units = [(one, zero), (zero, one)]
+        free = span_with_certificate(units, 2, field)
+        assert free.n0 == 0
+        mixed = [(one + P("x", field), P("y", field)), (one, one)]
+        assert nakayama_covers(free, mixed)
+        assert not nakayama_covers(free, [(one, one),
+                                          (one + P("x", field), one)])
+        assert not nakayama_covers(free, [])
