@@ -438,12 +438,28 @@ class ModuleReductionCertificate:
     trivial: bool = False
 
 
-def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler):
-    """r+1 seeded-generic column combinations with a verified
-    symmetric-power certificate.
+@dataclass(frozen=True)
+class ModuleMultiplicityCertificate:
+    """Witness, by the module Rees theorem, that the parameter module N <= M
+    is a reduction: colength(N) = br = br(M), the colength of the reduction
+    that `reference` certifies.  No symmetric power was checked: degree 0."""
 
-    A free module is its own minimal reduction and is returned with a
-    trivial certificate.
+    columns: tuple
+    br: int
+    reference: ModuleReductionCertificate
+    degree: int = 0
+    trivial: bool = False
+
+
+def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler,
+                             reference=None):
+    """r+1 seeded-generic column combinations with a verified certificate:
+    symmetric-power, or with a reference (br(M), certificate) from an
+    earlier reduction of M, one colength per draw.  N <= M is a reduction
+    exactly when br(N) = br(M) (Katz 1995), br(N) = colength(N) for a
+    parameter module (Buchsbaum-Rim 1964), and br(N) >= br(M) always, so a
+    larger colength refutes N and a smaller one means br is not br(M).
+    A free module is its own minimal reduction, with a trivial certificate.
     """
     if M.is_free():
         return M, ModuleReductionCertificate(0, trivial=True)
@@ -454,10 +470,19 @@ def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler):
         return N
 
     def certify(N):
-        return next((ModuleReductionCertificate(t)
-                     for t in range(1, SYM_POWER_BOUND + 1)
-                     if sym_reduction_check(N, M, t)), None)
-    return search_reduction(M.columns, sampler, build, certify)
+        if reference is None:
+            return next((ModuleReductionCertificate(t)
+                         for t in range(1, SYM_POWER_BOUND + 1)
+                         if sym_reduction_check(N, M, t)), None)
+        br, first = reference
+        ell = N.colength()
+        if ell < br:
+            raise MathError(f"a parameter module N <= M has colength {ell} "
+                            f"below the reference br = {br}")
+        if ell == br:
+            return ModuleMultiplicityCertificate(N.columns, br, first)
+    return search_reduction(M.columns, sampler, build, certify,
+                            M.config.truncation_ceiling)
 
 
 def buchsbaum_rim(M: ModuleRep) -> int:

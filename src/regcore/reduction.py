@@ -62,25 +62,31 @@ class GenericSampler:
         return GenericSampler(self.seed + offset)
 
 
-def search_reduction(columns, sampler: GenericSampler, build, certify):
+def search_reduction(columns, sampler: GenericSampler, build, certify,
+                     ceiling: int):
     """(N, certify(N)) for the first draw of rank+1 seeded-generic
     combinations of `columns` that `build` turns into a finite-colength N
     and `certify` does not answer None; GenericityError after RETRY_LIMIT
-    draws."""
+    draws, naming the truncation ceiling when no draw had a Nakayama
+    certificate below it."""
     rank = len(columns[0])
+    built = False
     for _ in range(RETRY_LIMIT):
         cand = [sampler.combination(columns) for _ in range(rank + 1)]
         try:
             N = build(cand)
         except (NotMPrimaryError, ZeroIdealError, TruncationCeilingError):
             continue
+        built = True
         cert = certify(N)
         if cert is not None:
             return N, cert
+    reason = ("the field may be too small or the input pathological" if built
+              else f"no draw has a Nakayama certificate below the truncation "
+              f"ceiling {ceiling}: raise --ceiling")
     raise GenericityError(
         f"no certified reduction by {rank + 1} generic combinations in "
-        f"{RETRY_LIMIT} draws; the field may be too small or the input "
-        f"pathological")
+        f"{RETRY_LIMIT} draws; {reason}")
 
 
 def stable_difference(values, order: int) -> int | None:
@@ -156,7 +162,7 @@ def _first_reduction(I: TruncatedIdeal, sampler: GenericSampler, certify):
         [(g,) for g in I.gens], sampler,
         lambda cand: TruncatedIdeal.materialize([col[0] for col in cand],
                                                 I.field, config=I.config),
-        certify)
+        certify, I.config.truncation_ceiling)
 
 
 def minimal_reduction(I: TruncatedIdeal, sampler: GenericSampler):

@@ -19,9 +19,9 @@ from time import perf_counter
 from .config import DEFAULT, EngineConfig
 from .errors import NotMPrimaryError
 from .field import Field, field_from_name
-from .modcore import (ModuleRep, buchsbaum_rim, colon_into, core_iterate,
-                      core_module, fitting, minimal_reduction_module,
-                      sym_colength)
+from .modcore import (ModuleMultiplicityCertificate, ModuleRep,
+                      buchsbaum_rim, colon_into, core_iterate, core_module,
+                      fitting, minimal_reduction_module, sym_colength)
 from .poly import Monomial, Poly
 from .reduction import (GenericSampler, ReductionCertificate, adjoint_ideal,
                         hilbert_samuel, is_integral_element, is_reduction,
@@ -249,13 +249,17 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
                             config=runner.config)
         runner.eq_mono("adjoint-equals-first-fitting-ideal", label,
                        first_fit.to_monomial(), adj_oracle)
+        reference = None  # seed 1's (br(M), certificate) decides the rest
         for s in range(3):
             sampler = GenericSampler(_child_seed(seed, 21 + s, i))
-            red, cert = minimal_reduction_module(mod, sampler)
+            red, cert = minimal_reduction_module(mod, sampler, reference)
             col = colon_into(red, mod)
+            kind = (f"br={cert.br}"
+                    if isinstance(cert, ModuleMultiplicityCertificate)
+                    else f"sym-degree={cert.degree}")
+            reference = reference or (red.colength(), cert)
             runner.eq_mono("adjoint-equals-colon-of-minimal-reduction",
-                           f"{label}; seed={sampler.seed}; "
-                           f"sym-degree={cert.degree}",
+                           f"{label}; seed={sampler.seed}; {kind}",
                            col.to_monomial(), adj_oracle)
         chain_ok = True
         witness = None

@@ -87,6 +87,14 @@ def test_hooks_read_what_the_boundaries_return():
     assert isinstance(cert.trivial, bool) and isinstance(cert.degree, int)
     assert tracer.counts["modcore.sym_degree_sum"] == \
         (0 if cert.trivial else cert.degree)
+    # a later seed, decided by colength against the first: no symmetric
+    # power was checked, so it adds a certificate of degree 0
+    red, br_cert = minimal_reduction_module(module, GenericSampler(seed=43),
+                                            (red.colength(), cert))
+    hooks["modcore.minimal_reduction_module"][1]((), {}, (red, br_cert))
+    assert (br_cert.trivial, br_cert.degree) == (False, 0)
+    assert (tracer.counts["modcore.sym_degree_sum"],
+            tracer.counts["modcore.sym_certificates"]) == (cert.degree, 2)
 
     span = span_with_certificate([(g,) for g in ideal.gens], 1, QQ)
     hooks["trunc.spans"][1]((), {}, span)

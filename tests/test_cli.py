@@ -144,6 +144,22 @@ def test_adjoint_names_the_truncation_ceiling(tmp_path, capsys):
     assert "n0 = 79" in err
 
 
+@pytest.mark.parametrize("command", ["reduction", "adjoint"])
+def test_reduction_search_names_the_truncation_ceiling(tmp_path, capsys,
+                                                       command):
+    # m^5 has n0 = 5 and is certified at order 6, but every draw of two
+    # generic quintics needs an order above 6 for its own certificate
+    path = write(tmp_path, "I.json", {
+        "field": "Q",
+        "gens": ["x^5", "x^4*y", "x^3*y^2", "x^2*y^3", "x*y^4", "y^5"]})
+    code, out, err = run(capsys, command, "--ideal", path, "--ceiling", "6")
+    assert code == 1 and out == ""
+    assert "in 8 draws" in err and "field may be too small" not in err
+    assert "truncation ceiling 6: raise --ceiling" in err
+    code, out, err = run(capsys, command, "--ideal", path)
+    assert code == 0
+
+
 def test_core_refuses_a_module_with_a_slot_that_is_not_closed(tmp_path,
                                                               capsys):
     # (x^2, y^2) (+) m: the first slot's closure is m^2

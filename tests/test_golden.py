@@ -12,9 +12,9 @@ import pytest
 from regcore.verify import render_report, run_suite
 
 GOLDEN = {
-    "Q": "8de80ff1c6a0e48f7531eedc60da199424105982a4a032a85e495d16a34d0d20",
+    "Q": "585ad0d4ffb4e374043c387a4c9f6e58a638d228ffa9e9218799ba0f1e313c2c",
     "F65537":
-        "c54081fecda53c3f2ce4e5cbb779135400bbc3fce82951f093f94a766325459b",
+        "350dbf734c80c827994377c0160b1b0f778201edfb4827927b922a1794c76473",
 }
 
 

@@ -8,9 +8,11 @@ from regcore.config import EngineConfig
 from regcore.errors import (GenericityError, MathError, NotMPrimaryError,
                             ZeroIdealError)
 from regcore.field import QQ, PrimeField
-from regcore.modcore import (ModuleRep, buchsbaum_rim, colon_into, core_iterate,
-                             core_module, fitting, minimal_reduction_module,
-                             sym_colength, sym_reduction_check, sym_slots)
+from regcore.modcore import (ModuleMultiplicityCertificate, ModuleRep,
+                             _slot_monomial_ideals, buchsbaum_rim, colon_into,
+                             core_iterate, core_module, fitting,
+                             minimal_reduction_module, sym_colength,
+                             sym_reduction_check, sym_slots)
 from regcore.poly import Poly, matrix_minors, parse_poly
 from regcore.reduction import RETRY_LIMIT, GenericSampler, hilbert_samuel
 from regcore.staircase import MonomialIdeal, presentation_matrix
@@ -392,6 +394,66 @@ def test_free_module_reduction_trivial():
     n, cert = minimal_reduction_module(free, GenericSampler(seed=1))
     assert cert.trivial
     assert n is free
+    # a reference does not change that: br(free) = 0, and no draw is made
+    n, cert = minimal_reduction_module(free, GenericSampler(seed=1), (0, cert))
+    assert cert.trivial and cert.degree == 0
+    assert n is free
+
+
+class FirstDrawFrom(GenericSampler):
+    """Draws its first rank+1 combinations from the columns of `source`,
+    the later ones from the columns it is asked for; keeps every draw."""
+
+    def __init__(self, seed, source):
+        super().__init__(seed)
+        self.source, self.drawn = source, []
+
+    def combination(self, columns):
+        first = len(self.drawn) <= len(columns[0])
+        self.drawn.append(super().combination(
+            self.source.columns if first else columns))
+        return self.drawn[-1]
+
+
+def reference_cases(field):
+    return [msum(M(2), M(3), field), msum(WORKED, M(1), field),
+            twisted_sum(M(2), M(1), "x", field),
+            twisted_sum(WORKED, M(2), "y^2", field),
+            twisted_sum(M(1), WORKED, "x + y", field)]
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F65537], ids=str)
+def test_buchsbaum_rim_reference_agrees_with_symmetric_powers(field):
+    # seed 1 fixes br(M) = colength(N1) by symmetric powers; a later draw
+    # is accepted exactly when its colength is br(M)
+    for i, mod in enumerate(reference_cases(field)):
+        first, cert = minimal_reduction_module(mod, GenericSampler(i))
+        br = first.colength()
+        if _slot_monomial_ideals(mod) is not None:  # cheap slotwise S_t
+            assert br == buchsbaum_rim(mod)
+        for seed in (10 + i, 20 + i, 30 + i):
+            n, mcert = minimal_reduction_module(mod, GenericSampler(seed),
+                                                (br, cert))
+            assert isinstance(mcert, ModuleMultiplicityCertificate)
+            assert (mcert.br, mcert.reference, mcert.columns) == \
+                (br, cert, n.columns)
+            assert (mcert.degree, mcert.trivial) == (0, False)
+            assert n.colength() == br
+            assert sym_reduction_check(n, mod, 1)
+        # a draw from m*M has colength above br(M): refuted, and a later
+        # draw, from M, is accepted (over F7 some draws from m*M have
+        # infinite colength, e.g. seed 40's for m^2 (+) m^3; these build)
+        inside_m = mod.scale_by_gens([P("x", field), P("y", field)])
+        sampler = FirstDrawFrom(41 + i, inside_m)
+        n, _ = minimal_reduction_module(mod, sampler, (br, cert))
+        drawn = ModuleRep(field, 2, sampler.drawn[:3])
+        assert drawn.colength() > br
+        assert not sym_reduction_check(drawn, mod, 1)
+        assert len(sampler.drawn) > 3
+        assert n.columns == tuple(sampler.drawn[-3:])
+        # a reference above br(M) is refused
+        with pytest.raises(MathError, match="below the reference br"):
+            minimal_reduction_module(mod, GenericSampler(i), (br + 1, cert))
 
 
 def test_buchsbaum_rim_values():
