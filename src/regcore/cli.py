@@ -16,14 +16,14 @@ from .errors import (MathError, NotMPrimaryError, ParseError,
                      TruncationCeilingError)
 from .modcore import (ModuleRep, buchsbaum_rim, check_closed_slots,
                       core_module, fitting, minimal_reduction_module)
-from .reduction import (ClosureResult, GenericSampler, adjoint_of_generators,
+from .reduction import (GenericSampler, adjoint_of_generators,
                         divide_monomial_content, hilbert_samuel,
                         integral_closure_ideal, minimal_reduction)
 from .serialize import (ideal_from_obj, ideal_text, ideal_to_obj,
                         matrix_from_obj, module_from_obj, module_text,
                         module_to_obj)
-from .staircase import (MonomialIdeal, ascii_staircase, integral_closure,
-                        multiplicity, power_certificate)
+from .staircase import (MonomialIdeal, adjoint, ascii_staircase,
+                        integral_closure, multiplicity, power_certificate)
 from .trunc import TruncatedIdeal
 from .verify import FAMILIES, render_report, run_suite
 
@@ -62,8 +62,9 @@ def _gens_payload(fld, gens, config) -> dict:
         return {"field": fld.name, "gens": [str(g) for g in gens]}
 
 
-def _ideal_with_art(ideal: TruncatedIdeal) -> str:
-    mono = ideal.to_monomial()
+def _ideal_with_art(ideal) -> str:
+    """Text of a TruncatedIdeal or MonomialIdeal, with any staircase art."""
+    mono = ideal if isinstance(ideal, MonomialIdeal) else ideal.to_monomial()
     text = ideal_text(ideal)
     if mono is not None and not mono.is_unit:
         return text + "\n" + ascii_staircase(mono)
@@ -119,13 +120,13 @@ def _cmd_closure(args, config):
     if mono is None:
         result = integral_closure_ideal(_materialize(fld, gens, config),
                                         nmax=args.nmax)
-    else:  # only the closure, not the input, is certified below the ceiling
-        result = ClosureResult(TruncatedIdeal.from_monomial(
-            integral_closure(mono), fld, config=config), True)
-    payload = ideal_to_obj(result.ideal)
-    payload["exact"] = result.exact
-    _emit(args, payload, _ideal_with_art(result.ideal)
-          + ("" if result.exact else "\n(lower bound: candidate search)"))
+        closure, exact = result.ideal, result.exact
+    else:  # answered by the staircase, at any size
+        closure, exact = integral_closure(mono), True
+    payload = ideal_to_obj(closure, fld)
+    payload["exact"] = exact
+    _emit(args, payload, _ideal_with_art(closure)
+          + ("" if exact else "\n(lower bound: candidate search)"))
     return 0
 
 
@@ -172,8 +173,11 @@ def _cmd_core(args, config):
     else:
         fld, gens = ideal_from_obj(_load_json(args.ideal))
         mono = _staircase_input(gens)
-        if mono is not None:  # refused by its closure, not by a ceiling
-            check_closed_slots([mono])
+        if mono is not None and not mono.is_unit:  # the staircase answers
+            check_closed_slots([mono])  # core = adj(I)*I needs I closed
+            out = adjoint(mono).product(mono)
+            _emit(args, ideal_to_obj(out, fld), _ideal_with_art(out))
+            return 0
         ideal = _materialize(fld, gens, config)
         if ideal.is_unit:
             raise MathError("ideal is not m-primary")

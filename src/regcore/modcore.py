@@ -5,7 +5,9 @@ colengths, Buchsbaum-Rim multiplicity and cores.
 Generators are columns inside the ambient free module F = R^r.  All exact
 decisions run through the same truncated spans as the ideal engine, with
 one slot per ambient coordinate; symmetric powers get one slot per degree-t
-monomial in r slot variables.
+monomial in r slot variables.  A reduction is certified by symmetric powers
+or, once one has fixed br(M), by one colength with the ideal engine's
+`MultiplicityCertificate`: an ideal is the rank-1 case.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .errors import (FieldMismatchError, GenericityError, MathError,
                      ZeroIdealError)
 from .field import Field
 from .poly import Poly, matrix_minors
-from .reduction import (GenericSampler, adjoint_ideal, larger_closure,
-                        search_reduction, stable_difference)
+from .reduction import (GenericSampler, adjoint_ideal, by_multiplicity,
+                        larger_closure, search_reduction, stable_difference)
 from .trunc import (TruncatedIdeal, TruncatedSpan, nakayama_covers,
                     span_colon, span_with_certificate)
 from . import staircase
@@ -345,22 +347,25 @@ def _sym_multiply(state: dict, column, rank: int):
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
-def sym_generators(M: ModuleRep, degree: int):
-    """Generators of S_degree(M) as slot vectors inside Sym_degree(F)."""
+def sym_generators(M: ModuleRep, degree: int, first: ModuleRep | None = None):
+    """Generators of S_degree(M) as slot vectors inside Sym_degree(F); with
+    `first`, of S_1(first) * S_(degree-1)(M): each column of `first` times
+    each generator of S_(degree-1)(M)."""
     slots = sym_slots(M.rank, degree)
-    index = {exp: i for i, exp in enumerate(slots)}
     zero = Poly.zero(M.field)
     one_state = {(0,) * M.rank: Poly.one(M.field)}
-    vectors = []
-    for combo in combinations_with_replacement(range(M.ngens), degree):
+    states = []
+    for combo in combinations_with_replacement(
+            range(M.ngens), degree - (first is not None)):
         state = one_state
         for j in combo:
             state = _sym_multiply(state, M.columns[j], M.rank)
-        vec = [zero] * len(slots)
-        for exp, poly in state.items():
-            vec[index[exp]] = poly
-        vectors.append(tuple(vec))
-    return slots, vectors
+        states.append(state)
+    if first is not None:
+        states = [_sym_multiply(state, col, M.rank)
+                  for col in first.columns for state in states]
+    return slots, [tuple(state.get(exp, zero) for exp in slots)
+                   for state in states]
 
 
 def _slot_monomial_ideals(M: ModuleRep) -> list[staircase.MonomialIdeal] | None:
@@ -379,25 +384,8 @@ def _slot_monomial_ideals(M: ModuleRep) -> list[staircase.MonomialIdeal] | None:
     return [staircase.MonomialIdeal.from_exponents(b) for b in buckets]
 
 
-def _sym_slot_ideals(parts: list[staircase.MonomialIdeal], degree: int):
-    """For slot-monomial modules, S_degree decomposes slotwise into
-    products of the per-slot ideals."""
-    out = []
-    for exp in sym_slots(len(parts), degree):
-        ideal = staircase.MonomialIdeal.unit()
-        for i, e in enumerate(exp):
-            for _ in range(e):
-                ideal = ideal.product(parts[i])
-        out.append(ideal)
-    return out
-
-
 def sym_colength(M: ModuleRep, degree: int) -> int:
     """Exact length of Sym_degree(F) / S_degree(M)."""
-    parts = _slot_monomial_ideals(M)
-    if parts is not None:
-        return sum(staircase.colength(ideal)
-                   for ideal in _sym_slot_ideals(parts, degree))
     slots, vectors = sym_generators(M, degree)
     return span_with_certificate(vectors, len(slots), M.field,
                                  config=M.config).colength()
@@ -411,23 +399,10 @@ def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int) -> bool:
     """
     if not M.contains_module(N):
         raise MathError("N is not contained in M")
-    rank = M.rank
     slots, big_gens = sym_generators(M, t + 1)
     big = span_with_certificate(big_gens, len(slots), M.field,
                                 config=M.config)
-    index = {exp: i for i, exp in enumerate(slots)}
-    small_slots, small_gens = sym_generators(M, t)
-    zero = Poly.zero(M.field)
-    products = []
-    for ncol in N.columns:  # S_1(N) * S_t(M)
-        for svec in small_gens:
-            state = _sym_multiply({exp: f for exp, f in zip(small_slots, svec)
-                                   if not f.is_zero}, ncol, rank)
-            vec = [zero] * len(slots)
-            for exp, poly in state.items():
-                vec[index[exp]] = poly
-            products.append(tuple(vec))
-    return nakayama_covers(big, products)
+    return nakayama_covers(big, sym_generators(M, t + 1, N)[1])
 
 
 @dataclass(frozen=True)
@@ -438,27 +413,11 @@ class ModuleReductionCertificate:
     trivial: bool = False
 
 
-@dataclass(frozen=True)
-class ModuleMultiplicityCertificate:
-    """Witness, by the module Rees theorem, that the parameter module N <= M
-    is a reduction: colength(N) = br = br(M), the colength of the reduction
-    that `reference` certifies.  No symmetric power was checked: degree 0."""
-
-    columns: tuple
-    br: int
-    reference: ModuleReductionCertificate
-    degree: int = 0
-    trivial: bool = False
-
-
 def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler,
                              reference=None):
     """r+1 seeded-generic column combinations with a verified certificate:
     symmetric-power, or with a reference (br(M), certificate) from an
-    earlier reduction of M, one colength per draw.  N <= M is a reduction
-    exactly when br(N) = br(M) (Katz 1995), br(N) = colength(N) for a
-    parameter module (Buchsbaum-Rim 1964), and br(N) >= br(M) always, so a
-    larger colength refutes N and a smaller one means br is not br(M).
+    earlier reduction of M, one colength per draw (`by_multiplicity`).
     A free module is its own minimal reduction, with a trivial certificate.
     """
     if M.is_free():
@@ -469,18 +428,12 @@ def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler,
         N.span()  # must have finite colength in F
         return N
 
-    def certify(N):
-        if reference is None:
-            return next((ModuleReductionCertificate(t)
-                         for t in range(1, SYM_POWER_BOUND + 1)
-                         if sym_reduction_check(N, M, t)), None)
-        br, first = reference
-        ell = N.colength()
-        if ell < br:
-            raise MathError(f"a parameter module N <= M has colength {ell} "
-                            f"below the reference br = {br}")
-        if ell == br:
-            return ModuleMultiplicityCertificate(N.columns, br, first)
+    def by_symmetric_powers(N, _):
+        return next((ModuleReductionCertificate(t)
+                     for t in range(1, SYM_POWER_BOUND + 1)
+                     if sym_reduction_check(N, M, t)), None)
+    certify = (by_symmetric_powers if reference is None
+               else by_multiplicity(*reference))
     return search_reduction(M.columns, sampler, build, certify,
                             M.config.truncation_ceiling)
 

@@ -5,6 +5,8 @@ A reduction J <= I with J*I^n = I^(n+1) is certified, never assumed: the
 equality is established by a Nakayama argument inside a high enough
 truncation, or, once such a reduction has fixed e(I), by Rees' theorem
 colength(J) = e(I); the certificate is recorded so callers can re-verify.
+The one-colength decision (`by_multiplicity`, `MultiplicityCertificate`)
+serves modules too, with br(M) in place of e(I).
 Generic elements come from a seeded sampler; genericity failures are
 detected (certificate fails, or cross-seed disagreement) and resampled.
 """
@@ -64,7 +66,7 @@ class GenericSampler:
 
 def search_reduction(columns, sampler: GenericSampler, build, certify,
                      ceiling: int):
-    """(N, certify(N)) for the first draw of rank+1 seeded-generic
+    """(N, certify(N, drawn)) for the first draw of rank+1 seeded-generic
     combinations of `columns` that `build` turns into a finite-colength N
     and `certify` does not answer None; GenericityError after RETRY_LIMIT
     draws, naming the truncation ceiling when no draw had a Nakayama
@@ -78,7 +80,7 @@ def search_reduction(columns, sampler: GenericSampler, build, certify,
         except (NotMPrimaryError, ZeroIdealError, TruncationCeilingError):
             continue
         built = True
-        cert = certify(N)
+        cert = certify(N, cand)
         if cert is not None:
             return N, cert
     reason = ("the field may be too small or the input pathological" if built
@@ -167,7 +169,7 @@ def _first_reduction(I: TruncatedIdeal, sampler: GenericSampler, certify):
 
 def minimal_reduction(I: TruncatedIdeal, sampler: GenericSampler):
     """Two seeded-generic combinations of the generators, with certificate."""
-    def certify(J):
+    def certify(J, _):
         outcome = is_reduction(J, I)
         return outcome if isinstance(outcome, ReductionCertificate) else None
     return _first_reduction(I, sampler, certify)
@@ -175,32 +177,44 @@ def minimal_reduction(I: TruncatedIdeal, sampler: GenericSampler):
 
 @dataclass(frozen=True)
 class MultiplicityCertificate:
-    """Witness, by Rees' theorem, that the 2-generated J <= I is a reduction:
-    colength(J) = e, and e = e(I) is the colength of the reduction that
-    `reference` certifies, so both can be re-verified."""
+    """Witness that the parameter ideal or module N <= M with these drawn
+    columns is a reduction, by one colength: colength(N) = e, the colength
+    of the reduction that `reference` certifies, so both can be re-verified.
 
-    subideal_gens: tuple[Poly, ...]
+    R is formally equidimensional, so an m-primary J <= I is a reduction
+    exactly when e(J) = e(I) (Rees 1961); a finite-colength N <= M is one
+    exactly when br(N) = br(M) (Katz 1995, Kleiman-Thorup 1994).  For a
+    parameter ideal or module the multiplicity is its colength (Buchsbaum-
+    Rim 1964).  No power of I and no symmetric power was checked: degree 0.
+    """
+
+    columns: tuple
     e: int
-    reference: ReductionCertificate
+    reference: object  # the ReductionCertificate or ModuleReductionCertificate
+    degree: int = 0
+    trivial: bool = False
+
+
+def by_multiplicity(e: int, reference):
+    """The `certify` of a reduction search of I or M that knows e = e(I) or
+    br(M): e(N) >= e always, so colength(N) > e refutes the draw N, and
+    colength(N) < e means e is not the multiplicity."""
+    def certify(N, columns):
+        ell = N.colength()
+        if ell < e:
+            raise MathError(f"a parameter ideal or module N <= M has "
+                            f"colength {ell} below the reference "
+                            f"multiplicity {e}")
+        if ell == e:
+            return MultiplicityCertificate(tuple(columns), e, reference)
+    return certify
 
 
 def rees_reduction(I: TruncatedIdeal, sampler: GenericSampler, e: int,
                    reference: ReductionCertificate):
-    """A 2-generated reduction of I, given e = e(I), by one colength per draw.
-
-    R is formally equidimensional, so an m-primary J <= I is a reduction
-    exactly when e(J) = e(I) (Rees 1961), and e(J) = colength(J) for a
-    parameter ideal J; e(J) >= e(I) always, so colength(J) > e refutes J,
-    and colength(J) < e means e is not e(I).
-    """
-    def certify(J):
-        ell = J.colength()
-        if ell < e:
-            raise MathError(f"a 2-generated J <= I has colength {ell} below "
-                            f"the reference e = {e}")
-        if ell == e:
-            return MultiplicityCertificate(tuple(J.gens), e, reference)
-    return _first_reduction(I, sampler, certify)
+    """A 2-generated reduction of I, given e = e(I), by one colength per draw
+    (`by_multiplicity`)."""
+    return _first_reduction(I, sampler, by_multiplicity(e, reference))
 
 
 def is_integral_element(f: Poly, I: TruncatedIdeal, nmax: int | None = None):

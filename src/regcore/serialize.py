@@ -14,7 +14,7 @@ from .errors import MathError, ParseError
 from .field import Field, field_from_name
 from .modcore import ModuleRep, fitting
 from .poly import Poly, parse_poly
-from .staircase import MonomialIdeal
+from .staircase import MonomialIdeal, colength, power_certificate
 from .trunc import TruncatedIdeal
 
 
@@ -53,7 +53,12 @@ def ideal_text(x) -> str:
     raise TypeError(f"not an ideal: {x!r}")
 
 
-def ideal_to_obj(x: TruncatedIdeal) -> dict:
+def ideal_to_obj(x, fld: Field | None = None) -> dict:
+    """The JSON form of a TruncatedIdeal, or of a MonomialIdeal over `fld`,
+    whose n0 and colength the staircase reads with nothing materialized."""
+    if isinstance(x, MonomialIdeal):
+        return {"field": fld.name, "gens": [str(g) for g in x.gens],
+                "n0": power_certificate(x), "colength": colength(x)}
     mono = x.to_monomial()
     gens = x.gens if mono is None else mono.gens
     return {"field": x.field.name, "gens": [str(g) for g in gens],

@@ -19,13 +19,13 @@ from time import perf_counter
 from .config import DEFAULT, EngineConfig
 from .errors import NotMPrimaryError
 from .field import Field, field_from_name
-from .modcore import (ModuleMultiplicityCertificate, ModuleRep,
-                      buchsbaum_rim, colon_into, core_iterate, core_module,
-                      fitting, minimal_reduction_module, sym_colength)
+from .modcore import (ModuleRep, buchsbaum_rim, colon_into, core_iterate,
+                      core_module, fitting, minimal_reduction_module,
+                      sym_colength)
 from .poly import Monomial, Poly
-from .reduction import (GenericSampler, ReductionCertificate, adjoint_ideal,
-                        hilbert_samuel, is_integral_element, is_reduction,
-                        minimal_reduction)
+from .reduction import (GenericSampler, MultiplicityCertificate,
+                        ReductionCertificate, adjoint_ideal, hilbert_samuel,
+                        is_integral_element, is_reduction, minimal_reduction)
 from .serialize import ideal_text, module_text
 from .staircase import (MonomialIdeal, adjoint, ascii_staircase, colength,
                         integral_closure, multiplicity)
@@ -254,8 +254,8 @@ def _family_main_theorem(runner: _Runner, seed: int, ideals, module_pairs):
             sampler = GenericSampler(_child_seed(seed, 21 + s, i))
             red, cert = minimal_reduction_module(mod, sampler, reference)
             col = colon_into(red, mod)
-            kind = (f"br={cert.br}"
-                    if isinstance(cert, ModuleMultiplicityCertificate)
+            kind = (f"br={cert.e}"
+                    if isinstance(cert, MultiplicityCertificate)
                     else f"sym-degree={cert.degree}")
             reference = reference or (red.colength(), cert)
             runner.eq_mono("adjoint-equals-colon-of-minimal-reduction",

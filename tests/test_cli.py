@@ -92,11 +92,15 @@ def test_closure_names_the_truncation_ceiling(tmp_path, capsys):
     assert code == 1
     assert "not finite colength" not in err
     assert "not m-primary, or" in err and "ceiling 64" in err
-    # the closure m^80 needs truncation order 81
-    path = write(tmp_path, "K.json", {"field": "Q", "gens": ["x^80", "y^80"]})
+    # the closure m^70 needs truncation order 71 > 64, but the staircase
+    # answers it with nothing materialized
+    path = write(tmp_path, "K.json", {"field": "Q", "gens": ["x^70", "y^70"]})
     code, out, err = run(capsys, "closure", "--ideal", path)
-    assert code == 1 and out == ""
-    assert "ceiling 64" in err
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] is True
+    assert payload["gens"] == [str(m) for m in MonomialIdeal.max_power(70).gens]
+    assert (payload["n0"], payload["colength"]) == (70, 2485)
     path = write(tmp_path, "L.json", {"field": "Q", "gens": ["x^40", "x*y"]})
     code, out, err = run(capsys, "closure", "--ideal", path)
     assert code == 1
@@ -205,6 +209,32 @@ def test_core_names_the_closure_of_monomial_input_above_the_ceiling(
     assert out == ""
     assert "integrally closed" in err and "whose integral closure is" in err
     assert "x^39*y" in err and "ceiling" not in err
+
+
+def test_core_of_terms_is_answered_above_the_ceiling(tmp_path, capsys):
+    # core(m^40) = adj(m^40)*m^40 = m^79, whose n0 = 79 is above the
+    # ceiling 64: the staircase answers it, and the input is m-primary
+    gens = [str(m) for m in MonomialIdeal.max_power(40).gens]
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": gens})
+    code, out, err = run(capsys, "core", "--ideal", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gens"] == [str(m) for m in MonomialIdeal.max_power(79).gens]
+    assert (payload["n0"], payload["colength"]) == (79, 3160)
+
+
+@pytest.mark.parametrize("gens", [WORKED["gens"], ["x^4", "x*y", "y^4"],
+                                  ["x", "y"]])
+def test_core_of_terms_matches_the_engine_route(tmp_path, capsys,
+                                                monkeypatch, gens):
+    path = write(tmp_path, "I.json", {"field": "F65537", "gens": gens})
+    argvs = [("core", "--ideal", path, "--format", fmt)
+             for fmt in ("json", "text")]
+    answers = [run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in answers)
+    # without the staircase route the truncation engine answers
+    monkeypatch.setattr(cli, "_staircase_input", lambda gens: None)
+    assert [run(capsys, *argv) for argv in argvs] == answers
 
 
 def test_mult_of_worked_example(tmp_path, capsys):

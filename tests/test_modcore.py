@@ -8,14 +8,17 @@ from regcore.config import EngineConfig
 from regcore.errors import (GenericityError, MathError, NotMPrimaryError,
                             ZeroIdealError)
 from regcore.field import QQ, PrimeField
-from regcore.modcore import (ModuleMultiplicityCertificate, ModuleRep,
-                             _slot_monomial_ideals, buchsbaum_rim, colon_into,
+from regcore.modcore import (ModuleRep, _slot_monomial_ideals, buchsbaum_rim,
+                             colon_into,
                              core_iterate, core_module, fitting,
                              minimal_reduction_module, sym_colength,
                              sym_reduction_check, sym_slots)
 from regcore.poly import Poly, matrix_minors, parse_poly
-from regcore.reduction import RETRY_LIMIT, GenericSampler, hilbert_samuel
-from regcore.staircase import MonomialIdeal, presentation_matrix
+from regcore.reduction import (RETRY_LIMIT, GenericSampler,
+                               MultiplicityCertificate, hilbert_samuel,
+                               minimal_reduction, rees_reduction)
+from regcore.staircase import (MonomialIdeal, colength, multiplicity,
+                               presentation_matrix)
 from regcore.trunc import TruncatedIdeal, span_with_certificate
 
 from oracles import (reference_chain_gens, reference_fitting,
@@ -312,15 +315,23 @@ def test_sym_slots_and_colength():
     assert sym_colength(rank1, 3) == 21  # len(R/m^6)
 
 
-def test_sym_colength_generic_path_matches_slot_path():
-    mm = msum(M(2), M(1))
-    # force the generic span route by perturbing a generator basis
-    cols = list(mm.columns)
-    cols[0] = (P("x^2 + x*y"), P("0"))  # same module, no longer slot-monomial
-    generic = ModuleRep(QQ, 2, cols)
-    assert generic.equals(mm)
-    for t in (1, 2):
-        assert sym_colength(generic, t) == sym_colength(mm, t)
+@pytest.mark.parametrize("field", [QQ, F7, F65537], ids=str)
+def test_sym_colength_and_buchsbaum_rim_of_sums_are_exact(field):
+    # S_t(A (+) B) is the sum over i <= t of A^i B^(t-i) e1^i e2^(t-i), so
+    # its colength is the sum of the staircase colengths, and br(A (+) B)
+    # is e(A) + e(A|B) + e(B) = (e(A) + e(AB) + e(B))/2; g*(A (+) B) for
+    # g = [[1, f], [0, 1]] is isomorphic to A (+) B and has the same values
+    parts = (M(1), M(2), WORKED)
+    for a in parts:
+        for b in parts:
+            expected = [sum(colength(a.power(i).product(b.power(t - i)))
+                            for i in range(t + 1)) for t in (1, 2)]
+            br = (multiplicity(a) + multiplicity(a.product(b))
+                  + multiplicity(b)) // 2
+            for mod in [msum(a, b, field)] + [twisted_sum(a, b, f, field)
+                                              for f in ("x", "y^2", "x + y")]:
+                assert [sym_colength(mod, t) for t in (1, 2)] == expected
+                assert buchsbaum_rim(mod) == br
 
 
 def test_sym_reduction_certificate_m_plus_m():
@@ -434,8 +445,8 @@ def test_buchsbaum_rim_reference_agrees_with_symmetric_powers(field):
         for seed in (10 + i, 20 + i, 30 + i):
             n, mcert = minimal_reduction_module(mod, GenericSampler(seed),
                                                 (br, cert))
-            assert isinstance(mcert, ModuleMultiplicityCertificate)
-            assert (mcert.br, mcert.reference, mcert.columns) == \
+            assert isinstance(mcert, MultiplicityCertificate)
+            assert (mcert.e, mcert.reference, mcert.columns) == \
                 (br, cert, n.columns)
             assert (mcert.degree, mcert.trivial) == (0, False)
             assert n.colength() == br
@@ -452,8 +463,37 @@ def test_buchsbaum_rim_reference_agrees_with_symmetric_powers(field):
         assert len(sampler.drawn) > 3
         assert n.columns == tuple(sampler.drawn[-3:])
         # a reference above br(M) is refused
-        with pytest.raises(MathError, match="below the reference br"):
+        with pytest.raises(MathError, match="below the reference multiplicity"):
             minimal_reduction_module(mod, GenericSampler(i), (br + 1, cert))
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_rank_one_is_one_multiplicity_decision(field):
+    # an ideal is the rank-1 module: with one sampler seed and one reference
+    # e(I), the ideal and module searches accept the same drawn columns
+    # with equal certificates, and refuse a wrong e with one error
+    ideals = [TruncatedIdeal.from_monomial(M(2), field),
+              TruncatedIdeal.from_monomial(WORKED, field),
+              TruncatedIdeal.materialize([P("x^2 - y^3", field),
+                                          P("x*y + y^3", field)], field)]
+    for i, ideal in enumerate(ideals):
+        J1, cert = minimal_reduction(ideal, GenericSampler(i))
+        e = J1.colength()
+        mod = ModuleRep.from_ideal(ideal)
+        for seed in (10 + i, 20 + i):
+            J, icert = rees_reduction(ideal, GenericSampler(seed), e, cert)
+            N, mcert = minimal_reduction_module(mod, GenericSampler(seed),
+                                                (e, cert))
+            assert isinstance(icert, MultiplicityCertificate)
+            assert icert == mcert
+            assert (icert.degree, icert.trivial) == (0, False)
+            assert icert.columns == N.columns == tuple((g,) for g in J.gens)
+        with pytest.raises(MathError) as ideal_error:
+            rees_reduction(ideal, GenericSampler(i), e + 1, cert)
+        with pytest.raises(MathError) as module_error:
+            minimal_reduction_module(mod, GenericSampler(i), (e + 1, cert))
+        assert str(ideal_error.value) == str(module_error.value)
+        assert "below the reference multiplicity" in str(ideal_error.value)
 
 
 def test_buchsbaum_rim_values():

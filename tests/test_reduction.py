@@ -198,7 +198,7 @@ def test_rees_reduction_accepts_by_colength_and_keeps_the_reference():
     assert isinstance(mcert, MultiplicityCertificate)
     assert mcert.e == J.colength() == 4
     assert mcert.reference is cert
-    assert mcert.subideal_gens == tuple(J.gens)
+    assert mcert.columns == tuple((g,) for g in J.gens)
 
 
 class FixedPairSampler(GenericSampler):
