@@ -14,11 +14,11 @@ import sys
 from .config import DEFAULT, EngineConfig
 from .errors import (MathError, NotMPrimaryError, ParseError,
                      TruncationCeilingError)
-from .modcore import (ModuleRep, buchsbaum_rim, check_closed_slots,
-                      core_module, fitting, minimal_reduction_module)
-from .reduction import (GenericSampler, adjoint_of_generators,
+from .modcore import (ModuleRep, buchsbaum_rim, core_module, fitting,
+                      minimal_reduction_module)
+from .reduction import (GenericSampler, adjoint_of_generators, check_closed,
                         divide_monomial_content, hilbert_samuel,
-                        integral_closure_ideal, minimal_reduction)
+                        integral_closure_ideal, minimal_reduction, term_ideal)
 from .serialize import (ideal_from_obj, ideal_text, ideal_to_obj,
                         matrix_from_obj, module_from_obj, module_text,
                         module_to_obj)
@@ -54,7 +54,11 @@ def _emit(args, payload: dict, text: str | None = None):
 
 
 def _gens_payload(fld, gens, config) -> dict:
-    """Ideal payload with n0/colength when the ideal is m-primary."""
+    """Ideal payload with n0/colength when the ideal is m-primary, read on
+    the staircase for term generators, at any size."""
+    mono = term_ideal(gens)
+    if mono is not None and (mono.is_unit or mono.is_m_primary):
+        return ideal_to_obj(mono, fld)
     try:
         return ideal_to_obj(TruncatedIdeal.materialize(list(gens), fld,
                                                        config=config))
@@ -71,18 +75,10 @@ def _ideal_with_art(ideal) -> str:
     return text
 
 
-def _monomial_ideal(gens) -> MonomialIdeal | None:
-    """The monomial ideal of `gens` when every nonzero generator is a term."""
-    gens = [g for g in gens if not g.is_zero]
-    if not gens or not all(g.is_term for g in gens):
-        return None
-    return MonomialIdeal.from_exponents([next(iter(g.terms)) for g in gens])
-
-
 def _staircase_input(gens) -> MonomialIdeal | None:
     """The monomial ideal of term generators, which the staircase answers
     exactly with no truncation; None for other generators."""
-    mono = _monomial_ideal(gens)
+    mono = term_ideal(gens)
     if mono is not None and not (mono.is_unit or mono.is_m_primary):
         raise NotMPrimaryError("ideal is not m-primary")
     return mono
@@ -92,7 +88,7 @@ def _ceiling_diagnosis(gens, exc: NotMPrimaryError, config) -> MathError:
     """Why `gens` have no Nakayama certificate below the ceiling: exact for
     monomial generators, which are m-primary or not by their staircase."""
     ceiling = config.truncation_ceiling
-    mono = _monomial_ideal(gens)
+    mono = term_ideal(gens)
     if mono is None:
         return NotMPrimaryError(
             f"ideal is not m-primary, or its Nakayama certificate lies "
@@ -174,7 +170,7 @@ def _cmd_core(args, config):
         fld, gens = ideal_from_obj(_load_json(args.ideal))
         mono = _staircase_input(gens)
         if mono is not None and not mono.is_unit:  # the staircase answers
-            check_closed_slots([mono])  # core = adj(I)*I needs I closed
+            check_closed([mono])  # core = adj(I)*I needs I closed
             out = adjoint(mono).product(mono)
             _emit(args, ideal_to_obj(out, fld), _ideal_with_art(out))
             return 0

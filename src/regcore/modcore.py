@@ -22,7 +22,7 @@ from .errors import (FieldMismatchError, GenericityError, MathError,
 from .field import Field
 from .poly import Poly, matrix_minors
 from .reduction import (GenericSampler, adjoint_ideal, by_multiplicity,
-                        larger_closure, search_reduction, stable_difference)
+                        check_closed, search_reduction, stable_difference)
 from .trunc import (TruncatedIdeal, TruncatedSpan, nakayama_covers,
                     span_colon, span_with_certificate)
 from . import staircase
@@ -459,31 +459,11 @@ def buchsbaum_rim(M: ModuleRep) -> int:
 # cores
 
 
-def _adjoint_gens_of_ideal(I: TruncatedIdeal, mono, sampler: GenericSampler):
-    """Generators of adj(I), via the lattice oracle when I has the
-    monomial form `mono`."""
-    if mono is not None:
-        adj = staircase.adjoint(mono)
-        return [Poly.monomial(I.field, m) for m in adj.gens], adj
-    result = adjoint_ideal(I, sampler)
-    return list(result.gens), None
-
-
-def check_closed_slots(parts):
-    """Refuse a module whose slot ideals (monomial, or None where that is
-    not known) include one that is not integrally closed."""
-    for slot, part in enumerate(parts, 1):
-        closure = larger_closure(part)
-        if closure is not None:
-            raise MathError(
-                f"core needs integrally closed input (core(M) = adj(I(M))*M "
-                f"holds for integrally closed M); slot {slot} is {part}, "
-                f"whose integral closure is {closure}")
-
-
 def core_module(M: ModuleRep, sampler: GenericSampler) -> ModuleRep:
-    """core(M) = adj(I(M)) * M for integrally closed M, checked for monomial
-    M = I(M) of rank 1 and slot by slot for direct sums of monomial ideals.
+    """core(M) = adj(I(M)) * M for integrally closed M (core(I) = adj(I)*I
+    at rank 1); `check_closed` refuses monomial I(M) of rank 1 and direct
+    sums of monomial ideals that are not.  adj(I(M)) is read on the
+    staircase when I(M) is monomial, else computed by `adjoint_ideal`.
 
     With a presentation at hand the Fitting route I_(n-r-1)(A) * M is
     computed as well and any mismatch is an error.
@@ -492,13 +472,11 @@ def core_module(M: ModuleRep, sampler: GenericSampler) -> ModuleRep:
     if I.is_unit:
         return M  # free module: its only reduction is itself
     mono = I.to_monomial()
-    check_closed_slots([mono] if M.rank == 1
-                       else _slot_monomial_ideals(M) or [])
-    adj_gens, adj_mono = _adjoint_gens_of_ideal(I, mono, sampler)
-    if adj_mono is not None:
-        result = M.scale_by_monomial_ideal(adj_mono)
+    check_closed([mono] if M.rank == 1 else _slot_monomial_ideals(M) or [])
+    if mono is not None:
+        result = M.scale_by_monomial_ideal(staircase.adjoint(mono))
     else:
-        result = M.scale_by_gens(adj_gens)
+        result = M.scale_by_gens(list(adjoint_ideal(I, sampler).gens))
     if M.presentation is not None:
         fit = fitting(M.presentation, M.ngens - M.rank - 1, M.field,
                       config=M.config)
@@ -507,25 +485,3 @@ def core_module(M: ModuleRep, sampler: GenericSampler) -> ModuleRep:
             raise GenericityError(
                 "adjoint route and Fitting route disagree on the core")
     return result
-
-
-def core_iterate(M: ModuleRep, t: int, sampler: GenericSampler) -> ModuleRep:
-    """t-fold core; each step is checked against the closed form
-    core^k(M) = adj(I(M))^((r+1)^k - 1)/r * M."""
-    r = M.rank
-    I = M.minor_ideal()
-    adj_gens, adj_mono = _adjoint_gens_of_ideal(I, I.to_monomial(), sampler)
-    current = M
-    for k in range(1, t + 1):
-        current = core_module(current, sampler)
-        exponent = ((r + 1) ** k - 1) // r
-        if adj_mono is not None:
-            power = adj_mono.power(exponent)
-            closed_form = M.scale_by_monomial_ideal(power)
-        else:
-            ideal = TruncatedIdeal.materialize(adj_gens, M.field,
-                                               config=M.config)
-            closed_form = M.scale_by_gens(list(ideal.power(exponent).gens))
-        if not current.equals(closed_form):
-            raise GenericityError("iterated core disagrees with closed form")
-    return current

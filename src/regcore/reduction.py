@@ -9,6 +9,8 @@ The one-colength decision (`by_multiplicity`, `MultiplicityCertificate`)
 serves modules too, with br(M) in place of e(I).
 Generic elements come from a seeded sampler; genericity failures are
 detected (certificate fails, or cross-seed disagreement) and resampled.
+A certificate that is not found is None.  `check_closed` is the one
+refusal of input that is not integrally closed, for adjoints and cores.
 """
 
 from __future__ import annotations
@@ -117,14 +119,6 @@ class ReductionCertificate:
     colength: int  # of I^(n+1)
 
 
-@dataclass(frozen=True)
-class NotUpToBound:
-    """One-sided outcome: no certificate found for n <= bound."""
-
-    bound: int
-    note: str = ""
-
-
 def smaller_ideal_equals(big: TruncatedIdeal, small_gens: list[Poly]) -> bool:
     """Decide ideal(small_gens) == big, given ideal(small_gens) <= big, by
     `nakayama_covers` on the certified span of `big`."""
@@ -132,10 +126,11 @@ def smaller_ideal_equals(big: TruncatedIdeal, small_gens: list[Poly]) -> bool:
 
 
 def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None):
-    """First n <= nmax with J*I^n = I^(n+1), or a one-sided NotUpToBound.
+    """The certificate of the first n <= nmax with J*I^n = I^(n+1), or None.
 
-    Absence up to the bound is not a disproof.  The default bound tries
-    n = 1 first and falls back to colength(J).
+    None is one-sided: no certificate up to the bound or below the
+    truncation ceiling is not a disproof.  The default bound tries n = 1
+    first and falls back to colength(J).
     """
     if not I.contains_ideal(J):
         raise MathError("J is not contained in I")
@@ -146,13 +141,13 @@ def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None):
         try:
             next_power = power.product(I)  # I^(n+1)
         except TruncationCeilingError:
-            return NotUpToBound(n - 1, "truncation ceiling reached")
+            return None
         q_gens = [g * h for g in J.gens for h in power.gens]
         if smaller_ideal_equals(next_power, q_gens):
             return ReductionCertificate(tuple(J.gens), n,
                                         next_power.colength())
         power = next_power
-    return NotUpToBound(nmax)
+    return None
 
 
 def _first_reduction(I: TruncatedIdeal, sampler: GenericSampler, certify):
@@ -169,10 +164,7 @@ def _first_reduction(I: TruncatedIdeal, sampler: GenericSampler, certify):
 
 def minimal_reduction(I: TruncatedIdeal, sampler: GenericSampler):
     """Two seeded-generic combinations of the generators, with certificate."""
-    def certify(J, _):
-        outcome = is_reduction(J, I)
-        return outcome if isinstance(outcome, ReductionCertificate) else None
-    return _first_reduction(I, sampler, certify)
+    return _first_reduction(I, sampler, lambda J, _: is_reduction(J, I))
 
 
 @dataclass(frozen=True)
@@ -220,8 +212,8 @@ def rees_reduction(I: TruncatedIdeal, sampler: GenericSampler, e: int,
 def is_integral_element(f: Poly, I: TruncatedIdeal, nmax: int | None = None):
     """Is f integral over I?  (I must be a reduction of I + (f).)
 
-    Returns (True, certificate) or (False, NotUpToBound): the negative is
-    one-sided.
+    Returns (True, certificate) or (False, None): the negative is
+    one-sided, no certificate up to the bound.
     """
     if f.is_zero or I.contains_poly(f):
         return True, ReductionCertificate(tuple(I.gens), 0, I.colength())
@@ -229,10 +221,8 @@ def is_integral_element(f: Poly, I: TruncatedIdeal, nmax: int | None = None):
         raise MathError("candidate element must lie in the maximal ideal")
     enlarged = TruncatedIdeal.materialize(list(I.gens) + [f], I.field,
                                           config=I.config)
-    outcome = is_reduction(I, enlarged, nmax=nmax)
-    if isinstance(outcome, ReductionCertificate):
-        return True, outcome
-    return False, outcome
+    cert = is_reduction(I, enlarged, nmax=nmax)
+    return cert is not None, cert
 
 
 @dataclass(frozen=True)
@@ -270,29 +260,33 @@ def integral_closure_ideal(I: TruncatedIdeal,
                                              I.field, config=I.config)
 
 
-def larger_closure(mono: staircase.MonomialIdeal | None):
-    """The integral closure of the monomial ideal `mono` if it is larger;
-    None when `mono` is closed or is None (not monomial: undecided here)."""
-    if mono is None:
-        return None
-    closure = staircase.integral_closure(mono)
-    return None if closure == mono else closure
+def check_closed(parts):
+    """Refuse input whose ideals, one per slot (monomial, or None where that
+    is not known and so not decided here), include one that is not
+    integrally closed: adj(I) = (J : I) and core(M) = adj(I(M))*M need it."""
+    for slot, part in enumerate(parts, 1):
+        if part is not None and staircase.integral_closure(part) != part:
+            closure = staircase.integral_closure(part)
+            raise MathError(
+                f"the input must be integrally closed (adj(I) = (J : I) and "
+                f"core(M) = adj(I(M))*M need it); slot {slot} is {part}, "
+                f"whose integral closure is {closure}")
 
 
 def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
     """Adjoint by the colon formula: (J : I) for a minimal reduction J.
 
-    Requires I integrally closed (verified when I is monomial, asserted by
-    the caller otherwise).  The result is recomputed for independent
-    sampler seeds and must agree: the first seed's reduction is certified
-    by powers of I, the later ones by its colength e(I) (`rees_reduction`).
+    Requires I integrally closed (`check_closed` decides it when I is
+    monomial, the caller asserts it otherwise).  The result is recomputed
+    for independent sampler seeds and must agree: the first seed's
+    reduction is certified by powers of I, the later ones by its colength
+    e(I) (`rees_reduction`).
     On monomial input the output is checked to be integrally closed.
     """
     if I.is_unit:
         return I
     mono = I.to_monomial()
-    if larger_closure(mono) is not None:
-        raise MathError("adjoint via colon requires an integrally closed ideal")
+    check_closed([mono])
     J, cert = minimal_reduction(I, sampler.spawn(0))
     e, first = J.colength(), J.colon(I)
     for k in range(1, ADJOINT_SEEDS):
@@ -301,7 +295,7 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
             raise GenericityError("colon adjoints disagree across seeds")
     if mono is not None:
         out = first.to_monomial()
-        if out is None or larger_closure(out) is not None:
+        if out is None or staircase.integral_closure(out) != out:
             raise GenericityError("colon adjoint of a monomial ideal is not "
                                   "integrally closed")
     return first
@@ -349,17 +343,29 @@ def divide_monomial_content(gens: list[Poly], fld: Field):
     return Monomial(a, b), reduced
 
 
+def term_ideal(gens) -> staircase.MonomialIdeal | None:
+    """The monomial ideal of `gens` when every nonzero generator is a term."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens or not all(g.is_term for g in gens):
+        return None
+    return staircase.MonomialIdeal.from_exponents(
+        [next(iter(g.terms)) for g in gens])
+
+
 def adjoint_of_generators(gens: list[Poly], fld: Field, method: str,
                           sampler: GenericSampler,
                           config: EngineConfig = DEFAULT):
     """Adjoint for possibly non-m-primary input: a monomial factor x^c y^d
     is pulled out first (adj(x*I) = x*adj(I)) and restored afterwards.
 
-    Returns (generators, monomial_form_or_None).
+    Returns (generators, monomial_form_or_None).  The lattice method reads
+    term generators on the staircase, with nothing truncated, at any size.
     """
     content, reduced = divide_monomial_content(gens, fld)
-    core = TruncatedIdeal.materialize(reduced, fld, config=config)
-    mono = core.to_monomial()
+    mono = term_ideal(reduced) if method == "howald" else None
+    if mono is None:
+        core = TruncatedIdeal.materialize(reduced, fld, config=config)
+        mono = core.to_monomial()
     if method == "howald":
         if mono is None:
             raise MathError("the lattice method needs a monomial ideal")

@@ -321,12 +321,6 @@ class TruncatedIdeal:
         return TruncatedIdeal.materialize(gens, self.field, order=order,
                                           config=self.config)
 
-    def power(self, n: int) -> "TruncatedIdeal":
-        result = TruncatedIdeal.unit(self.field, self.config)
-        for _ in range(n):
-            result = result.product(self)
-        return result
-
     def intersect(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
         """I meet J, for n0(I) >= n0(J) = s (else the other way round): the
         rows of I below t = n0(I) are a basis of I/m^t, the combinations of

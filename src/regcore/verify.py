@@ -19,9 +19,8 @@ from time import perf_counter
 from .config import DEFAULT, EngineConfig
 from .errors import NotMPrimaryError
 from .field import Field, field_from_name
-from .modcore import (ModuleRep, buchsbaum_rim, colon_into, core_iterate,
-                      core_module, fitting, minimal_reduction_module,
-                      sym_colength)
+from .modcore import (ModuleRep, buchsbaum_rim, colon_into, core_module,
+                      fitting, minimal_reduction_module, sym_colength)
 from .poly import Monomial, Poly
 from .reduction import (GenericSampler, MultiplicityCertificate,
                         ReductionCertificate, adjoint_ideal, hilbert_samuel,
@@ -385,7 +384,7 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
         runner.eq_mono("adjoint-of-core-minors", label,
                        adjoint(core.minor_ideal().to_monomial()),
                        adjoint(minors).power(mod.rank + 1))
-        core2 = core_iterate(mod, 2, sampler)
+        core2 = core_module(core, sampler)
         runner.eq_module("second-core-closed-form", label, core2,
                          mod.scale_by_monomial_ideal(
                              adjoint(minors).power(mod.rank + 2)))
@@ -393,7 +392,7 @@ def _family_core_theorems(runner: _Runner, seed: int, ideals, pairs,
     fixed = _mod(runner, MonomialIdeal.max_power(2)).direct_sum(
         _mod(runner, MonomialIdeal.max_power(3)))
     runner.eq_module("second-core-closed-form", "M=m^2(+)m^3",
-                     core_iterate(fixed, 2, sampler),
+                     core_module(core_module(fixed, sampler), sampler),
                      _mod(runner, MonomialIdeal.max_power(18)).direct_sum(
                          _mod(runner, MonomialIdeal.max_power(19))))
 

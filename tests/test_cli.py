@@ -148,6 +148,42 @@ def test_adjoint_names_the_truncation_ceiling(tmp_path, capsys):
     assert "n0 = 79" in err
 
 
+def test_howald_adjoint_of_terms_is_answered_above_the_ceiling(tmp_path,
+                                                              capsys):
+    # adj((x^70, y^70)) = adj(m^70) = m^69 is read on the staircase, at any
+    # size; colon and both still need n0 = 139 below the ceiling
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^70", "y^70"]})
+    code, out, err = run(capsys, "adjoint", "--ideal", path,
+                         "--method", "howald")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gens"] == [str(m) for m in MonomialIdeal.max_power(69).gens]
+    assert (payload["n0"], payload["colength"], payload["method"]) == \
+        (69, 2415, "howald")
+    for method in ("colon", "both"):
+        code, out, err = run(capsys, "adjoint", "--ideal", path,
+                             "--method", method)
+        assert code == 1 and out == ""
+        assert "n0 = 139" in err and "truncation ceiling 64" in err
+    # an answer that is not m-primary prints no n0 or colength
+    path = write(tmp_path, "J.json", {"field": "Q", "gens": ["x^2", "x*y"]})
+    code, out, err = run(capsys, "adjoint", "--ideal", path,
+                         "--method", "howald")
+    assert code == 0
+    assert json.loads(out) == {"field": "Q", "gens": ["x"],
+                               "method": "howald"}
+
+
+def test_adjoint_refusal_names_the_closure(tmp_path, capsys):
+    # (x^2, y^2) is not integrally closed, so (J : I) is not its adjoint
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^2", "y^2"]})
+    code, out, err = run(capsys, "adjoint", "--ideal", path,
+                         "--method", "colon")
+    assert code == 1
+    assert out == ""
+    assert "integrally closed" in err and "(x^2, x*y, y^2)" in err
+
+
 @pytest.mark.parametrize("command", ["reduction", "adjoint"])
 def test_reduction_search_names_the_truncation_ceiling(tmp_path, capsys,
                                                        command):

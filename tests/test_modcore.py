@@ -9,8 +9,7 @@ from regcore.errors import (GenericityError, MathError, NotMPrimaryError,
                             ZeroIdealError)
 from regcore.field import QQ, PrimeField
 from regcore.modcore import (ModuleRep, _slot_monomial_ideals, buchsbaum_rim,
-                             colon_into,
-                             core_iterate, core_module, fitting,
+                             colon_into, core_module, fitting,
                              minimal_reduction_module, sym_colength,
                              sym_reduction_check, sym_slots)
 from regcore.poly import Poly, matrix_minors, parse_poly
@@ -538,11 +537,13 @@ def test_core_module_refuses_input_that_is_not_closed():
             core_module(module, GenericSampler(seed=42))
 
 
-def test_core_iterate_closed_form():
+def test_second_core_closed_form():
     # core^2(m^2 (+) m^3) = m^18 (+) m^19 and rank-1 core^2(m^2) = m^5
-    core2 = core_iterate(msum(M(2), M(3)), 2, GenericSampler(seed=42))
+    sampler = GenericSampler(seed=42)
+    core2 = core_module(core_module(msum(M(2), M(3)), sampler), sampler)
     assert core2.equals(msum(M(18), M(19)))
-    rank1 = core_iterate(mono_module(M(2)), 2, GenericSampler(seed=42))
+    sampler = GenericSampler(seed=42)
+    rank1 = core_module(core_module(mono_module(M(2)), sampler), sampler)
     assert rank1.equals(mono_module(M(5)))
 
 

@@ -9,7 +9,7 @@ from regcore.poly import parse_poly
 from regcore.poly import Poly
 from regcore.reduction import (COEFFICIENT_POOL, RETRY_LIMIT, GenericSampler,
                                MultiplicityCertificate,
-                               NotUpToBound, ReductionCertificate,
+                               ReductionCertificate,
                                adjoint_ideal, adjoint_of_generators,
                                hilbert_samuel, integral_closure_ideal,
                                is_integral_element, is_reduction,
@@ -57,7 +57,7 @@ def test_generic_pair_is_reduction_of_m2():
 def test_cubes_are_not_a_reduction_of_m2():
     J = Tr("x^3", "y^3")
     outcome = is_reduction(J, from_mono(M(2)), nmax=4)
-    assert isinstance(outcome, NotUpToBound)
+    assert outcome is None
 
 
 def test_reduction_requires_inclusion():
@@ -121,7 +121,7 @@ def test_integral_element_certificates():
     assert ok and cert.exponent == 1
     bad, outcome = is_integral_element(P("x"), I, nmax=3)
     assert not bad
-    assert isinstance(outcome, NotUpToBound)
+    assert outcome is None
     triv, _ = is_integral_element(P("x^2"), I)
     assert triv
 
@@ -217,7 +217,7 @@ def test_colength_above_e_is_not_a_reduction():
     # I = m has e = 1; J = (x, y^2) has colength 2 and is no reduction
     I, J = from_mono(M(1)), Tr("x", "y^2")
     assert J.colength() == 2
-    assert isinstance(is_reduction(J, I), NotUpToBound)
+    assert is_reduction(J, I) is None
     _, cert = minimal_reduction(I, GenericSampler(seed=42))
     with pytest.raises(GenericityError):  # every draw is J, and refuted
         rees_reduction(I, FixedPairSampler(P("x"), P("y^2")), 1, cert)
