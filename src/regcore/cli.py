@@ -16,9 +16,10 @@ from .errors import (MathError, NotMPrimaryError, ParseError,
                      TruncationCeilingError)
 from .modcore import (ModuleRep, buchsbaum_rim, core_module, fitting,
                       minimal_reduction_module)
-from .reduction import (GenericSampler, adjoint_of_generators, check_closed,
-                        divide_monomial_content, hilbert_samuel,
-                        integral_closure_ideal, minimal_reduction, term_ideal)
+from .poly import Monomial, Poly
+from .reduction import (GenericSampler, adjoint_ideal, check_closed,
+                        hilbert_samuel, integral_closure_ideal,
+                        minimal_reduction, term_ideal)
 from .serialize import (ideal_from_obj, ideal_text, ideal_to_obj,
                         matrix_from_obj, module_from_obj, module_text,
                         module_to_obj)
@@ -53,19 +54,6 @@ def _emit(args, payload: dict, text: str | None = None):
         _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _gens_payload(fld, gens, config) -> dict:
-    """Ideal payload with n0/colength when the ideal is m-primary, read on
-    the staircase for term generators, at any size."""
-    mono = term_ideal(gens)
-    if mono is not None and (mono.is_unit or mono.is_m_primary):
-        return ideal_to_obj(mono, fld)
-    try:
-        return ideal_to_obj(TruncatedIdeal.materialize(list(gens), fld,
-                                                       config=config))
-    except MathError:
-        return {"field": fld.name, "gens": [str(g) for g in gens]}
-
-
 def _ideal_with_art(ideal) -> str:
     """Text of a TruncatedIdeal or MonomialIdeal, with any staircase art."""
     mono = ideal if isinstance(ideal, MonomialIdeal) else ideal.to_monomial()
@@ -75,50 +63,40 @@ def _ideal_with_art(ideal) -> str:
     return text
 
 
-def _staircase_input(gens) -> MonomialIdeal | None:
-    """The monomial ideal of term generators, which the staircase answers
-    exactly with no truncation; None for other generators."""
+def _ideal(fld, gens, config, engine=False):
+    """The input ideal: the MonomialIdeal of term generators, which the
+    staircase answers at any size, or, with `engine` or for other
+    generators, the materialized TruncatedIdeal; a failure to materialize
+    is told apart from the truncation ceiling exactly for term generators."""
     mono = term_ideal(gens)
     if mono is not None and not (mono.is_unit or mono.is_m_primary):
         raise NotMPrimaryError("ideal is not m-primary")
-    return mono
-
-
-def _ceiling_diagnosis(gens, exc: NotMPrimaryError, config) -> MathError:
-    """Why `gens` have no Nakayama certificate below the ceiling: exact for
-    monomial generators, which are m-primary or not by their staircase."""
+    if mono is not None and not engine:
+        return mono
     ceiling = config.truncation_ceiling
-    mono = term_ideal(gens)
-    if mono is None:
-        return NotMPrimaryError(
-            f"ideal is not m-primary, or its Nakayama certificate lies "
-            f"above the truncation ceiling {ceiling}: raise --ceiling "
-            f"to tell")
-    if not mono.is_m_primary:
-        return NotMPrimaryError(f"ideal is not m-primary ({exc})")
-    n0 = power_certificate(mono)
-    return TruncationCeilingError(
-        f"ideal is m-primary, but its Nakayama certificate n0 = {n0} "
-        f"needs truncation order {n0 + 1}, above the truncation "
-        f"ceiling {ceiling}: raise --ceiling")
-
-
-def _materialize(fld, gens, config) -> TruncatedIdeal:
     try:
         return TruncatedIdeal.materialize(gens, fld, config=config)
     except NotMPrimaryError as exc:
-        raise _ceiling_diagnosis(gens, exc, config) from exc
+        if mono is None:
+            raise NotMPrimaryError(
+                f"ideal is not m-primary, or its Nakayama certificate lies "
+                f"above the truncation ceiling {ceiling}: raise --ceiling "
+                f"to tell") from exc
+        n0 = power_certificate(mono)
+        raise TruncationCeilingError(
+            f"ideal is m-primary, but its Nakayama certificate n0 = {n0} "
+            f"needs truncation order {n0 + 1}, above the truncation "
+            f"ceiling {ceiling}: raise --ceiling") from exc
 
 
 def _cmd_closure(args, config):
     fld, gens = ideal_from_obj(_load_json(args.ideal))
-    mono = _staircase_input(gens)
-    if mono is None:
-        result = integral_closure_ideal(_materialize(fld, gens, config),
-                                        nmax=args.nmax)
+    ideal = _ideal(fld, gens, config)
+    if isinstance(ideal, MonomialIdeal):  # answered by the staircase
+        closure, exact = integral_closure(ideal), True
+    else:
+        result = integral_closure_ideal(ideal, nmax=args.nmax)
         closure, exact = result.ideal, result.exact
-    else:  # answered by the staircase, at any size
-        closure, exact = integral_closure(mono), True
     payload = ideal_to_obj(closure, fld)
     payload["exact"] = exact
     _emit(args, payload, _ideal_with_art(closure)
@@ -126,65 +104,91 @@ def _cmd_closure(args, config):
     return 0
 
 
+def divide_monomial_content(gens: list[Poly], fld):
+    """(c, [g / c]) for the largest monomial c dividing every term of every
+    generator."""
+    a = min((m.a for g in gens for m in g.terms), default=0)
+    b = min((m.b for g in gens for m in g.terms), default=0)
+    reduced = [Poly(fld, {Monomial(m.a - a, m.b - b): c
+                          for m, c in g.terms.items()}) for g in gens]
+    return Monomial(a, b), reduced
+
+
+def _adjoint(method, fld, gens, ideal, sampler, config):
+    """adj(I) by `method` for the ideal I that `_ideal` read from `gens`: a
+    MonomialIdeal, or the colon's own TruncatedIdeal when that is not
+    monomial.  The colon refuses term input that is not integrally closed
+    before anything is truncated."""
+    if method == "howald":
+        mono = ideal if isinstance(ideal, MonomialIdeal) else \
+            ideal.to_monomial()
+        if mono is None:
+            raise MathError("the lattice method needs a monomial ideal")
+        return adjoint(mono)
+    if isinstance(ideal, MonomialIdeal):
+        check_closed([ideal])
+        ideal = _ideal(fld, gens, config, engine=True)
+    out = adjoint_ideal(ideal, sampler)
+    mono = out.to_monomial()
+    return out if mono is None else mono
+
+
+def _shown(adj, content, fld) -> tuple[dict, str]:
+    """JSON and text of adj(c*I) = c*adj(I) for the monomial content c: an
+    m-primary answer (c = 1) with its n0 and colength, else its generators."""
+    if content == Monomial(0, 0):
+        return ideal_to_obj(adj, fld), ideal_text(adj)
+    if isinstance(adj, MonomialIdeal):
+        gens = [str(m) for m in adj.shift(content).gens]
+    else:
+        gens = [str(g.shift(content.a, content.b)) for g in adj.gens]
+    return {"field": fld.name, "gens": gens}, "(" + ", ".join(gens) + ")"
+
+
 def _cmd_adjoint(args, config):
     fld, gens = ideal_from_obj(_load_json(args.ideal))
-    try:
-        return _adjoint(args, fld, gens, config)
-    except NotMPrimaryError as exc:  # adjoints divide out x^a*y^b first
-        _, reduced = divide_monomial_content(gens, fld)
-        raise _ceiling_diagnosis(reduced, exc, config) from exc
-
-
-def _adjoint(args, fld, gens, config):
+    content, reduced = divide_monomial_content(gens, fld)
+    ideal = _ideal(fld, reduced, config)
     sampler = GenericSampler(args.seed)
-    if args.method == "both":
-        howald_gens, howald_mono = adjoint_of_generators(
-            gens, fld, "howald", sampler, config=config)
-        colon_gens, colon_mono = adjoint_of_generators(
-            gens, fld, "colon", sampler, config=config)
-        agree = (howald_mono is not None and howald_mono == colon_mono)
-        payload = {"howald": _gens_payload(fld, howald_gens, config),
-                   "colon": _gens_payload(fld, colon_gens, config),
-                   "agreement": agree}
-        text = (f"howald: {ideal_text(howald_mono) if howald_mono else howald_gens}\n"
-                f"colon:  {ideal_text(colon_mono) if colon_mono else colon_gens}\n"
-                f"agreement: {agree}")
+    methods = ("howald", "colon") if args.method == "both" else (args.method,)
+    answers = {method: _adjoint(method, fld, reduced, ideal, sampler, config)
+               for method in methods}
+    shown = {method: _shown(adj, content, fld)
+             for method, adj in answers.items()}
+    if args.method != "both":
+        payload, text = shown[args.method]
+        payload["method"] = args.method
         _emit(args, payload, text)
-        if not agree:
-            raise MathError("adjoint methods disagree")
         return 0
-    out_gens, out_mono = adjoint_of_generators(gens, fld, args.method,
-                                               sampler, config=config)
-    payload = _gens_payload(fld, out_gens, config)
-    payload["method"] = args.method
-    text = ideal_text(out_mono) if out_mono is not None else \
-        "(" + ", ".join(str(g) for g in out_gens) + ")"
-    _emit(args, payload, text)
+    agree = answers["howald"] == answers["colon"]
+    _emit(args, {"howald": shown["howald"][0], "colon": shown["colon"][0],
+                 "agreement": agree},
+          f"howald: {shown['howald'][1]}\ncolon:  {shown['colon'][1]}\n"
+          f"agreement: {agree}")
+    if not agree:
+        raise MathError("adjoint methods disagree")
     return 0
 
 
 def _cmd_core(args, config):
+    sampler = GenericSampler(args.seed)
     if args.module:
         module = module_from_obj(_load_json(args.module), config=config)
-    else:
-        fld, gens = ideal_from_obj(_load_json(args.ideal))
-        mono = _staircase_input(gens)
-        if mono is not None and not mono.is_unit:  # the staircase answers
-            check_closed([mono])  # core = adj(I)*I needs I closed
-            out = adjoint(mono).product(mono)
-            _emit(args, ideal_to_obj(out, fld), _ideal_with_art(out))
-            return 0
-        ideal = _materialize(fld, gens, config)
-        if ideal.is_unit:
-            raise MathError("ideal is not m-primary")
-        module = ModuleRep.from_ideal(ideal)
-    core = core_module(module, GenericSampler(args.seed))
-    if args.module:
+        core = core_module(module, sampler)
         _emit(args, module_to_obj(core), module_text(core))
         return 0
-    gens = [col[0] for col in core.columns]
-    out = TruncatedIdeal.materialize(gens, ideal.field, config=config)
-    _emit(args, ideal_to_obj(out), _ideal_with_art(out))
+    fld, gens = ideal_from_obj(_load_json(args.ideal))
+    ideal = _ideal(fld, gens, config)
+    if ideal.is_unit:
+        raise MathError("ideal is not m-primary")
+    if isinstance(ideal, MonomialIdeal):  # the staircase answers
+        check_closed([ideal])  # core = adj(I)*I needs I closed
+        out = adjoint(ideal).product(ideal)
+    else:
+        core = core_module(ModuleRep.from_ideal(ideal), sampler)
+        out = TruncatedIdeal.materialize([col[0] for col in core.columns],
+                                         fld, config=config)
+    _emit(args, ideal_to_obj(out, fld), _ideal_with_art(out))
     return 0
 
 
@@ -196,13 +200,11 @@ def _cmd_fitting(args, config):
 
 
 def _cmd_mult(args, config):
-    fld, gens = ideal_from_obj(_load_json(args.ideal))
-    mono = _staircase_input(gens)
-    if mono is None:
-        value = hilbert_samuel(_materialize(fld, gens, config),
-                               GenericSampler(args.seed))
+    ideal = _ideal(*ideal_from_obj(_load_json(args.ideal)), config)
+    if isinstance(ideal, MonomialIdeal):
+        value = multiplicity(ideal)
     else:
-        value = multiplicity(mono)
+        value = hilbert_samuel(ideal, GenericSampler(args.seed))
     _emit(args, {"multiplicity": value}, str(value))
     return 0
 
@@ -224,7 +226,8 @@ def _cmd_reduction(args, config):
                                   "trivial": cert.trivial}
         _emit(args, payload, module_text(red))
         return 0
-    ideal = _materialize(*ideal_from_obj(_load_json(args.ideal)), config)
+    ideal = _ideal(*ideal_from_obj(_load_json(args.ideal)), config,
+                   engine=True)
     j, cert = minimal_reduction(ideal, sampler)
     payload = {
         "field": ideal.field.name,

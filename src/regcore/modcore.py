@@ -22,7 +22,8 @@ from .errors import (FieldMismatchError, GenericityError, MathError,
 from .field import Field
 from .poly import Poly, matrix_minors
 from .reduction import (GenericSampler, adjoint_ideal, by_multiplicity,
-                        check_closed, search_reduction, stable_difference)
+                        check_closed, search_reduction, stable_difference,
+                        term_ideal)
 from .trunc import (TruncatedIdeal, TruncatedSpan, nakayama_covers,
                     span_colon, span_with_certificate)
 from . import staircase
@@ -369,19 +370,16 @@ def sym_generators(M: ModuleRep, degree: int, first: ModuleRep | None = None):
 
 
 def _slot_monomial_ideals(M: ModuleRep) -> list[staircase.MonomialIdeal] | None:
-    """Per-slot monomial ideals when every column is a single monomial in a
+    """Per-slot monomial ideals when every column is a single term in a
     single slot (direct sums of monomial ideals and their scalings)."""
     buckets: list[list] = [[] for _ in range(M.rank)]
     for col in M.columns:
-        hits = [(i, f) for i, f in enumerate(col) if not f.is_zero]
-        if len(hits) != 1 or not hits[0][1].is_term:
+        slots = [i for i, f in enumerate(col) if not f.is_zero]
+        if len(slots) != 1:
             return None
-        slot, f = hits[0]
-        mono = next(iter(f.terms))
-        buckets[slot].append(mono)
-    if any(not bucket for bucket in buckets):
-        return None
-    return [staircase.MonomialIdeal.from_exponents(b) for b in buckets]
+        buckets[slots[0]].append(col[slots[0]])
+    parts = [term_ideal(bucket) for bucket in buckets]
+    return None if any(part is None for part in parts) else parts
 
 
 def sym_colength(M: ModuleRep, degree: int) -> int:

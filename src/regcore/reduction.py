@@ -19,11 +19,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT, EngineConfig
 from .errors import (GenericityError, MathError, NotMPrimaryError,
                      TruncationCeilingError, ZeroIdealError)
 from .field import Field
-from .poly import Monomial, Poly
+from .poly import Poly
 from .trunc import TruncatedIdeal, monomials_below, nakayama_covers
 from . import staircase
 
@@ -333,16 +332,6 @@ def hilbert_samuel(I: TruncatedIdeal, sampler: GenericSampler) -> int:
     return method_a
 
 
-def divide_monomial_content(gens: list[Poly], fld: Field):
-    """(c, [g / c]) for the largest monomial c dividing every term of every
-    generator."""
-    a = min((m.a for g in gens for m in g.terms), default=0)
-    b = min((m.b for g in gens for m in g.terms), default=0)
-    reduced = [Poly(fld, {Monomial(m.a - a, m.b - b): c
-                          for m, c in g.terms.items()}) for g in gens]
-    return Monomial(a, b), reduced
-
-
 def term_ideal(gens) -> staircase.MonomialIdeal | None:
     """The monomial ideal of `gens` when every nonzero generator is a term."""
     gens = [g for g in gens if not g.is_zero]
@@ -350,36 +339,3 @@ def term_ideal(gens) -> staircase.MonomialIdeal | None:
         return None
     return staircase.MonomialIdeal.from_exponents(
         [next(iter(g.terms)) for g in gens])
-
-
-def adjoint_of_generators(gens: list[Poly], fld: Field, method: str,
-                          sampler: GenericSampler,
-                          config: EngineConfig = DEFAULT):
-    """Adjoint for possibly non-m-primary input: a monomial factor x^c y^d
-    is pulled out first (adj(x*I) = x*adj(I)) and restored afterwards.
-
-    Returns (generators, monomial_form_or_None).  The lattice method reads
-    term generators on the staircase, with nothing truncated, at any size.
-    """
-    content, reduced = divide_monomial_content(gens, fld)
-    mono = term_ideal(reduced) if method == "howald" else None
-    if mono is None:
-        core = TruncatedIdeal.materialize(reduced, fld, config=config)
-        mono = core.to_monomial()
-    if method == "howald":
-        if mono is None:
-            raise MathError("the lattice method needs a monomial ideal")
-        adj = staircase.adjoint(mono)
-    elif method == "colon":
-        result = adjoint_ideal(core, sampler)
-        out_mono = result.to_monomial()
-        if out_mono is not None:
-            adj = out_mono
-        else:
-            shifted = [g.shift(content.a, content.b) for g in result.gens]
-            return shifted, None
-    else:
-        raise MathError(f"unknown adjoint method {method!r}")
-    if content.a or content.b:
-        adj = adj.shift(content)
-    return [Poly.monomial(fld, m) for m in adj.gens], adj

@@ -41,21 +41,14 @@ def vector_row(vector, cap=None) -> dict:
     Over Q one common denominator is cleared for the whole vector, so the
     row is an integer ray representing the same vector.
     """
-    field = None
-    for f in vector:
-        if f is not None:
-            field = f.field
-            break
     items = []
     for slot, f in enumerate(vector):
-        if f is None or f.is_zero:
-            continue
         for mono, coeff in f.terms.items():
             if cap is None or mono.degree <= cap:
                 items.append((pack_key(mono.degree, slot, mono.b), coeff))
     if not items:
         return {}
-    if field.p is None:
+    if vector[0].field.p is None:
         den = 1
         for _, c in items:
             den = lcm(den, c.denominator)

@@ -14,8 +14,8 @@ from regcore.cli import main
 from regcore.field import QQ
 from regcore.modcore import ModuleRep, core_module, fitting
 from regcore.poly import parse_poly
-from regcore.reduction import (GenericSampler, adjoint_of_generators,
-                               hilbert_samuel)
+from regcore.reduction import (GenericSampler, adjoint_ideal,
+                               hilbert_samuel, term_ideal)
 from regcore.staircase import (MonomialIdeal, adjoint, colength,
                                integral_closure, multiplicity)
 from regcore.trunc import TruncatedIdeal
@@ -57,9 +57,9 @@ def test_criterion_2_worked_example(capsys):
     t0 = time.time()
     ok = integral_closure(WORKED) == WORKED
     gens = [P("x^3"), P("x*y"), P("y^2")]
-    _, how = adjoint_of_generators(gens, QQ, "howald", GenericSampler(seed=42))
-    colon_gens, col = adjoint_of_generators(gens, QQ, "colon",
-                                            GenericSampler(seed=42))
+    how = adjoint(term_ideal(gens))
+    col = adjoint_ideal(TruncatedIdeal.materialize(gens, QQ),
+                        GenericSampler(seed=42)).to_monomial()
     ok &= (how == M(1) and col == M(1))
     ok &= colength(WORKED) == 4
     ok &= multiplicity(WORKED) == 5

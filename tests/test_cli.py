@@ -117,7 +117,7 @@ def test_closure_of_terms_matches_the_engine_route(tmp_path, capsys,
     answers = [run(capsys, *argv) for argv in argvs]
     assert all(code == 0 for code, _, _ in answers)
     # without the staircase route the truncation engine answers
-    monkeypatch.setattr(cli, "_staircase_input", lambda gens: None)
+    monkeypatch.setattr(cli, "term_ideal", lambda gens: None)
     assert [run(capsys, *argv) for argv in argvs] == answers
 
 
@@ -133,25 +133,44 @@ def test_mult_of_monomial_input_needs_no_truncation(tmp_path, capsys):
 
 
 def test_adjoint_names_the_truncation_ceiling(tmp_path, capsys):
-    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^40", "y^40"]})
+    # m^65 is integrally closed, and its n0 = 65 is above the ceiling 64
+    gens = [str(m) for m in MonomialIdeal.max_power(65).gens]
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": gens})
     for method in ("colon", "both"):
         code, out, err = run(capsys, "adjoint", "--ideal", path,
                              "--method", method)
-        assert code == 1
+        assert code == 1 and out == ""
         assert "not finite colength" not in err
-        assert "n0 = 79" in err and "raise --ceiling" in err
-    # the monomial content x is divided out first: x*(x^40, y^40)
-    path = write(tmp_path, "J.json", {"field": "Q",
-                                      "gens": ["x^41", "x*y^40"]})
-    code, out, err = run(capsys, "adjoint", "--ideal", path)
-    assert code == 1
-    assert "n0 = 79" in err
+        assert "n0 = 65" in err and "raise --ceiling" in err
+    # the staircase answers adj(m^65) = m^64 at any size
+    code, out, err = run(capsys, "adjoint", "--ideal", path,
+                         "--method", "howald")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gens"] == [str(m) for m in MonomialIdeal.max_power(64).gens]
+    assert (payload["n0"], payload["colength"]) == (64, 2080)
+
+
+@pytest.mark.parametrize("gens, closure", [
+    (["x^40", "y^40"], MonomialIdeal.max_power(40)),
+    (["x^41", "x*y^40"], MonomialIdeal.max_power(40)),  # content x
+    (["x^70", "y^70"], MonomialIdeal.max_power(70))])
+def test_adjoint_refuses_terms_that_are_not_closed_above_the_ceiling(
+        tmp_path, capsys, gens, closure):
+    # the input is refused at any ceiling, so the ceiling is not the cause
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": gens})
+    for method in ("colon", "both"):
+        code, out, err = run(capsys, "adjoint", "--ideal", path,
+                             "--method", method)
+        assert code == 1 and out == ""
+        assert "integrally closed" in err and str(closure) in err
+        assert "ceiling" not in err
 
 
 def test_howald_adjoint_of_terms_is_answered_above_the_ceiling(tmp_path,
                                                               capsys):
     # adj((x^70, y^70)) = adj(m^70) = m^69 is read on the staircase, at any
-    # size; colon and both still need n0 = 139 below the ceiling
+    # size; colon and both refuse the input, whose closure is m^70
     path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^70", "y^70"]})
     code, out, err = run(capsys, "adjoint", "--ideal", path,
                          "--method", "howald")
@@ -164,7 +183,8 @@ def test_howald_adjoint_of_terms_is_answered_above_the_ceiling(tmp_path,
         code, out, err = run(capsys, "adjoint", "--ideal", path,
                              "--method", method)
         assert code == 1 and out == ""
-        assert "n0 = 139" in err and "truncation ceiling 64" in err
+        assert "integrally closed" in err
+        assert str(MonomialIdeal.max_power(70)) in err
     # an answer that is not m-primary prints no n0 or colength
     path = write(tmp_path, "J.json", {"field": "Q", "gens": ["x^2", "x*y"]})
     code, out, err = run(capsys, "adjoint", "--ideal", path,
@@ -172,6 +192,37 @@ def test_howald_adjoint_of_terms_is_answered_above_the_ceiling(tmp_path,
     assert code == 0
     assert json.loads(out) == {"field": "Q", "gens": ["x"],
                                "method": "howald"}
+
+
+# phi(x^4, x^2*y, y^2) for phi: y -> x + y; its adjoint is phi((x^2, y))
+PHI = ["x^4", "x^2*y + x^3", "y^2 + 2*x*y + x^2"]
+BELOW_5 = [str(m) for d in (2, 3, 4) for m in MonomialIdeal.max_power(d).gens]
+
+
+@pytest.mark.parametrize("field", ["Q", "F65537"])
+def test_colon_adjoint_prints_a_non_monomial_answer(tmp_path, capsys, field):
+    path = write(tmp_path, "I.json", {"field": field, "gens": PHI})
+    argv = ("adjoint", "--ideal", path, "--method", "colon")
+    gens = ["x + y"] + BELOW_5  # (x^2, x + y), with n0 = 2
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {"field": field, "gens": gens, "n0": 2,
+                               "colength": 2, "method": "colon"}
+    assert run(capsys, *argv, "--format", "text") == \
+        (0, "(" + ", ".join(gens) + ")\n", "")
+    # times x: the answer x*adj is not m-primary, so only its generators
+    shifted = ["x^2 + x*y"] + [str(parse_poly(g, QQ).shift(1, 0))
+                               for g in BELOW_5]
+    path = write(tmp_path, "J.json", {
+        "field": field,
+        "gens": [str(parse_poly(g, QQ).shift(1, 0)) for g in PHI]})
+    argv = ("adjoint", "--ideal", path, "--method", "colon")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {"field": field, "gens": shifted,
+                               "method": "colon"}
+    assert run(capsys, *argv, "--format", "text") == \
+        (0, "(" + ", ".join(shifted) + ")\n", "")
 
 
 def test_adjoint_refusal_names_the_closure(tmp_path, capsys):
@@ -269,7 +320,7 @@ def test_core_of_terms_matches_the_engine_route(tmp_path, capsys,
     answers = [run(capsys, *argv) for argv in argvs]
     assert all(code == 0 for code, _, _ in answers)
     # without the staircase route the truncation engine answers
-    monkeypatch.setattr(cli, "_staircase_input", lambda gens: None)
+    monkeypatch.setattr(cli, "term_ideal", lambda gens: None)
     assert [run(capsys, *argv) for argv in argvs] == answers
 
 
@@ -365,6 +416,12 @@ def test_reduction_command_certificate(tmp_path, capsys):
     # determinism for a fixed seed
     code2, out2, err2 = run(capsys, "reduction", "--ideal", path, "--seed", "9")
     assert out2 == out
+
+
+def test_reduction_refuses_terms_that_are_not_m_primary(tmp_path, capsys):
+    path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^2", "x*y"]})
+    assert run(capsys, "reduction", "--ideal", path) == \
+        (1, "", "error: ideal is not m-primary\n")
 
 
 def test_reduction_command_certifies_once(tmp_path, capsys, monkeypatch):

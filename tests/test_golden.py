@@ -1,15 +1,18 @@
-"""Golden digests of the deterministic verify report.
+"""Golden digests of the deterministic verify report and of the CLI.
 
 The JSON report of `verify --family all --count 6 --seed 42` must stay
 byte-identical across engine changes that keep the mathematics; these
 sha256 values freeze it on both fields.  The count-50 campaigns that
-perfbench's campaign workloads run and hash are frozen the same way.
+perfbench's campaign workloads run and hash are frozen the same way, and
+so are the exit codes and stdout of the ideal commands on a fixed battery.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from regcore.cli import main
 from regcore.verify import render_report, run_suite
 
 GOLDEN = {
@@ -38,3 +41,39 @@ def test_campaign_digest(family, field):
     text = render_report(run_suite(family, 50, 42, field))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         CAMPAIGNS[(family, field)]
+
+
+# Term and non-term ideals: closed, not closed, unit, not m-primary, with a
+# monomial factor, above the ceiling, and phi(x^4, x^2*y, y^2) for the
+# coordinate change phi: y -> x + y, alone and times x.  Inputs whose colon
+# adjoint is known to be wrong, such as (x^2, (x+y)^2), are left out.
+CLI_INPUTS = [
+    ["x^3", "x*y", "y^2"], ["x^2", "x*y", "y^2"], ["x^2", "y^2"],
+    ["x^4", "x*y", "y^4"], ["x^5", "x^2*y", "y^3"], ["1"], ["x^2", "x*y"],
+    ["x^4", "x^2*y", "x*y^2"], ["x^40", "y^40"],
+    ["x^4", "x^2*y + x^3", "y^2 + 2*x*y + x^2"],
+    ["x^5", "x^3*y + x^4", "x*y^2 + 2*x^2*y + x^3"],
+    ["x^9 + y^10", "y^9"], ["x^3 + y^4", "x*y", "y^3"],
+]
+CLI_COMMANDS = [["closure"], ["adjoint", "--method", "howald"],
+                ["adjoint", "--method", "colon"],
+                ["adjoint", "--method", "both"], ["core"], ["mult"],
+                ["reduction"]]
+CLI_DIGEST = \
+    "cb0d8e0613dcaa8002e56d3a81b359dcb351fa56279549b31fab68535f3035db"
+
+
+def test_cli_digest(tmp_path, capsys):
+    # exit code and stdout of every invocation; stderr is not pinned
+    digest = hashlib.sha256()
+    path = tmp_path / "I.json"
+    for gens in CLI_INPUTS:
+        for field in ("Q", "F7"):
+            path.write_text(json.dumps({"field": field, "gens": gens}))
+            for command in CLI_COMMANDS:
+                for fmt in ("json", "text"):
+                    code = main([command[0], "--ideal", str(path),
+                                 *command[1:], "--format", fmt])
+                    out = capsys.readouterr().out
+                    digest.update(f"{code}\n{out}\0".encode())
+    assert digest.hexdigest() == CLI_DIGEST

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcore import reduction
+from regcore.cli import divide_monomial_content
 from regcore.config import EngineConfig
 from regcore.errors import GenericityError, MathError, NotMPrimaryError
 from regcore.field import QQ, PrimeField
@@ -10,10 +11,10 @@ from regcore.poly import Poly
 from regcore.reduction import (COEFFICIENT_POOL, RETRY_LIMIT, GenericSampler,
                                MultiplicityCertificate,
                                ReductionCertificate,
-                               adjoint_ideal, adjoint_of_generators,
-                               hilbert_samuel, integral_closure_ideal,
-                               is_integral_element, is_reduction,
-                               minimal_reduction, rees_reduction)
+                               adjoint_ideal, hilbert_samuel,
+                               integral_closure_ideal, is_integral_element,
+                               is_reduction, minimal_reduction,
+                               rees_reduction, term_ideal)
 from regcore.staircase import (MonomialIdeal, adjoint, integral_closure,
                                multiplicity)
 from regcore.trunc import TruncatedIdeal
@@ -150,8 +151,7 @@ def test_adjoint_worked_example_both_methods():
     worked = Tr("x^3", "x*y", "y^2")
     colon = adjoint_ideal(worked, GenericSampler(seed=42))
     assert colon.to_monomial() == M(1)
-    gens, mono = adjoint_of_generators([P("x^3"), P("x*y"), P("y^2")], QQ,
-                                       "howald", GenericSampler(seed=42))
+    mono = adjoint(term_ideal([P("x^3"), P("x*y"), P("y^2")]))
     assert mono == M(1)
 
 
@@ -163,9 +163,9 @@ def test_adjoint_m5_matches_lattice_oracle():
 def test_adjoint_content_factoring():
     # adj(x^2*y * m^2) = x^2*y * m
     shifted = MonomialIdeal.from_exponents([(4, 1), (3, 2), (2, 3)])
-    gens, mono = adjoint_of_generators(
-        [P("x^4*y"), P("x^3*y^2"), P("x^2*y^3")], QQ, "howald",
-        GenericSampler(seed=1))
+    content, reduced = divide_monomial_content(
+        [P("x^4*y"), P("x^3*y^2"), P("x^2*y^3")], QQ)
+    mono = adjoint(term_ideal(reduced)).shift(content)
     assert mono == M(1).shift((2, 1))
 
 
