@@ -104,14 +104,12 @@ def _cmd_closure(args, config):
     return 0
 
 
-def divide_monomial_content(gens: list[Poly], fld):
+def divide_monomial_content(gens: list[Poly]):
     """(c, [g / c]) for the largest monomial c dividing every term of every
     generator."""
     a = min((m.a for g in gens for m in g.terms), default=0)
     b = min((m.b for g in gens for m in g.terms), default=0)
-    reduced = [Poly(fld, {Monomial(m.a - a, m.b - b): c
-                          for m, c in g.terms.items()}) for g in gens]
-    return Monomial(a, b), reduced
+    return Monomial(a, b), [g.shift(-a, -b) for g in gens]
 
 
 def _adjoint(method, fld, gens, ideal, sampler, config):
@@ -147,7 +145,7 @@ def _shown(adj, content, fld) -> tuple[dict, str]:
 
 def _cmd_adjoint(args, config):
     fld, gens = ideal_from_obj(_load_json(args.ideal))
-    content, reduced = divide_monomial_content(gens, fld)
+    content, reduced = divide_monomial_content(gens)
     ideal = _ideal(fld, reduced, config)
     sampler = GenericSampler(args.seed)
     methods = ("howald", "colon") if args.method == "both" else (args.method,)

@@ -1,8 +1,9 @@
 """Coefficient fields: the rationals, or a prime field F_p for an odd prime p.
 
 Rational coefficients are `fractions.Fraction` in lowest terms; prime-field
-coefficients are plain ints in [0, p).  A Field object owns the arithmetic so
-polynomials stay field-agnostic.
+coefficients are plain ints in [0, p).  A Field object coerces values into
+that form and inverts them; sums and products run in the per-field loops of
+`poly` and `linalg`.
 """
 
 from __future__ import annotations
@@ -53,23 +54,11 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         return 1 / a
 
     def from_fraction(self, num: int, den: int):
         return Fraction(num, den)
-
-    def coeff_str(self, a) -> str:
-        return str(a)
 
     def __repr__(self):
         return "Q"
@@ -99,15 +88,6 @@ class PrimeField:
             return self.from_fraction(value.numerator, value.denominator)
         raise FieldMismatchError(f"cannot coerce {value!r} into {self.name}")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -115,9 +95,6 @@ class PrimeField:
 
     def from_fraction(self, num: int, den: int):
         return num * self.inv(den % self.p) % self.p
-
-    def coeff_str(self, a) -> str:
-        return str(a % self.p)
 
     def __repr__(self):
         return self.name

@@ -1,8 +1,15 @@
 """Exact bivariate polynomials over Q or F_p, and minors of polynomial matrices.
 
-A Poly is a finite map from exponent pairs to nonzero coefficients, kept
-canonical after every operation.  The text grammar (used by every file
-format) is
+A Poly is a finite map `terms` from exponent pairs to coefficients, kept
+canonical: every key is a `Monomial`, every coefficient is nonzero and of
+the field's own type (a `Fraction` over Q, an int in [0, p) over F_p).
+The public constructor coerces and drops zeros; the arithmetic below builds
+its results through `Poly.from_canonical`, which trusts them.  A product
+runs one integer loop for either field: over F_p on the residues, reduced
+mod p once per result term; over Q on the numerators of each factor over
+its common denominator, divided out once per result term.  Result keys
+keep their first occurrence in the double loop, with cancelled terms
+dropped.  The text grammar (used by every file format) is
 
     poly  := term (('+'|'-') term)*
     term  := coeff ('*'? mono)? | mono
@@ -15,6 +22,8 @@ with insignificant whitespace.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import FieldMismatchError, ParseError
@@ -43,6 +52,30 @@ class Monomial(NamedTuple):
         return f"{xs}*{ys}" if xs and ys else xs + ys
 
 
+_ONE = Monomial(0, 0)
+_tuple_new = tuple.__new__  # _tuple_new(Monomial, (a, b)) skips the arg parsing
+
+
+def _numerators(terms: dict):
+    """(den, [((a, b), n)]): the Q coefficients as n / den over their least
+    common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(m, c.numerator * (den // c.denominator))
+                 for m, c in terms.items()]
+
+
+def _convolve(lhs, rhs) -> dict:
+    """{(a, b): sum of c1*c2 over the pairs of integer terms meeting there},
+    keys in order of first occurrence, zero sums kept."""
+    acc: dict = {}
+    get = acc.get
+    for (a1, b1), c1 in lhs:
+        for (a2, b2), c2 in rhs:
+            k = (a1 + a2, b1 + b2)
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
 class Poly:
     """Canonical sparse polynomial; immutable once constructed."""
 
@@ -52,29 +85,42 @@ class Poly:
         self.field = field
         clean = {}
         if terms:
+            coerce = field.coerce
             for mono, coeff in terms.items():
-                if coeff != field.zero:
-                    clean[Monomial(*mono)] = coeff
+                c = coerce(coeff)
+                if c:
+                    clean[Monomial(*mono)] = c
         self.terms = clean
         self._hash = None
 
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def from_canonical(cls, field: Field, terms: dict) -> "Poly":
+        """Trusted: `terms` already maps Monomials to nonzero coefficients
+        of the field's type, and is not shared with a caller that edits it."""
+        f = object.__new__(cls)
+        f.field = field
+        f.terms = terms
+        f._hash = None
+        return f
+
+    @classmethod
     def zero(cls, field: Field) -> "Poly":
-        return cls(field)
+        return cls.from_canonical(field, {})
 
     @classmethod
     def one(cls, field: Field) -> "Poly":
-        return cls(field, {Monomial(0, 0): field.one})
+        return cls.from_canonical(field, {_ONE: field.one})
 
     @classmethod
     def term(cls, field: Field, a: int, b: int, coeff=1) -> "Poly":
-        return cls(field, {Monomial(a, b): field.coerce(coeff)})
+        c = field.coerce(coeff)
+        return cls.from_canonical(field, {Monomial(a, b): c} if c else {})
 
     @classmethod
     def monomial(cls, field: Field, mono: Monomial) -> "Poly":
-        return cls(field, {mono: field.one})
+        return cls.from_canonical(field, {Monomial(*mono): field.one})
 
     # -- queries -----------------------------------------------------
 
@@ -90,15 +136,15 @@ class Poly:
         """Minimal total degree of the support; order of 0 is raised."""
         if not self.terms:
             raise ValueError("the zero polynomial has no order")
-        return min(m.degree for m in self.terms)
+        return min(a + b for a, b in self.terms)
 
     def degree(self) -> int:
         if not self.terms:
             raise ValueError("the zero polynomial has no degree")
-        return max(m.degree for m in self.terms)
+        return max(a + b for a, b in self.terms)
 
     def constant_term(self):
-        return self.terms.get(Monomial(0, 0), self.field.zero)
+        return self.terms.get(_ONE, self.field.zero)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (-kv[0].a, kv[0].b))
@@ -106,46 +152,91 @@ class Poly:
     # -- arithmetic --------------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(
                 f"operands over different fields: {self.field} vs {other.field}")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        f = self.field
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        p = self.field.p
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = f.add(terms.get(m, f.zero), c)
-        return Poly(f, terms)  # drops the cancelled terms
+            v = terms.get(m)
+            if v is None:
+                terms[m] = c
+                continue
+            v = v + c if p is None else (v + c) % p
+            if v:
+                terms[m] = v
+            else:
+                del terms[m]  # a key occurs once in `other`
+        return Poly.from_canonical(self.field, terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, {m: f.neg(c) for m, c in self.terms.items()})
+        p = self.field.p
+        if p is None:
+            terms = {m: -c for m, c in self.terms.items()}
+        else:
+            terms = {m: p - c for m, c in self.terms.items()}
+        return Poly.from_canonical(self.field, terms)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         f = self.field
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.times(m2)
-                terms[m] = f.add(terms.get(m, f.zero), f.mul(c1, c2))
-        return Poly(f, terms)  # drops the cancelled terms
+        t1, t2 = self.terms, other.terms
+        if not (t1 and t2):
+            return Poly.from_canonical(f, {})
+        if len(t2) == 1:
+            ((a, b), c), = t2.items()
+            return self._times_term(a, b, c)
+        if len(t1) == 1:
+            ((a, b), c), = t1.items()
+            return other._times_term(a, b, c)
+        p = f.p
+        if p is not None:
+            acc = _convolve(t1.items(), t2.items())
+            return Poly.from_canonical(
+                f, {_tuple_new(Monomial, k): r
+                    for k, v in acc.items() if (r := v % p)})
+        d1, lhs = _numerators(t1)
+        d2, rhs = _numerators(t2)
+        acc = _convolve(lhs, rhs)
+        den = d1 * d2
+        return Poly.from_canonical(
+            f, {_tuple_new(Monomial, k): Fraction(v, den)
+                for k, v in acc.items() if v})
+
+    def _times_term(self, a: int, b: int, c0) -> "Poly":
+        """self * c0*x^a*y^b for a nonzero c0 of the field: no term cancels,
+        and the terms keep their order."""
+        p = self.field.p
+        items = self.terms.items()
+        if p is not None:
+            terms = {_tuple_new(Monomial, (ma + a, mb + b)): c * c0 % p
+                     for (ma, mb), c in items}
+        else:
+            n0, d0 = c0.numerator, c0.denominator
+            terms = {_tuple_new(Monomial, (ma + a, mb + b)):
+                     Fraction(c.numerator * n0, c.denominator * d0)
+                     for (ma, mb), c in items}
+        return Poly.from_canonical(self.field, terms)
 
     def scale(self, coeff) -> "Poly":
-        f = self.field
-        c0 = f.coerce(coeff)
-        if c0 == f.zero:
-            return Poly(f)
-        return Poly(f, {m: f.mul(c, c0) for m, c in self.terms.items()})
+        c0 = self.field.coerce(coeff)
+        if not c0:
+            return Poly.from_canonical(self.field, {})
+        return self._times_term(0, 0, c0)
 
     def shift(self, a: int, b: int) -> "Poly":
         """Multiply by the monomial x^a y^b."""
-        return Poly(self.field,
-                    {Monomial(m.a + a, m.b + b): c for m, c in self.terms.items()})
+        return self._times_term(a, b, self.field.one)
 
     # -- equality / hashing -------------------------------------------
 
@@ -174,7 +265,7 @@ def poly_to_str(f: Poly) -> str:
         return "0"
     parts = []
     for mono, coeff in f.sorted_terms():
-        cs = f.field.coeff_str(coeff)
+        cs = str(coeff)
         neg = cs.startswith("-")
         mag = cs[1:] if neg else cs
         if mono.a == 0 and mono.b == 0:
@@ -238,14 +329,12 @@ def parse_poly(text: str, field: Field) -> Poly:
             expect_term = True
             continue
         mono, coeff = _parse_term(field, piece)
-        if sign < 0:
-            coeff = field.neg(coeff)
-        terms[mono] = field.add(terms.get(mono, field.zero), coeff)
+        terms[mono] = terms.get(mono, 0) + (coeff if sign > 0 else -coeff)
         sign = 1
         expect_term = False
     if expect_term:
         raise ParseError(f"dangling sign in {text!r}")
-    return Poly(field, terms)
+    return Poly(field, terms)  # reduces mod p and drops the cancelled terms
 
 
 # ---------------------------------------------------------------------------

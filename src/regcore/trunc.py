@@ -43,26 +43,22 @@ def vector_row(vector, cap=None) -> dict:
     """
     items = []
     for slot, f in enumerate(vector):
-        for mono, coeff in f.terms.items():
-            if cap is None or mono.degree <= cap:
-                items.append((pack_key(mono.degree, slot, mono.b), coeff))
-    if not items:
-        return {}
-    if vector[0].field.p is None:
-        den = 1
-        for _, c in items:
-            den = lcm(den, c.denominator)
-        return {k: int(c * den) for k, c in items}
-    return {k: c for k, c in items}
+        for (a, b), coeff in f.terms.items():
+            if cap is None or a + b <= cap:
+                items.append((pack_key(a + b, slot, b), coeff))
+    if not items or vector[0].field.p is not None:
+        return dict(items)
+    den = lcm(*(c.denominator for _, c in items))
+    return {k: c.numerator * (den // c.denominator) for k, c in items}
 
 
 def row_to_vector(row: dict, field: Field, nslots: int):
     """Decode a sparse row back into a tuple of polynomials."""
     terms = [dict() for _ in range(nslots)]
-    for key, coeff in row.items():
+    for key, coeff in row.items():  # a row holds no zero
         a, b = key_exponents(key)
         terms[key_slot(key)][Monomial(a, b)] = field.coerce(coeff)
-    return tuple(Poly(field, t) for t in terms)
+    return tuple(Poly.from_canonical(field, t) for t in terms)
 
 
 class TruncatedSpan:
@@ -217,7 +213,8 @@ def span_colon(span: TruncatedSpan, columns,
         lams = kernel_modulo(span.basis, rows, cap=cap)
         candidates = [v for v in (combine(lam, candidates, field.p)
                                   for lam in lams) if v]
-    gens = [Poly(field, {monos[i]: field.coerce(c) for i, c in v.items()})
+    gens = [Poly.from_canonical(field, {monos[i]: field.coerce(c)
+                                        for i, c in v.items()})
             for v in candidates]
     gens += [Poly.term(field, d - b, b) for b in range(d + 1)]
     return TruncatedIdeal.materialize(gens, field, order=d + 1, config=config)

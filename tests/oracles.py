@@ -15,7 +15,10 @@ sides of a Nakayama test in one ReferenceSpan, `reference_sym_product`
 multiplies symmetric-power generators out term by term,
 `reference_chain_gens` builds every generator list of a Fitting chain
 eagerly, one determinant per minor, and `reference_minimalize` drops
-dominated monomials by pairwise divisibility.
+dominated monomials by pairwise divisibility.  `reference_add`,
+`reference_neg`, `reference_mul` and `reference_scale` are Poly arithmetic
+one coefficient operation per term, each result re-validated by the public
+Poly constructor.
 """
 
 from fractions import Fraction
@@ -366,3 +369,42 @@ def reference_minimalize(points):
             keep = [q for q in keep if not p.divides(q)]
             keep.append(p)
     return tuple(sorted(keep, key=lambda m: (-m.a, m.b)))
+
+
+def _coefficient_ops(field):
+    """(add, mul, neg) on the field's canonical coefficients."""
+    p = field.p
+    if p is None:
+        return (lambda a, b: a + b), (lambda a, b: a * b), (lambda a: -a)
+    return ((lambda a, b: (a + b) % p), (lambda a, b: a * b % p),
+            (lambda a: -a % p))
+
+
+def reference_add(f, g):
+    add, _, _ = _coefficient_ops(f.field)
+    terms = dict(f.terms)
+    for m, c in g.terms.items():
+        terms[m] = add(terms.get(m, f.field.zero), c)
+    return Poly(f.field, terms)
+
+
+def reference_neg(f):
+    _, _, neg = _coefficient_ops(f.field)
+    return Poly(f.field, {m: neg(c) for m, c in f.terms.items()})
+
+
+def reference_mul(f, g):
+    """The double loop over the terms, keys in order of first occurrence."""
+    add, mul, _ = _coefficient_ops(f.field)
+    terms = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = m1.times(m2)
+            terms[m] = add(terms.get(m, f.field.zero), mul(c1, c2))
+    return Poly(f.field, terms)
+
+
+def reference_scale(f, coeff):
+    _, mul, _ = _coefficient_ops(f.field)
+    c0 = f.field.coerce(coeff)
+    return Poly(f.field, {m: mul(c, c0) for m, c in f.terms.items()})

@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from regcore.errors import FieldMismatchError, ParseError
 from regcore.field import QQ, PrimeField, field_from_name
-from regcore.poly import Poly, matrix_minors, parse_poly, poly_det
+from regcore.poly import Monomial, Poly, matrix_minors, parse_poly, poly_det
 
-from oracles import permutation_determinant
+from oracles import (permutation_determinant, reference_add, reference_mul,
+                     reference_neg, reference_scale)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F65537 = PrimeField(65537)
+X = Monomial(1, 0)
 
 
 def P(text, field=QQ):
@@ -43,6 +46,27 @@ def test_scale_over_prime_field():
     f = Poly.term(F5, 2, 0).scale(3)
     assert f == parse_poly("3*x^2", F5)
     assert Poly.term(F5, 1, 0).scale(5).is_zero
+
+
+def test_constructor_reduces_mod_p_and_drops_zeros():
+    assert Poly(F7, {X: 7}).is_zero
+    assert str(Poly(F7, {X: 7})) == "0"
+    assert Poly(F7, {X: 7}) == Poly.zero(F7)
+
+
+def test_constructor_makes_residues_canonical():
+    f, g = Poly(F7, {X: -1}), Poly(F7, {X: 6})
+    assert f == g
+    assert hash(f) == hash(g)
+    assert f.terms == {X: 6}
+    assert str(f) == str(g) == "6*x"
+
+
+def test_constructor_holds_fractions_over_q():
+    f = Poly(QQ, {(1, 0): 3})
+    [(mono, coeff)] = f.terms.items()
+    assert type(mono) is Monomial and mono == X
+    assert type(coeff) is Fraction and coeff == 3
 
 
 def test_field_mismatch_raises():
@@ -165,3 +189,67 @@ def test_determinant_of_a_submatrix_by_index():
         assert memo[rows, cols] == poly_det(sub, QQ)
     assert poly_det(A, QQ) == poly_det(A, QQ, (0, 1, 2), (0, 1, 2))
     assert poly_det([], QQ) == Poly.one(QQ)
+
+
+# coefficients that wrap around mod p, cancel, or are not integral over Q
+KERNEL_COEFFS = {
+    QQ: [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
+         Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)],
+    F5: [1, 2, 3, 4, 6, -1, 9],
+    F7: [1, 3, 6, 8, -1, -6, 13],
+    F65537: [1, 2, 65536, 65538, -1, -2, 32769],
+}
+
+
+def kernel_polys(field):
+    term = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                     st.sampled_from(KERNEL_COEFFS[field]))
+    return st.lists(term, max_size=6).map(
+        lambda ts: Poly(field, {(a, b): c for a, b, c in ts}))
+
+
+def assert_canonical_equal(got, want):
+    assert got.field == want.field
+    assert got.terms == want.terms
+    assert list(got.terms) == list(want.terms)
+    assert all(type(m) is Monomial for m in got.terms)
+    p = got.field.p
+    for c in got.terms.values():
+        assert c
+        if p is None:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int and 0 <= c < p
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(list(KERNEL_COEFFS)), st.data())
+def test_arithmetic_agrees_with_the_term_by_term_reference(field, data):
+    f = data.draw(kernel_polys(field))
+    g = data.draw(st.one_of(
+        kernel_polys(field),
+        st.just(reference_neg(f)),                        # full cancellation
+        st.just(Poly.zero(field)),
+        st.sampled_from(KERNEL_COEFFS[field]).map(
+            lambda c: Poly.term(field, 1, 2, c))))        # a single term
+    coeff = data.draw(st.sampled_from(KERNEL_COEFFS[field] + [0]))
+    assert_canonical_equal(f * g, reference_mul(f, g))
+    assert_canonical_equal(g * f, reference_mul(g, f))
+    assert_canonical_equal(f + g, reference_add(f, g))
+    assert_canonical_equal(f - g, reference_add(f, reference_neg(g)))
+    assert_canonical_equal(-f, reference_neg(f))
+    assert_canonical_equal(f.scale(coeff), reference_scale(f, coeff))
+
+
+def test_reference_cases_cancel_and_wrap():
+    x_plus_y = parse_poly("x + y", F5)
+    x_minus_y = parse_poly("x + 4*y", F5)
+    assert_canonical_equal(x_plus_y * x_minus_y,
+                           reference_mul(x_plus_y, x_minus_y))
+    assert str(x_plus_y * x_minus_y) == "x^2 + 4*y^2"  # xy terms wrap to 0
+    square = parse_poly("x + y", QQ) * parse_poly("x - y", QQ)
+    assert_canonical_equal(square, parse_poly("x^2 - y^2", QQ))
+    f = parse_poly("1/2*x - 3/4*y", QQ)
+    assert_canonical_equal(f + (-f), Poly.zero(QQ))
+    assert_canonical_equal(f * f, reference_mul(f, f))
+    assert str(f * f) == "1/4*x^2 - 3/4*x*y + 9/16*y^2"

@@ -164,7 +164,7 @@ def test_adjoint_content_factoring():
     # adj(x^2*y * m^2) = x^2*y * m
     shifted = MonomialIdeal.from_exponents([(4, 1), (3, 2), (2, 3)])
     content, reduced = divide_monomial_content(
-        [P("x^4*y"), P("x^3*y^2"), P("x^2*y^3")], QQ)
+        [P("x^4*y"), P("x^3*y^2"), P("x^2*y^3")])
     mono = adjoint(term_ideal(reduced)).shift(content)
     assert mono == M(1).shift((2, 1))
 
