@@ -53,7 +53,6 @@ class Monomial(NamedTuple):
 
 
 _ONE = Monomial(0, 0)
-_tuple_new = tuple.__new__  # _tuple_new(Monomial, (a, b)) skips the arg parsing
 
 
 def _numerators(terms: dict):
@@ -152,7 +151,7 @@ class Poly:
     # -- arithmetic --------------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.field is not other.field and self.field != other.field:
+        if self.field != other.field:
             raise FieldMismatchError(
                 f"operands over different fields: {self.field} vs {other.field}")
 
@@ -193,24 +192,18 @@ class Poly:
         t1, t2 = self.terms, other.terms
         if not (t1 and t2):
             return Poly.from_canonical(f, {})
-        if len(t2) == 1:
-            ((a, b), c), = t2.items()
-            return self._times_term(a, b, c)
-        if len(t1) == 1:
-            ((a, b), c), = t1.items()
-            return other._times_term(a, b, c)
         p = f.p
         if p is not None:
             acc = _convolve(t1.items(), t2.items())
             return Poly.from_canonical(
-                f, {_tuple_new(Monomial, k): r
+                f, {Monomial(*k): r
                     for k, v in acc.items() if (r := v % p)})
         d1, lhs = _numerators(t1)
         d2, rhs = _numerators(t2)
         acc = _convolve(lhs, rhs)
         den = d1 * d2
         return Poly.from_canonical(
-            f, {_tuple_new(Monomial, k): Fraction(v, den)
+            f, {Monomial(*k): Fraction(v, den)
                 for k, v in acc.items() if v})
 
     def _times_term(self, a: int, b: int, c0) -> "Poly":
@@ -219,11 +212,11 @@ class Poly:
         p = self.field.p
         items = self.terms.items()
         if p is not None:
-            terms = {_tuple_new(Monomial, (ma + a, mb + b)): c * c0 % p
+            terms = {Monomial(ma + a, mb + b): c * c0 % p
                      for (ma, mb), c in items}
         else:
             n0, d0 = c0.numerator, c0.denominator
-            terms = {_tuple_new(Monomial, (ma + a, mb + b)):
+            terms = {Monomial(ma + a, mb + b):
                      Fraction(c.numerator * n0, c.denominator * d0)
                      for (ma, mb), c in items}
         return Poly.from_canonical(self.field, terms)
