@@ -159,8 +159,8 @@ class ModuleRep:
 
     def scale_by_gens(self, ideal_gens) -> "ModuleRep":
         """The module a*M for the ideal a generated by ideal_gens."""
-        cols = [tuple(g * f for f in col) for g in ideal_gens
-                for col in self.columns]
+        cols = [tuple(f if f.is_zero else g * f for f in col)
+                for g in ideal_gens for col in self.columns]
         return ModuleRep(self.field, self.rank, cols, config=self.config)
 
     def scale_by_monomial_ideal(self, ideal: staircase.MonomialIdeal) -> "ModuleRep":

@@ -366,6 +366,8 @@ def poly_det(matrix: list[list[Poly]], field: Field, rows=None, cols=None,
                 if entry.is_zero:
                     continue
                 sub = det(rows[:pos] + rows[pos + 1:], subcols)
+                if sub.is_zero:
+                    continue
                 contrib = entry * sub
                 if (pos + best_j) % 2:
                     contrib = -contrib

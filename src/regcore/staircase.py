@@ -169,24 +169,37 @@ def facets(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def in_newton_polyhedron(ideal: MonomialIdeal, point) -> bool:
-    a, b = point
-    return all(alpha * a + beta * b >= gamma for alpha, beta, gamma in facets(ideal))
+def _column_minima(ideal: MonomialIdeal, shift: int) -> MonomialIdeal:
+    """The monomials x^a y^b with (a + shift, b + shift) in NP(ideal), strictly
+    inside when shift = 1, as the least b of each column a <= max_a.
+
+    For integers, alpha*(a+1) + beta*(b+1) > gamma is alpha*a + beta*b >=
+    gamma + 1 - alpha - beta.  A facet with beta > 0 bounds b from below; one
+    with beta = 0 empties the column or imposes nothing.  Every minimal
+    generator is dominated componentwise by the generator box, so columns
+    past max_a and minima past max_b are not needed.
+    """
+    fac, box_b = facets(ideal), ideal.max_b()
+    pts = []
+    for a in range(ideal.max_a() + 1):
+        least = 0
+        for alpha, beta, gamma in fac:
+            need = gamma + shift * (1 - alpha - beta) - alpha * a
+            if beta:
+                least = max(least, -(-need // beta))
+            elif need > 0:
+                break
+        else:
+            if least <= box_b:
+                pts.append(Monomial(a, least))
+    return MonomialIdeal.from_exponents(pts)
 
 
 def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Monomials whose exponent lies in the Newton polyhedron.
-
-    Every minimal generator of the closure is dominated componentwise by
-    the generator box, so scanning [0, max_a] x [0, max_b] is exhaustive.
-    """
+    """Monomials whose exponent lies in the Newton polyhedron."""
     if ideal.is_unit:
         return ideal
-    box_a, box_b = ideal.max_a(), ideal.max_b()
-    pts = [Monomial(a, b)
-           for a in range(box_a + 1) for b in range(box_b + 1)
-           if in_newton_polyhedron(ideal, (a, b))]
-    return MonomialIdeal.from_exponents(pts)
+    return _column_minima(ideal, 0)
 
 
 def adjoint(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -203,12 +216,7 @@ def adjoint(ideal: MonomialIdeal) -> MonomialIdeal:
         Monomial(g.a - c.a, g.b - c.b) for g in ideal.gens)
     if core.is_unit:
         return MonomialIdeal((c,))
-    fac = facets(core)
-    box_a, box_b = core.max_a(), core.max_b()
-    pts = [Monomial(a, b)
-           for a in range(box_a + 1) for b in range(box_b + 1)
-           if all(al * (a + 1) + be * (b + 1) > ga for al, be, ga in fac)]
-    adj = MonomialIdeal.from_exponents(pts)
+    adj = _column_minima(core, 1)
     return adj.shift(c) if (c.a or c.b) else adj
 
 

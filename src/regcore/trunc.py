@@ -66,20 +66,33 @@ class TruncatedSpan:
     built once, one degree at a time like a Macaulay matrix, and never
     changed afterwards.
 
-    Stage t inserts the generator columns of order t, and x*b and y*b for
-    every stored pivot row b of lead degree t-1.  Rows are kept untruncated
-    below the stage bound `order` until the certificate, so every stored
-    row lies in I.
+    Stage t inserts the generator columns of order t, then x*b for every
+    stored pivot row b of lead degree t-1, then y*b for those of them whose
+    row did not come from an x-product (Janet's multiplicative variables:
+    an x-multiple is multiplied further by x only, so each monomial
+    multiple is reached once).  Rows are kept untruncated below the stage
+    bound `order` until the certificate, so every stored row lies in I;
+    stored rows are not changed while the span is built.
 
     Invariant: after stage t, the stored rows together with m^(t+1)F span
     I + m^(t+1)F.  Take f in I and write f = sum c_j(0) g_j + x*h' + y*h''
     with h', h'' in I.  The constant terms use generators of order <= t, and
     each of those was inserted at its own order.  By induction, h' lies in
     the span of the rows with lead degree <= t-1, plus m^t F.  Each such
-    pivot b had x*b inserted at stage lead(b)+1 <= t.  This works because a
-    row inserted at stage s has order >= s, and top reduction only raises
-    its lead, so every pivot of lead degree t-1 exists by the end of stage
-    t-1.
+    pivot b had x*b inserted at stage lead(b)+1 <= t, and y*b too unless b
+    came from an x-product.  This works because a row inserted at stage s
+    has order >= s, and top reduction only raises its lead, so every pivot
+    of lead degree t-1 exists by the end of stage t-1.
+
+    The skipped y*b are covered by R(b, T): for an x-product pivot b and
+    every stage T >= deg lead(b) + 1, y*b lies in span(rows stored after
+    stage T) + m^(T+1)F.  Induct on lead(b).  Its row is b = lam*x*b' -
+    sum c_i r_i modulo m^order F, for a pivot b' of smaller lead degree and
+    stored rows r_i of lead below lead(b) and lead degree <= deg lead(b).
+    Each y*r_i was inserted by stage T or is covered by R(r_i, T).  And
+    y*b' lies in the span after stage T-1 plus m^T F (inserted, or by
+    R(b', T-1)), so x*y*b' is a sum of x*r over stored rows r: inserted at
+    stage deg lead(r) + 1 <= T, or in m^(T+1)F when deg lead(r) >= T.
 
     So the rows of lead degree <= t, read modulo m^(t+1)F, are a basis of
     (I + m^(t+1)F)/m^(t+1)F, and the pivots of lead degree t number
@@ -103,14 +116,20 @@ class TruncatedSpan:
             if row:
                 pending[key_degree(min(row))].append(row)
         leads: list[list[int]] = [[] for _ in range(order)]  # by degree
-        for t, rows in enumerate(pending):
-            for lead in leads[t - 1] if t else ():
-                b = self.basis.rows[lead]
-                rows += [times_monomial(b, 1, 0), times_monomial(b, 0, 1)]
-            for row in rows:
-                lead = self.basis.insert(row, cap=cap)
-                if lead is not None:
-                    leads[key_degree(lead)].append(lead)
+        x_leads = set()  # leads whose stored row came from an x-product
+        for t, gens in enumerate(pending):
+            prev = leads[t - 1] if t else []
+            rows = self.basis.rows
+            xs = [times_monomial(rows[b], 1, 0) for b in prev]
+            ys = [times_monomial(rows[b], 0, 1) for b in prev
+                  if b not in x_leads]
+            for batch in (gens, xs, ys):
+                for row in batch:
+                    lead = self.basis.insert(row, cap=cap)
+                    if lead is not None:
+                        leads[key_degree(lead)].append(lead)
+                        if batch is xs:
+                            x_leads.add(lead)
             if len(leads[t]) == nslots * (t + 1):
                 self.n0, self.order = t, t + 1
                 self.basis.truncate(t)

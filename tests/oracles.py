@@ -15,7 +15,9 @@ sides of a Nakayama test in one ReferenceSpan, `reference_sym_product`
 multiplies symmetric-power generators out term by term,
 `reference_chain_gens` builds every generator list of a Fitting chain
 eagerly, one determinant per minor, and `reference_minimalize` drops
-dominated monomials by pairwise divisibility.  `reference_add`,
+dominated monomials by pairwise divisibility.  `reference_integral_closure`
+and `reference_adjoint` test every point of the generator box against the
+Newton polyhedron's facets.  `reference_add`,
 `reference_neg`, `reference_mul` and `reference_scale` are Poly arithmetic
 one coefficient operation per term, each result re-validated by the public
 Poly constructor.
@@ -30,7 +32,7 @@ from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.linalg import EPS_BASE, SparseBasis, kernel_modulo
 from regcore.modcore import _component_split
 from regcore.poly import Monomial, Poly, matrix_minors, poly_det
-from regcore.staircase import MonomialIdeal, colength
+from regcore.staircase import MonomialIdeal, colength, facets
 from regcore.trunc import (TruncatedIdeal, TruncatedSpan, monomials_below,
                            vector_row)
 
@@ -369,6 +371,35 @@ def reference_minimalize(points):
             keep = [q for q in keep if not p.divides(q)]
             keep.append(p)
     return tuple(sorted(keep, key=lambda m: (-m.a, m.b)))
+
+
+def reference_integral_closure(ideal):
+    """Every point of the [0, max_a] x [0, max_b] box lying in NP(ideal)."""
+    if ideal.is_unit:
+        return ideal
+    fac = facets(ideal)
+    return MonomialIdeal.from_exponents(
+        (a, b) for a in range(ideal.max_a() + 1)
+        for b in range(ideal.max_b() + 1)
+        if all(al * a + be * b >= ga for al, be, ga in fac))
+
+
+def reference_adjoint(ideal):
+    """Every point of the generator box of I/content(I) whose (1,1)-shift lies
+    strictly inside the Newton polyhedron, times the content."""
+    if ideal.is_unit:
+        return ideal
+    c = ideal.content()
+    core = MonomialIdeal.from_exponents(
+        (g.a - c.a, g.b - c.b) for g in ideal.gens)
+    if core.is_unit:
+        return MonomialIdeal((c,))
+    fac = facets(core)
+    adj = MonomialIdeal.from_exponents(
+        (a, b) for a in range(core.max_a() + 1)
+        for b in range(core.max_b() + 1)
+        if all(al * (a + 1) + be * (b + 1) > ga for al, be, ga in fac))
+    return adj.shift(c)
 
 
 def _coefficient_ops(field):

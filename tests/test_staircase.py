@@ -10,7 +10,8 @@ from regcore.staircase import (MonomialIdeal, adjoint, ascii_staircase,
                                presentation_matrix)
 
 from oracles import (brute_colength, brute_colon, brute_product,
-                     mono_member, reference_minimalize)
+                     mono_member, reference_adjoint,
+                     reference_integral_closure, reference_minimalize)
 
 
 def I(*pts):
@@ -200,3 +201,16 @@ def test_minimalize_matches_pairwise_divisibility(pts, repeats, unit):
     got = minimalize(pts)
     assert got == reference_minimalize(pts)
     assert all(isinstance(m, Monomial) for m in got)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                min_size=1, max_size=7),
+       st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_column_scans_match_the_box_scans(pts, content):
+    # shifted by a monomial content; most draws miss an axis, so are not
+    # m-primary
+    ideal = MonomialIdeal.from_exponents(
+        (a + content[0], b + content[1]) for a, b in pts)
+    assert integral_closure(ideal) == reference_integral_closure(ideal)
+    assert adjoint(ideal) == reference_adjoint(ideal)
