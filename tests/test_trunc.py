@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.field import QQ, PrimeField
-from regcore.linalg import kernel_modulo, pack_key, times_monomial
+from regcore.linalg import (SparseBasis, kernel_modulo, pack_key,
+                            times_monomial)
 from regcore.poly import Poly, parse_poly
 from regcore.serialize import ideal_text
 from regcore.staircase import MonomialIdeal, colength as mono_colength
@@ -18,6 +19,7 @@ from oracles import (quotient_dimension, reference_colon, reference_kernel,
                      reference_to_monomial)
 
 F7 = PrimeField(7)
+F65537 = PrimeField(65537)
 
 
 def P(text, field=QQ):
@@ -55,6 +57,31 @@ def test_nakayama_certificate_values():
     assert worked.n0 == 3
     assert worked.contains_poly(P("y^3")) and worked.contains_poly(P("x^3"))
     assert not worked.contains_poly(P("x^2"))
+
+
+@pytest.mark.parametrize("field", [QQ, F7])
+def test_span_builder_reaches_each_monomial_multiple_once(field, monkeypatch):
+    # an x-product pivot is multiplied further by x only, so x*(y*b) and
+    # y*(x*b) are not both inserted: on these monomial spans every insert
+    # is a new pivot
+    leads = []
+    insert = SparseBasis.insert
+
+    def counted(self, row, cap=None):
+        leads.append(insert(self, row, cap))
+        return leads[-1]
+    monkeypatch.setattr(SparseBasis, "insert", counted)
+    zero = Poly.zero(field)
+    x5_y5 = [(P("x^5", field),), (P("y^5", field),)]
+    rank_two = [(P("x^2", field), zero), (P("y^3", field), zero),
+                (zero, P("x", field)), (zero, P("y^4", field))]
+    for columns, nslots, inserts, colength in ((x5_y5, 1, 30, 25),
+                                               (rank_two, 2, 20, 10)):
+        leads.clear()
+        span = span_with_certificate(columns, nslots, field)
+        assert span.colength() == colength
+        assert len(leads) == inserts
+        assert None not in leads
 
 
 def test_non_m_primary_is_rejected():
@@ -309,7 +336,7 @@ def probe_polys(field):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.data())
 def test_builder_matches_reference_builder(data):
-    field = data.draw(st.sampled_from([QQ, F7]))
+    field = data.draw(st.sampled_from([QQ, F7, F65537]))
     gens = st.one_of(mixed_ideals(field).map(lambda i: list(i.gens)),
                      changed_monomial_gens(field))
     i_gens, j_gens = data.draw(gens), data.draw(gens)
@@ -335,6 +362,16 @@ def test_builder_matches_reference_builder(data):
     assert new.colength() == ref.colength() == \
         new_i.colength() + new_j.colength()
     vectors = [(f, g) for f in probes for g in probes]
+    assert [new.contains_vector(v) for v in vectors] == \
+        [ref.contains_vector(v) for v in vectors]
+    # twisted by g = [[1, x], [0, 1]]: g*(I (+) J) is no slotwise sum
+    x = P("x", field)
+    twisted = [(g, zero) for g in i_gens] + [(x * h, h) for h in j_gens]
+    new = span_with_certificate(twisted, 2, field)
+    ref = reference_span(twisted, 2, field)
+    assert new.n0 == ref.n0 == max(new_i.n0, new_j.n0)
+    assert new.colength() == ref.colength() == \
+        new_i.colength() + new_j.colength()
     assert [new.contains_vector(v) for v in vectors] == \
         [ref.contains_vector(v) for v in vectors]
 
