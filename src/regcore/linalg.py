@@ -63,10 +63,6 @@ def combine(coeffs: dict, rows: list[dict], p=None) -> dict:
     return out
 
 
-def key_slot(key: int) -> int:
-    return (key >> _SLOT_SHIFT) & _MASK
-
-
 def key_exponents(key: int) -> tuple[int, int]:
     """(a, b) exponents of the monomial a key stands for."""
     d = key >> _DEG_SHIFT
@@ -271,18 +267,62 @@ class SparseBasis:
         return [key_exponents(lead) for lead, _ in rows]
 
 
+def normal_forms(basis: SparseBasis, cap: int):
+    """D times the normal form modulo span(basis), in the capped quotient,
+    as a lookup: nf(row, a, b) is D*NF(x^a y^b * row).
+
+    After the one `interreduce`, a key k without a pivot (a standard key)
+    is its own normal form and a pivot key k, of row L_k*k + tail_k, has
+    normal form -tail_k/L_k, whose keys are all standard.  D is the lcm
+    of the pivot leads over Q and 1 over F_p, so D*NF(k) is -(D/L_k)*tail_k
+    and D*NF is linear with integer or residue values: a sum of lookups,
+    with no pass against the basis.  It is zero exactly on span(basis).
+    """
+    basis.interreduce()
+    p = basis.p
+    limit = degree_limit(cap)
+    pivots = [(lead, row) for lead, row in basis.rows.items() if lead < limit]
+    scale = 1 if p is not None else lcm(*(row[lead] for lead, row in pivots))
+    table = {lead: {k: (-c % p if p is not None else -(scale // row[lead]) * c)
+                    for k, c in row.items() if k != lead and k < limit}
+             for lead, row in pivots}
+
+    def nf(row: dict, a: int = 0, b: int = 0) -> dict:
+        delta = ((a + b) << _DEG_SHIFT) | b
+        out: dict = {}
+        for k, c in row.items():
+            k += delta
+            if k >= limit:
+                continue
+            tail = table.get(k)
+            if tail is None:
+                out[k] = out.get(k, 0) + c * scale
+            else:
+                for kk, cc in tail.items():
+                    out[kk] = out.get(kk, 0) + c * cc
+        if p is not None:
+            return {k: r for k, v in out.items() if (r := v % p)}
+        return {k: v for k, v in out.items() if v}
+    return nf
+
+
 def kernel_modulo(basis: SparseBasis, rows: list[dict], cap=None) -> list[dict]:
     """Relations sum(lam_i * rows_i) in span(basis), within the capped quotient.
 
     Returns ray representatives of the relation space as dicts {i: coeff}.
     Exact and complete: the relation count equals len(rows) minus the rank
     the rows add on top of the basis.  The basis is interreduced in place
-    first, and its clone takes the rows.
+    first, and its clone takes the rows.  A zero row gives {i: 1} with no
+    insert: inserted, it would be stored as its own tag, which no other
+    row holds, so it would reduce nothing.
     """
     basis.interreduce()
     work = basis.clone()
     kernels = []
     for i, row in enumerate(rows):
+        if not row:
+            kernels.append({i: 1})
+            continue
         aug = dict(row)
         aug[EPS_BASE + i] = 1
         lead = work.insert(aug, cap=cap)

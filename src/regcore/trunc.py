@@ -19,8 +19,7 @@ from .errors import (FieldMismatchError, NotMPrimaryError,
                      TruncationCeilingError, ZeroIdealError)
 from .field import Field
 from .linalg import (SparseBasis, combine, degree_limit, kernel_modulo,
-                     key_degree, key_exponents, key_slot, pack_key,
-                     times_monomial)
+                     key_degree, normal_forms, pack_key, times_monomial)
 from .poly import Monomial, Poly
 from . import staircase
 
@@ -50,15 +49,6 @@ def vector_row(vector, cap=None) -> dict:
         return dict(items)
     den = lcm(*(c.denominator for _, c in items))
     return {k: c.numerator * (den // c.denominator) for k, c in items}
-
-
-def row_to_vector(row: dict, field: Field, nslots: int):
-    """Decode a sparse row back into a tuple of polynomials."""
-    terms = [dict() for _ in range(nslots)]
-    for key, coeff in row.items():  # a row holds no zero
-        a, b = key_exponents(key)
-        terms[key_slot(key)][Monomial(a, b)] = field.coerce(coeff)
-    return tuple(Poly.from_canonical(field, t) for t in terms)
 
 
 class TruncatedSpan:
@@ -198,45 +188,69 @@ def nakayama_covers(big: TruncatedSpan, small) -> bool:
 def span_colon(span: TruncatedSpan, columns,
                config: EngineConfig = DEFAULT) -> "TruncatedIdeal":
     """(N : M) = { r in R : r*M <= N } for the certified span N of R^s and
-    the columns of M.
+    the columns of M, computed in the quotient F/N.
 
-    Let o be the least order of a nonzero entry of M, and d = n0 - o.  Then
-    m^d * M <= m^n0 F <= N, so m^d lies in the colon, and only the
-    monomials of degree < d are candidates that can fail.  Any r in the
-    colon is r_low + r_high with r_high in m^d and r_low a combination of
-    candidates, and r_low lies in the colon too; so the colon is generated
-    by the candidate combinations it contains together with m^d, and it
-    is materialized at order d + 1.  Whether r*c lies in N is decided
-    exactly modulo m^n0 F, since m^n0 F <= N.  The candidates, coefficient
-    vectors over the monomials, are refined one column c at a time: the
-    new candidates are the kernel, against N, of the old ones times c.
-    For d <= 0 no candidate is left: the colon is m^0 = R.  Zero columns
-    impose nothing.
+    With o the least order of a nonzero entry of M and d = n0 - o,
+    m^d * M <= m^n0 F <= N.  Whether r*c lies in N is decided modulo
+    m^n0 F <= N by the normal form of r*c, a sum of `normal_forms`
+    lookups.  The colon's own certificate comes first: the least t <= d at
+    which u*c has normal form zero for every monomial u of degree t and
+    every column c, i.e. m^t * M <= N.  Any r in the colon is r_low +
+    r_high with r_high in m^t and r_low a combination of the monomials of
+    degree < t, and r_low lies in the colon too; so the colon is generated
+    by the low combinations it contains and m^t.  The low candidates are
+    refined one column c at a time: the new ones are the relations among
+    the normal forms of the old ones times c, a kernel against an empty
+    basis.  Zero columns impose nothing.
+
+    The generators are those of refining every monomial of degree < d
+    against N itself, then m^d.  Top reduction of a row against N's
+    reduced basis and the rows stored on top of it meets the stored rows
+    at the same keys, with the same ratios, as top reduction of the row's
+    normal form against theirs: an N row leaves normal forms alone, and
+    the normal form of a row whose least key k is standard keeps its
+    coefficient at k and has no smaller key.  So the residuals' normal
+    forms agree up to a scalar, and a relation, a residual with tags
+    only, is stored as the same ray.  A monomial u of degree >= t gives a
+    zero row, whose relation {u: 1} no other relation holds, so the
+    candidates of degree t..d-1 stay units, listed after the low ones.
     """
     field = span.field
     orders = [f.order() for col in columns for f in col if not f.is_zero]
     d = max(span.n0 - min(orders, default=span.n0), 0)
     cap = span.n0 - 1
-    limit = degree_limit(cap)
-    monos = monomials_below(d - 1)
-    candidates = [{i: 1} for i in range(len(monos))]
-    for col in columns:
+    nf = normal_forms(span.basis, cap)
+    bases = [r for r in (vector_row(col, cap=cap) for col in columns) if r]
+    shifted = [[] for _ in bases]  # normal forms of u*column, deg u < t
+    t = 0
+    while t < d:
+        stage = [[nf(base, t - b, b) for b in range(t + 1)] for base in bases]
+        if not any(map(any, stage)):
+            break
+        for rows, more in zip(shifted, stage):
+            rows += more
+        t += 1
+    candidates = [{i: 1} for i in range(triangle(t))]
+    for rows in shifted:
         if not candidates:
             break
-        base = vector_row(col, cap=cap)
-        if not base:
-            continue
-        shifted = [{k: c for k, c in times_monomial(base, *m).items()
-                    if k < limit} for m in monos]
-        rows = [combine(v, shifted, field.p) for v in candidates]
-        lams = kernel_modulo(span.basis, rows, cap=cap)
+        lams = kernel_modulo(SparseBasis(field),
+                             [combine(v, rows, field.p) for v in candidates])
         candidates = [v for v in (combine(lam, candidates, field.p)
                                   for lam in lams) if v]
+    low = len(candidates)
+    monos = monomials_below(d - 1)
+    candidates += [{i: 1} for i in range(triangle(t), len(monos))]
     gens = [Poly.from_canonical(field, {monos[i]: field.coerce(c)
                                         for i, c in v.items()})
             for v in candidates]
     gens += [Poly.term(field, d - b, b) for b in range(d + 1)]
-    return TruncatedIdeal.materialize(gens, field, order=d + 1, config=config)
+    ideal = TruncatedIdeal.materialize(
+        gens[:low] + [Poly.term(field, t - b, b) for b in range(t + 1)],
+        field, order=t + 1, config=config)
+    if ideal.is_unit:  # gens (1,), as for a unit among `gens`
+        return ideal
+    return TruncatedIdeal(field, gens, ideal.span, config)
 
 
 class TruncatedIdeal:
@@ -328,22 +342,6 @@ class TruncatedIdeal:
             raise TruncationCeilingError(
                 f"product needs truncation {order} > ceiling")
         return TruncatedIdeal.materialize(gens, self.field, order=order,
-                                          config=self.config)
-
-    def intersect(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
-        """I meet J, for n0(I) >= n0(J) = s (else the other way round): the
-        rows of I below t = n0(I) are a basis of I/m^t, the combinations of
-        them that lie in J, decided modulo m^s <= J, span (I meet J)/m^t,
-        and m^t <= I meet J.  Neither span changes."""
-        if self.n0 < other.n0:
-            return other.intersect(self)
-        t = self.n0
-        rows = self.span.basis_rows(t - 1)
-        lams = kernel_modulo(other.span.basis, rows, cap=other.n0 - 1)
-        combos = (combine(lam, rows, self.field.p) for lam in lams)
-        gens = [row_to_vector(c, self.field, 1)[0] for c in combos if c]
-        gens += [Poly.term(self.field, t - b2, b2) for b2 in range(t + 1)]
-        return TruncatedIdeal.materialize(gens, self.field, order=t + 1,
                                           config=self.config)
 
     def colon(self, other) -> "TruncatedIdeal":

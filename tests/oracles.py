@@ -6,7 +6,9 @@ rank computations use a standalone Fraction Gaussian elimination, and
 determinants use the permutation-sum formula.  The exceptions are the
 references for the engine's faster routines, which reuse its echelon
 basis: `ReferenceSpan` builds a span the direct way, `reference_colon`
-tests every monomial below the certificate, `reference_fitting`
+tests every monomial below the certificate, `sequential_colon` refines
+the colon's candidates against N itself, `reference_intersect` meets two
+ideals by a kernel against the smaller certificate, `reference_fitting`
 enumerates every minor size again for each k, `reference_kernel`
 runs the kernel loop against a basis as it stands, without interreducing
 it first, `reference_to_monomial` tests every monomial up to the
@@ -29,7 +31,8 @@ from itertools import (combinations, combinations_with_replacement,
 
 from regcore.config import DEFAULT
 from regcore.errors import NotMPrimaryError, ZeroIdealError
-from regcore.linalg import EPS_BASE, SparseBasis, kernel_modulo
+from regcore.linalg import (EPS_BASE, SparseBasis, combine, degree_limit,
+                            kernel_modulo, key_exponents, times_monomial)
 from regcore.modcore import _component_split
 from regcore.poly import Monomial, Poly, matrix_minors, poly_det
 from regcore.staircase import MonomialIdeal, colength, facets
@@ -232,6 +235,57 @@ def reference_colon(span, columns, config=DEFAULT):
         candidates = new_candidates
     gens = candidates + [Poly.term(field, t - b, b) for b in range(t + 1)]
     return TruncatedIdeal.materialize(gens, field, order=t + 1, config=config)
+
+
+def sequential_colon(span, columns, config=DEFAULT):
+    """(N : M) as the engine computed it before it worked in F/N: every
+    monomial of degree < d = n0 - o is a candidate, refined one column at
+    a time by `kernel_modulo` against N itself, then m^d is appended."""
+    field = span.field
+    orders = [f.order() for col in columns for f in col if not f.is_zero]
+    d = max(span.n0 - min(orders, default=span.n0), 0)
+    cap = span.n0 - 1
+    limit = degree_limit(cap)
+    monos = monomials_below(d - 1)
+    candidates = [{i: 1} for i in range(len(monos))]
+    for col in columns:
+        if not candidates:
+            break
+        base = vector_row(col, cap=cap)
+        if not base:
+            continue
+        shifted = [{k: c for k, c in times_monomial(base, *m).items()
+                    if k < limit} for m in monos]
+        rows = [combine(v, shifted, field.p) for v in candidates]
+        lams = kernel_modulo(span.basis, rows, cap=cap)
+        candidates = [v for v in (combine(lam, candidates, field.p)
+                                  for lam in lams) if v]
+    gens = [Poly.from_canonical(field, {monos[i]: field.coerce(c)
+                                        for i, c in v.items()})
+            for v in candidates]
+    gens += [Poly.term(field, d - b, b) for b in range(d + 1)]
+    return TruncatedIdeal.materialize(gens, field, order=d + 1, config=config)
+
+
+def reference_intersect(a, b):
+    """I meet J, for n0(I) >= n0(J) = s (else the other way round): the
+    rows of I below t = n0(I) are a basis of I/m^t, the combinations of
+    them that lie in J, decided modulo m^s <= J, span (I meet J)/m^t, and
+    m^t <= I meet J.  Neither span changes."""
+    if a.n0 < b.n0:
+        return reference_intersect(b, a)
+    field, t = a.field, a.n0
+    rows = a.span.basis_rows(t - 1)
+    lams = kernel_modulo(b.span.basis, rows, cap=b.n0 - 1)
+    gens = []
+    for combo in (combine(lam, rows, field.p) for lam in lams):
+        if combo:
+            gens.append(Poly.from_canonical(field, {
+                Monomial(*key_exponents(k)): field.coerce(c)
+                for k, c in combo.items()}))
+    gens += [Poly.term(field, t - e, e) for e in range(t + 1)]
+    return TruncatedIdeal.materialize(gens, field, order=t + 1,
+                                      config=a.config)
 
 
 def reference_fitting(matrix, k, field, config=DEFAULT):

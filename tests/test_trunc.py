@@ -5,18 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.field import QQ, PrimeField
-from regcore.linalg import (SparseBasis, kernel_modulo, pack_key,
-                            times_monomial)
+from regcore.linalg import (SparseBasis, combine, kernel_modulo,
+                            normal_forms, pack_key, times_monomial)
 from regcore.poly import Poly, parse_poly
 from regcore.serialize import ideal_text
 from regcore.staircase import MonomialIdeal, colength as mono_colength
 from regcore.modcore import ModuleRep, colon_into
 from regcore.trunc import (TruncatedIdeal, monomials_below, nakayama_covers,
-                           span_with_certificate, triangle, vector_row)
+                           span_colon, span_with_certificate, triangle,
+                           vector_row)
 
-from oracles import (quotient_dimension, reference_colon, reference_kernel,
-                     reference_nakayama_covers, reference_span,
-                     reference_to_monomial)
+from oracles import (quotient_dimension, reference_colon, reference_intersect,
+                     reference_kernel, reference_nakayama_covers,
+                     reference_span, reference_to_monomial, sequential_colon)
 
 F7 = PrimeField(7)
 F65537 = PrimeField(65537)
@@ -115,7 +116,8 @@ def test_unit_short_circuit():
     assert unit.product(i).equals(i) and i.product(unit).equals(i)  # R*I
     assert i.colon(unit).equals(i)  # I:R
     assert unit.colon(i).is_unit  # R:I
-    assert unit.intersect(i).equals(i) and i.intersect(unit).equals(i)
+    assert reference_intersect(unit, i).equals(i)
+    assert reference_intersect(i, unit).equals(i)
     assert i.plus(unit).is_unit and unit.plus(i).is_unit
     assert ideal_text(unit) == "R"
     assert unit.to_monomial() == MonomialIdeal.unit()
@@ -151,7 +153,7 @@ def test_intersection_of_mixed_ideals():
     left = Tr("x", "y^2")
     right = Tr("x^2", "y")
     expected = TruncatedIdeal.from_monomial(M(2), QQ)
-    assert left.intersect(right).equals(expected)
+    assert reference_intersect(left, right).equals(expected)
 
 
 def test_intersection_of_ideals_with_different_certificates():
@@ -162,8 +164,8 @@ def test_intersection_of_ideals_with_different_certificates():
     big = TruncatedIdeal.from_monomial(big_mono, QQ)
     assert (small.n0, big.n0) == (3, 5)
     expected = small_mono.intersect(big_mono)
-    assert small.intersect(big).to_monomial() == expected
-    assert big.intersect(small).to_monomial() == expected
+    assert reference_intersect(small, big).to_monomial() == expected
+    assert reference_intersect(big, small).to_monomial() == expected
     assert small.n0 == 3 and small.colength() == mono_colength(small_mono)
 
 
@@ -185,7 +187,7 @@ def test_intersect_leaves_both_spans_unchanged():
             for ideal in (left, right):
                 ideal.span.basis.interreduce()  # as any query leaves it
             before = [state(left), state(right)]
-            meet = left.intersect(right)
+            meet = reference_intersect(left, right)
             assert [state(left), state(right)] == before
             assert left.contains_ideal(meet) and right.contains_ideal(meet)
             assert meet.colength() + left.plus(right).colength() == \
@@ -260,7 +262,7 @@ def test_dual_backend_ops_agree(p1, p2):
     assert a.colength() == mono_colength(a_mono)
     assert a.product(b).to_monomial() == a_mono.product(b_mono)
     assert a.plus(b).to_monomial() == a_mono.plus(b_mono)
-    assert a.intersect(b).to_monomial() == a_mono.intersect(b_mono)
+    assert reference_intersect(a, b).to_monomial() == a_mono.intersect(b_mono)
     assert a.colon(b).to_monomial() == a_mono.colon(b_mono)
     assert a.equals(b) == (a_mono == b_mono)
 
@@ -294,7 +296,7 @@ def test_colon_properties_on_mixed_ideals(j, i):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(mixed_ideals(), mixed_ideals())
 def test_lattice_relations_on_mixed_ideals(i, j):
-    meet = i.intersect(j)
+    meet = reference_intersect(i, j)
     join = i.plus(j)
     assert i.contains_ideal(meet) and j.contains_ideal(meet)
     assert join.contains_ideal(i) and join.contains_ideal(j)
@@ -350,7 +352,8 @@ def test_builder_matches_reference_builder(data):
         assert new.colength() == ref.colength()
         assert [new.contains_poly(f) for f in probes] == \
             [ref.contains_poly(f) for f in probes]
-    assert new_i.intersect(new_j).equals(ref_i.intersect(ref_j))
+    assert reference_intersect(new_i, new_j).equals(
+        reference_intersect(ref_i, ref_j))
     assert new_i.colon(new_j).equals(ref_i.colon(ref_j))
     assert new_j.colon(new_i).equals(ref_j.colon(ref_i))
     # the rank-2 direct sum I (+) J
@@ -445,6 +448,20 @@ def test_interreduce_keeps_leads_span_and_answers(data):
         rows += [times_monomial(r, 1, 0) for r in rows]
         assert kernel_modulo(basis, rows, cap=cap) == \
             reference_kernel(plain, rows, cap=cap)
+        # a zero row is its own relation, taken without an insert
+        with_zeros = [row for r in rows for row in ({}, r)] + [{}]
+        assert kernel_modulo(basis, with_zeros, cap=cap) == \
+            reference_kernel(plain, with_zeros, cap=cap)
+        # lookup normal forms: zero exactly on the span, linear at the
+        # fixed scale, and a shift argument that multiplies first
+        nf = normal_forms(basis, cap)
+        assert [not nf(r) for r in rows] == \
+            [basis.contains(r, cap=cap) for r in rows]
+        assert all(nf(r, 1, 0) == nf(times_monomial(r, 1, 0)) for r in rows)
+        for r, r2 in zip(rows, rows[1:]):
+            lam = {0: 3, 1: -2}
+            assert nf(combine(lam, [r, r2], field.p)) == \
+                combine(lam, [nf(r), nf(r2)], field.p)
         before = dict(basis.rows)
         basis.interreduce()  # a second call is a no-op
         assert all(basis.rows[k] is before[k] for k in before)
@@ -487,7 +504,64 @@ def test_colon_matches_reference_colon(data):
                   + [(zero, g) for g in i_gens])
     result = colon_into(n, m)
     assert result.equals(reference_colon(n.span(), m.columns))
-    assert result.equals(i.colon(j).intersect(j.colon(i)))
+    assert result.equals(reference_intersect(i.colon(j), j.colon(i)))
+
+
+def assert_same_colon(span, columns):
+    new, old = span_colon(span, columns), sequential_colon(span, columns)
+    assert new.gens == old.gens
+    assert [list(g.terms.items()) for g in new.gens] == \
+        [list(g.terms.items()) for g in old.gens]  # same terms, same order
+    assert (new.n0, new.colength()) == (old.n0, old.colength())
+
+
+def colon_degrees(span, columns):
+    """(t, d): the least t with m^t * M <= N, by membership of every
+    monomial multiple, and d = n0 - o."""
+    orders = [f.order() for col in columns for f in col if not f.is_zero]
+    d = max(span.n0 - min(orders, default=span.n0), 0)
+    t = next(t for t in range(d + 1) if all(
+        span.contains_vector(tuple(f.shift(t - b, b) for f in col))
+        for col in columns for b in range(t + 1)))
+    return t, d
+
+
+@pytest.mark.parametrize("n_gens, m_gens, degrees", [
+    (("x", "y^5"), ("x", "y^4"), (1, 4)),  # t < d
+    (("x^2", "y^2"), ("x", "y"), (2, 2)),  # t = d
+    (("x", "y^5"), ("x", "y^5", "x*y"), (0, 4)),  # t = 0: M <= N, R
+    (("x^2", "y^2"), ("x^3", "y^3"), (0, 0)),  # d = 0
+    (("x^2 + y^3", "x*y"), ("0", "x", "y^2"), (2, 3)),  # a zero column
+    (("x^2", "x*y + y^3", "y^4"), ("x + y", "y^2"), (3, 3)),
+])
+def test_colon_regimes_match_sequential_colon(n_gens, m_gens, degrees):
+    for field in (QQ, F7, F65537):
+        span = Tr(*n_gens, field=field).span
+        columns = [(P(g, field),) for g in m_gens]
+        assert colon_degrees(span, columns) == degrees
+        assert_same_colon(span, columns)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_colon_gens_match_sequential_colon(data):
+    # the colon in F/N lists the generators of refining every candidate
+    # against N itself, byte for byte
+    field = data.draw(st.sampled_from([QQ, F7, F65537]))
+    gens = st.one_of(mixed_ideals(field).map(lambda i: list(i.gens)),
+                     changed_monomial_gens(field), uneven_gens(field))
+    i_gens, j_gens = data.draw(gens), data.draw(gens)
+    i, j = (TruncatedIdeal.materialize(g, field) for g in (i_gens, j_gens))
+    for big, small_gens in ((i, j_gens), (j, i_gens), (i, i_gens)):
+        assert_same_colon(big.span, [(g,) for g in small_gens])
+    zero = Poly.zero(field)
+    x = P("x", field)
+    n = span_with_certificate([(g, zero) for g in i_gens]
+                              + [(zero, h) for h in j_gens], 2, field)
+    for m in ([(h, zero) for h in j_gens] + [(zero, g) for g in i_gens],
+              [(g, x * g) for g in j_gens] + [(zero, zero)]
+              + [(zero, h) for h in i_gens]):
+        assert_same_colon(n, m)
 
 
 def test_colon_edges():
