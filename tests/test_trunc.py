@@ -540,6 +540,7 @@ def test_colon_regimes_match_sequential_colon(n_gens, m_gens, degrees):
         columns = [(P(g, field),) for g in m_gens]
         assert colon_degrees(span, columns) == degrees
         assert_same_colon(span, columns)
+        assert span_colon(span, columns).is_unit == (degrees[0] == 0)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
