@@ -137,8 +137,8 @@ def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None):
         nmax = max(1, J.colength())
     power = I  # I^n, starting at n = 1
     for n in range(1, nmax + 1):
-        try:
-            next_power = power.product(I)  # I^(n+1)
+        try:  # I^(n+1); I's kept square first
+            next_power = I.square() if n == 1 else power.product(I)
         except TruncationCeilingError:
             return None
         q_gens = [g * h for g in J.gens for h in power.gens]
@@ -276,10 +276,12 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
     """Adjoint by the colon formula: (J : I) for a minimal reduction J.
 
     Requires I integrally closed (`check_closed` decides it when I is
-    monomial, the caller asserts it otherwise).  The result is recomputed
-    for independent sampler seeds and must agree: the first seed's
-    reduction is certified by powers of I, the later ones by its colength
-    e(I) (`rees_reduction`).
+    monomial, the caller asserts it otherwise).  The first seed's J is
+    certified by powers of I, and its colon must have colength(J) -
+    colength(I), as linkage gives for a parameter ideal J <= I
+    (Peskine-Szpiro 1974).  The later seeds' J_k, certified by colength
+    e(I) (`rees_reduction`), must agree: their colons have that colength
+    too, so J_k : I = first exactly when first*I <= J_k.
     On monomial input the output is checked to be integrally closed.
     """
     if I.is_unit:
@@ -288,9 +290,13 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
     check_closed([mono])
     J, cert = minimal_reduction(I, sampler.spawn(0))
     e, first = J.colength(), J.colon(I)
+    if first.colength() != e - I.colength():
+        raise MathError("colength(J : I) is not colength(J) - colength(I)")
+    products = [g * h for g in first.standard_gens()
+                for h in I.standard_gens()]
     for k in range(1, ADJOINT_SEEDS):
         J, _ = rees_reduction(I, sampler.spawn(1009 * k), e, cert)
-        if not first.equals(J.colon(I)):
+        if not all(J.contains_poly(f) for f in products):
             raise GenericityError("colon adjoints disagree across seeds")
     if mono is not None:
         out = first.to_monomial()
@@ -309,15 +315,14 @@ def hilbert_samuel(I: TruncatedIdeal, sampler: GenericSampler) -> int:
     """
     if I.is_unit:
         return 0
-    J, _cert = minimal_reduction(I, sampler)
-    method_a = J.colength()
+    method_a = minimal_reduction(I, sampler)[0].colength()
 
     def colengths():  # of I, I^2, ... up to the truncation ceiling
         power = I
         while True:
             yield power.colength()
             try:
-                power = power.product(I)
+                power = I.square() if power is I else power.product(I)
             except TruncationCeilingError:
                 raise TruncationCeilingError(
                     "cannot stabilize second differences under the "

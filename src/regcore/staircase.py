@@ -88,9 +88,6 @@ class MonomialIdeal:
 
     # -- ideal arithmetic -------------------------------------------------
 
-    def plus(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return MonomialIdeal.from_exponents(self.gens + other.gens)
-
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return MonomialIdeal.from_exponents(
             g.times(h) for g in self.gens for h in other.gens)

@@ -18,8 +18,8 @@ from .config import DEFAULT, EngineConfig
 from .errors import (FieldMismatchError, NotMPrimaryError,
                      TruncationCeilingError, ZeroIdealError)
 from .field import Field
-from .linalg import (SparseBasis, combine, degree_limit, kernel_modulo,
-                     key_degree, normal_forms, pack_key, times_monomial)
+from .linalg import (SparseBasis, combine, kernel_modulo, key_degree,
+                     key_exponents, normal_forms, pack_key, times_monomial)
 from .poly import Monomial, Poly
 from . import staircase
 
@@ -89,8 +89,8 @@ class TruncatedSpan:
     nslots*(t+1) exactly when m^t F <= I + m^(t+1)F, which by Nakayama
     means m^t F <= I.  The first such t is the certificate n0: building
     stops there with order = n0 + 1, and since m^n0 F <= I the rows are
-    trimmed to degree <= n0 and rows of higher lead are dropped, leaving a
-    basis of I/m^(n0+1)F.  No certificate below `order` leaves n0 = None.
+    trimmed to degree < n0 and rows of higher lead are dropped, leaving a
+    basis of I/m^n0 F.  No certificate below `order` leaves n0 = None.
     """
 
     def __init__(self, field: Field, nslots: int, columns, order: int):
@@ -122,7 +122,7 @@ class TruncatedSpan:
                             x_leads.add(lead)
             if len(leads[t]) == nslots * (t + 1):
                 self.n0, self.order = t, t + 1
-                self.basis.truncate(t)
+                self.basis.truncate(t - 1)
                 return
 
     def colength(self) -> int:
@@ -131,12 +131,6 @@ class TruncatedSpan:
     def contains_vector(self, vector) -> bool:
         return self.basis.contains(vector_row(vector, cap=self.n0 - 1),
                                    cap=self.n0 - 1)
-
-    def basis_rows(self, cap):
-        """Capped copies of the stored rows, deterministic order."""
-        limit = degree_limit(cap)
-        return [{k: c for k, c in self.basis.rows[lead].items() if k < limit}
-                for lead in sorted(self.basis.rows) if lead < limit]
 
 
 def span_with_certificate(columns, nslots: int, field: Field,
@@ -162,27 +156,28 @@ def span_with_certificate(columns, nslots: int, field: Field,
 
 
 def nakayama_covers(big: TruncatedSpan, small) -> bool:
-    """Is the certified span `big` generated by the columns `small`?
+    """Is the certified span I = `big` generated by the columns `small`?
 
-    Requires span(small) <= big: every caller knows it.  With n0 = n0(big),
-    m^(n0+1)F = m*m^n0 F <= m*big, so by Nakayama span(small) = big exactly
-    when span(small) + m*big = big modulo m^(n0+1)F, and as the left side
-    lies in the right one, exactly when their dimensions there agree.
-    m*big is spanned there by x*b and y*b for the rows b of `big`, a basis
-    of big/m^(n0+1)F, and only those of lead degree < n0 leave anything
-    below degree n0+1; m*span(small) <= m*big, so the `small` columns go
-    in unshifted.
+    Requires span(small) <= I: every caller knows it.  With n0 = n0(I),
+    m^(n0+1)F = m*m^n0 F <= m*I, so by Nakayama span(small) = I exactly
+    when span(small) + m*I = I modulo m^(n0+1)F, and as the left side lies
+    in the right one, exactly when their dimensions there agree.  There I
+    is its stored basis of I/m^n0 F plus all of m^n0 F, the degree-n0
+    block of nslots*(n0+1) keys, and m*I is spanned by x*b and y*b for the
+    stored rows b; m*span(small) <= m*I, so the `small` columns go in
+    unshifted.
     """
     n0 = big.n0
     basis = SparseBasis(big.field)
-    for b in big.basis_rows(n0 - 1):
+    for _, b in sorted(big.basis.rows.items()):
         basis.insert(times_monomial(b, 1, 0), cap=n0)
         basis.insert(times_monomial(b, 0, 1), cap=n0)
     for col in small:
         row = vector_row(col, cap=n0)
         if row:
             basis.insert(row, cap=n0)
-    return basis.dim_up_to(n0) == big.basis.dim_up_to(n0)
+    return basis.dim_up_to(n0) == \
+        big.basis.dim_up_to(n0 - 1) + big.nslots * (n0 + 1)
 
 
 def span_colon(span: TruncatedSpan, columns,
@@ -263,6 +258,7 @@ class TruncatedIdeal:
         self.gens = tuple(gens)
         self.span = span
         self.config = config
+        self._square = None  # I*I once built; no higher power is kept
 
     # -- constructors ---------------------------------------------------
 
@@ -326,23 +322,20 @@ class TruncatedIdeal:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def plus(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
-        return TruncatedIdeal.materialize(
-            self.gens + other.gens, self.field,
-            order=min(self.n0, other.n0) + 1, config=self.config)
-
     def product(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
-        seen: dict[Poly, None] = {}
-        for g in self.gens:
-            for h in other.gens:
-                seen.setdefault(g * h, None)
-        gens = list(seen.keys())
+        gens = list(dict.fromkeys(g * h for g in self.gens for h in other.gens))
         order = self.n0 + other.n0 + 1
         if order > self.config.truncation_ceiling:
             raise TruncationCeilingError(
                 f"product needs truncation {order} > ceiling")
         return TruncatedIdeal.materialize(gens, self.field, order=order,
                                           config=self.config)
+
+    def square(self) -> "TruncatedIdeal":
+        """I*I, built by `product` on first use and kept."""
+        if self._square is None:
+            self._square = self.product(self)
+        return self._square
 
     def colon(self, other) -> "TruncatedIdeal":
         """(self : other) = { r : r * other <= self }, by `span_colon`.
@@ -356,6 +349,26 @@ class TruncatedIdeal:
         return span_colon(self.span, [(g,) for g in other_gens], self.config)
 
     # -- conversions ---------------------------------------------------------
+
+    def standard_gens(self) -> list[Poly]:
+        """Generators of I, at most n0 + 1: for each minimal generator u of
+        the lead ideal L = (leads) + m^n0, the stored row of lead u, or u.
+
+        A stored row lies in I + m^n0 = I, and v times it has least key
+        v*lead.  The least term of f in I lies in L (the rows are an echelon
+        basis of I/m^n0), so subtracting a multiple of v times one generator
+        raises f's least key.  So I <= I' + m^k for their ideal I' and every
+        k, and I = I' by Krull's intersection theorem in R/I'.
+        """
+        field, rows = self.field, self.span.basis.rows
+        leads = {key_exponents(k): k for k in rows}
+        lead_ideal = staircase.MonomialIdeal.from_exponents(
+            list(leads) + [(self.n0 - b, b) for b in range(self.n0 + 1)])
+        return [Poly.from_canonical(field, {
+                    Monomial(*key_exponents(k)): field.coerce(c)
+                    for k, c in rows[leads[u]].items()})
+                if u in leads else Poly.monomial(field, u)
+                for u in lead_ideal.gens]
 
     def to_monomial(self) -> staircase.MonomialIdeal | None:
         """The monomial ideal equal to self, if self is monomial: as m^n0 <= I,

@@ -8,7 +8,9 @@ references for the engine's faster routines, which reuse its echelon
 basis: `ReferenceSpan` builds a span the direct way, `reference_colon`
 tests every monomial below the certificate, `sequential_colon` refines
 the colon's candidates against N itself, `reference_intersect` meets two
-ideals by a kernel against the smaller certificate, `reference_fitting`
+ideals by a kernel against the smaller certificate, `reference_plus`
+spans both generator lists at once (`reference_monomial_plus` joins two
+monomial ideals' generators), `reference_fitting`
 enumerates every minor size again for each k, `reference_kernel`
 runs the kernel loop against a basis as it stands, without interreducing
 it first, `reference_to_monomial` tests every monomial up to the
@@ -152,7 +154,7 @@ class ReferenceSpan(TruncatedSpan):
     column below a fixed truncation order, then a certificate search that
     probes each degree-t monomial of every slot for membership mod m^(t+1).
 
-    Only construction differs; colength, membership and basis_rows are the
+    Only construction differs; colength and membership are the
     engine's own, so an ideal or module can run on either builder.
     """
 
@@ -275,7 +277,9 @@ def reference_intersect(a, b):
     if a.n0 < b.n0:
         return reference_intersect(b, a)
     field, t = a.field, a.n0
-    rows = a.span.basis_rows(t - 1)
+    limit = degree_limit(t - 1)
+    rows = [{k: c for k, c in a.span.basis.rows[lead].items() if k < limit}
+            for lead in sorted(a.span.basis.rows) if lead < limit]
     lams = kernel_modulo(b.span.basis, rows, cap=b.n0 - 1)
     gens = []
     for combo in (combine(lam, rows, field.p) for lam in lams):
@@ -286,6 +290,20 @@ def reference_intersect(a, b):
     gens += [Poly.term(field, t - e, e) for e in range(t + 1)]
     return TruncatedIdeal.materialize(gens, field, order=t + 1,
                                       config=a.config)
+
+
+def reference_plus(a, b):
+    """I + J, certified below the smaller certificate: m^s <= I + J for
+    s = min(n0(I), n0(J))."""
+    return TruncatedIdeal.materialize(a.gens + b.gens, a.field,
+                                      order=min(a.n0, b.n0) + 1,
+                                      config=a.config)
+
+
+def reference_monomial_plus(a, b):
+    """I + J for monomial ideals: the minimal ones among both generator
+    lists."""
+    return MonomialIdeal.from_exponents(a.gens + b.gens)
 
 
 def reference_fitting(matrix, k, field, config=DEFAULT):

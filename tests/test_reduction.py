@@ -1,10 +1,14 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcore import reduction
 from regcore.cli import divide_monomial_content
 from regcore.config import EngineConfig
-from regcore.errors import GenericityError, MathError, NotMPrimaryError
+from regcore.errors import (GenericityError, MathError, NotMPrimaryError,
+                            ZeroIdealError)
 from regcore.field import QQ, PrimeField
 from regcore.poly import parse_poly
 from regcore.poly import Poly
@@ -17,7 +21,7 @@ from regcore.reduction import (COEFFICIENT_POOL, RETRY_LIMIT, GenericSampler,
                                rees_reduction, term_ideal)
 from regcore.staircase import (MonomialIdeal, adjoint, integral_closure,
                                multiplicity)
-from regcore.trunc import TruncatedIdeal
+from regcore.trunc import TruncatedIdeal, span_colon
 
 from test_trunc import as_m_primary, mixed_ideals
 
@@ -319,3 +323,72 @@ def test_degree_four_coordinate_change_builds_no_powers(monkeypatch):
     assert adj.colength() == 3
     assert all(adj.contains_poly(g) for g in
                _changed(field, [(g.a, g.b) for g in expected.gens], lin))
+
+
+def linkage_inputs(field):
+    """m-primary ideals, integrally closed or not, monomial or under a
+    linear change of coordinates (invertible over Q, F7 and F65537), and
+    binomial-perturbed ones."""
+    pts = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                   min_size=1, max_size=4).map(as_m_primary).filter(
+        lambda mono: not mono.is_unit)
+    monos = st.one_of(pts, pts.map(integral_closure))
+    lins = st.sampled_from([((1, 0), (0, 1)), ((1, 1), (0, 1)),
+                            ((2, -1), (1, 2)), ((3, -3), (3, -1))])
+    return st.one_of(
+        st.tuples(monos, lins).map(lambda t: TruncatedIdeal.materialize(
+            _changed(field, [(m.a, m.b) for m in t[0].gens], t[1]), field)),
+        mixed_ideals(field))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_colon_by_a_parameter_ideal_has_the_linked_colength(data):
+    # linkage: colength(J : I) = colength(J) - colength(I) for J <= I
+    # generated by two elements with finite colength
+    field = data.draw(st.sampled_from([QQ, F7, F65537]))
+    I = data.draw(linkage_inputs(field))
+    sampler = GenericSampler(data.draw(st.integers(0, 10**6)))
+    columns = [(g,) for g in I.gens]
+    try:
+        J = TruncatedIdeal.materialize(
+            [sampler.combination(columns)[0] for _ in range(2)], field)
+    except (NotMPrimaryError, ZeroIdealError):
+        return  # J is no parameter ideal
+    assert span_colon(J.span, columns).colength() == \
+        J.colength() - I.colength()
+
+
+def test_seeds_that_disagree_are_refused():
+    # the later seeds' reductions are tested by first*I <= J_k; for this
+    # ideal, which is not monomial, the colons still differ across seeds
+    gens = ["6*y^3", "6*x^2*y^3", "2*x^2*y", "6*x^3 + 3*x*y^2 + 3*x*y^3",
+            "x^6", "y^6"]
+    I = TruncatedIdeal.materialize([P(g, F7) for g in gens], F7)
+    for seed in range(1, 7):
+        with pytest.raises(GenericityError,
+                           match="colon adjoints disagree across seeds"):
+            adjoint_ideal(I, GenericSampler(seed))
+
+
+def test_one_square_per_ideal_and_no_higher_power_kept(monkeypatch):
+    # phi(x^3, x*y, y^2), phi = (x + y, x - y): closed, not monomial
+    field = F65537
+    I = TruncatedIdeal.materialize(
+        _changed(field, [(3, 0), (1, 1), (0, 2)], ((1, 1), (1, -1))), field)
+    squares, built = [], []
+    product = TruncatedIdeal.product
+
+    def counted(self, other):
+        out = product(self, other)
+        if self is I and other is I:
+            squares.append(out)
+        built.append(weakref.ref(out))
+        return out
+    monkeypatch.setattr(TruncatedIdeal, "product", counted)
+    assert hilbert_samuel(I, GenericSampler(1)) == 5
+    assert adjoint_ideal(I, GenericSampler(2)).colength() == 1
+    assert len(squares) == 1 and len(built) > 1  # I^3, ... were built too
+    del squares
+    gc.collect()
+    assert [ref() for ref in built if ref() is not None] == [I.square()]

@@ -5,18 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.field import QQ, PrimeField
-from regcore.linalg import (SparseBasis, combine, kernel_modulo,
+from regcore.linalg import (SparseBasis, combine, kernel_modulo, key_degree,
                             normal_forms, pack_key, times_monomial)
 from regcore.poly import Poly, parse_poly
 from regcore.serialize import ideal_text
 from regcore.staircase import MonomialIdeal, colength as mono_colength
 from regcore.modcore import ModuleRep, colon_into
-from regcore.trunc import (TruncatedIdeal, monomials_below, nakayama_covers,
+from regcore.trunc import (TruncatedIdeal, TruncatedSpan, monomials_below,
+                           nakayama_covers,
                            span_colon, span_with_certificate, triangle,
                            vector_row)
 
 from oracles import (quotient_dimension, reference_colon, reference_intersect,
-                     reference_kernel, reference_nakayama_covers,
+                     reference_kernel, reference_monomial_plus,
+                     reference_nakayama_covers, reference_plus,
                      reference_span, reference_to_monomial, sequential_colon)
 
 F7 = PrimeField(7)
@@ -118,7 +120,8 @@ def test_unit_short_circuit():
     assert unit.colon(i).is_unit  # R:I
     assert reference_intersect(unit, i).equals(i)
     assert reference_intersect(i, unit).equals(i)
-    assert i.plus(unit).is_unit and unit.plus(i).is_unit
+    assert reference_plus(i, unit).is_unit
+    assert reference_plus(unit, i).is_unit
     assert ideal_text(unit) == "R"
     assert unit.to_monomial() == MonomialIdeal.unit()
 
@@ -143,7 +146,7 @@ def test_product_agrees_with_staircase():
 
 
 def test_sum_and_membership():
-    s = Tr("x^2", "y^3").plus(Tr("x^3", "x*y", "y^2"))
+    s = reference_plus(Tr("x^2", "y^3"), Tr("x^3", "x*y", "y^2"))
     assert s.contains_poly(P("x*y"))
     assert s.equals(Tr("x^2", "x*y", "y^2"))
     assert s.colength() == 3
@@ -190,7 +193,7 @@ def test_intersect_leaves_both_spans_unchanged():
             meet = reference_intersect(left, right)
             assert [state(left), state(right)] == before
             assert left.contains_ideal(meet) and right.contains_ideal(meet)
-            assert meet.colength() + left.plus(right).colength() == \
+            assert meet.colength() + reference_plus(left, right).colength() == \
                 left.colength() + right.colength()
 
 
@@ -261,7 +264,8 @@ def test_dual_backend_ops_agree(p1, p2):
     b = TruncatedIdeal.from_monomial(b_mono, QQ)
     assert a.colength() == mono_colength(a_mono)
     assert a.product(b).to_monomial() == a_mono.product(b_mono)
-    assert a.plus(b).to_monomial() == a_mono.plus(b_mono)
+    assert reference_plus(a, b).to_monomial() == \
+        reference_monomial_plus(a_mono, b_mono)
     assert reference_intersect(a, b).to_monomial() == a_mono.intersect(b_mono)
     assert a.colon(b).to_monomial() == a_mono.colon(b_mono)
     assert a.equals(b) == (a_mono == b_mono)
@@ -297,7 +301,7 @@ def test_colon_properties_on_mixed_ideals(j, i):
 @given(mixed_ideals(), mixed_ideals())
 def test_lattice_relations_on_mixed_ideals(i, j):
     meet = reference_intersect(i, j)
-    join = i.plus(j)
+    join = reference_plus(i, j)
     assert i.contains_ideal(meet) and j.contains_ideal(meet)
     assert join.contains_ideal(i) and join.contains_ideal(j)
     # (I meet J) * (I join J) <= I*J
@@ -665,3 +669,95 @@ def test_nakayama_covers_the_free_module():
         assert not nakayama_covers(free, [(one, one),
                                           (one + P("x", field), one)])
         assert not nakayama_covers(free, [])
+
+
+def span_inputs(field):
+    """Generator lists of m-primary ideals, R included: monomial,
+    coordinate-changed and uneven."""
+    def terms(pts):
+        return [Poly.monomial(field, g) for g in as_m_primary(pts).gens]
+    return st.one_of(mono_pts.map(terms), changed_monomial_gens(field),
+                     uneven_gens(field))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_standard_gens_generate_the_ideal(data):
+    field = data.draw(st.sampled_from([QQ, F7, F65537]))
+    ideal = TruncatedIdeal.materialize(data.draw(span_inputs(field)), field)
+    gens = ideal.standard_gens()
+    assert len(gens) <= ideal.n0 + 1
+    again = TruncatedIdeal.materialize(gens, field)
+    assert again.colength() == ideal.colength()
+    assert again.contains_ideal(ideal) and ideal.contains_ideal(again)
+
+
+def test_standard_gens_of_the_unit_ideal():
+    for field in (QQ, F7, F65537):
+        unit = TruncatedIdeal.materialize([P("1 + x", field)], field)
+        assert unit.standard_gens() == [Poly.one(field)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_certified_spans_store_nothing_at_or_above_n0(data):
+    # a span keeps a basis of I/m^n0 F: the degree-n0 block is all of
+    # m^n0 F/m^(n0+1) F, and no query reads it from the rows
+    field = data.draw(st.sampled_from([QQ, F7, F65537]))
+    i_gens, j_gens = data.draw(span_inputs(field)), data.draw(span_inputs(field))
+    i, j = (TruncatedIdeal.materialize(g, field) for g in (i_gens, j_gens))
+    zero, x = Poly.zero(field), P("x", field)
+    twisted = [(g, zero) for g in i_gens] + [(x * h, h) for h in j_gens]
+    for span in (i.span, j.span, i.product(j).span, i.square().span,
+                 i.colon(j).span, j.colon(i).span,
+                 span_with_certificate(twisted, 2, field)):
+        assert all(key_degree(k) < span.n0
+                   for row in span.basis.rows.values() for k in row)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.data())
+def test_nakayama_covers_on_twisted_spans_matches_reference(data):
+    # M = g*(I (+) J) for g = [[1, x], [0, 1]], whose columns are no
+    # slotwise sum; every `small` lies in M
+    field = data.draw(st.sampled_from([QQ, F7]))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    zero, x = Poly.zero(field), P("x", field)
+    big = [(g, zero) for g in data.draw(span_inputs(field))] + \
+        [(x * h, h) for h in data.draw(span_inputs(field))]
+    span = span_with_certificate(big, 2, field)
+    combos = []
+    for i, col in enumerate(big):  # unitriangular: they generate M
+        for other in big[i + 1:]:
+            f = Poly.term(field, rnd.randint(0, 2), rnd.randint(0, 2),
+                          rnd.randint(-3, 3))
+            col = tuple(a + f * b for a, b in zip(col, other))
+        combos.append(col)
+    dropped = list(big)
+    del dropped[rnd.randrange(len(big))]
+    for small in (combos, dropped, big[:1], []):
+        assert nakayama_covers(span, small) == \
+            reference_nakayama_covers(big, small, 2, field, span.n0)
+    assert nakayama_covers(span, combos)
+
+
+def test_nakayama_covers_at_n0_zero_matches_reference():
+    for field in (QQ, F7):
+        zero, one = Poly.zero(field), Poly.one(field)
+        x, y = P("x", field), P("y", field)
+        for big in ([(one, zero), (zero, one)], [(one, zero), (x, one)],
+                    [(one, x), (y, one)]):
+            span = span_with_certificate(big, 2, field)
+            assert span.n0 == 0 and not span.basis.rows
+            for small in (big, [(one + x, y), (one, one)],
+                          [(one, one), (one + x, one)], [(x, y)], []):
+                assert nakayama_covers(span, small) == \
+                    reference_nakayama_covers(big, small, 2, field, 0)
+        unit = span_with_certificate([(one + x,)], 1, field)
+        assert nakayama_covers(unit, [(y + one,)])
+        assert not nakayama_covers(unit, [(x,)])
+
+
+def test_span_docstrings_name_the_stored_quotient():
+    assert "I/m^n0 F" in TruncatedSpan.__doc__
+    assert "I/m^n0 F" in nakayama_covers.__doc__
