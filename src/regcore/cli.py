@@ -184,8 +184,8 @@ def _cmd_core(args, config):
         out = adjoint(ideal).product(ideal)
     else:
         core = core_module(ModuleRep.from_ideal(ideal), sampler)
-        out = TruncatedIdeal.materialize([col[0] for col in core.columns],
-                                         fld, config=config)
+        gens = dict.fromkeys(col[0] for col in core.columns)  # each once
+        out = TruncatedIdeal.materialize(list(gens), fld, config=config)
     _emit(args, ideal_to_obj(out, fld), _ideal_with_art(out))
     return 0
 

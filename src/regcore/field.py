@@ -113,6 +113,8 @@ Field = RationalField | PrimeField
 
 def field_from_name(name: str) -> Field:
     """Parse a field descriptor: "Q" or "F<p>"."""
+    if not isinstance(name, str):
+        raise ParseError(f"a field descriptor must be a string, got {name!r}")
     name = name.strip()
     if name == "Q":
         return QQ

@@ -87,7 +87,7 @@ def _strip_content(row: dict) -> dict:
 class SparseBasis:
     """Incremental echelon basis, keyed by lead.
 
-    A stored row dict is never mutated, since clones share them:
+    A stored row dict is never mutated, so copies of `rows` may share them:
     `interreduce` replaces rows rather than editing them.
     """
 
@@ -96,14 +96,6 @@ class SparseBasis:
         self.p = field.p  # None over Q
         self.rows: dict[int, dict] = {}
         self.reduced = False  # True while no row holds another's pivot key
-
-    def clone(self) -> "SparseBasis":
-        other = SparseBasis.__new__(SparseBasis)
-        other.field = self.field
-        other.p = self.p
-        other.rows = dict(self.rows)
-        other.reduced = self.reduced
-        return other
 
     def dim_up_to(self, cap: int) -> int:
         limit = degree_limit(cap)
@@ -133,9 +125,7 @@ class SparseBasis:
         queries the same way.  Top reduction stops at the least key k such
         that no element of the span agrees with the row on every key below
         k and at k; that k, and whether it exists (membership), depend on
-        the span only.  In `kernel_modulo` the rows stored on top of two
-        such bases of N therefore differ by elements of N, which carry no
-        kernel tags, so the relation rays are the same.
+        the span only.
         """
         if self.reduced:
             return
@@ -306,18 +296,17 @@ def normal_forms(basis: SparseBasis, cap: int):
     return nf
 
 
-def kernel_modulo(basis: SparseBasis, rows: list[dict], cap=None) -> list[dict]:
-    """Relations sum(lam_i * rows_i) in span(basis), within the capped quotient.
+def kernel_modulo(rows: list[dict], field: Field) -> list[dict]:
+    """Relations sum(lam_i * rows_i) = 0 among the rows.
 
     Returns ray representatives of the relation space as dicts {i: coeff}.
-    Exact and complete: the relation count equals len(rows) minus the rank
-    the rows add on top of the basis.  The basis is interreduced in place
-    first, and its clone takes the rows.  A zero row gives {i: 1} with no
+    Each row is inserted with its own kernel tag, and a residual with tags
+    only is a relation.  Exact and complete: the relation count equals
+    len(rows) minus the rank of the rows.  A zero row gives {i: 1} with no
     insert: inserted, it would be stored as its own tag, which no other
     row holds, so it would reduce nothing.
     """
-    basis.interreduce()
-    work = basis.clone()
+    work = SparseBasis(field)
     kernels = []
     for i, row in enumerate(rows):
         if not row:
@@ -325,8 +314,8 @@ def kernel_modulo(basis: SparseBasis, rows: list[dict], cap=None) -> list[dict]:
             continue
         aug = dict(row)
         aug[EPS_BASE + i] = 1
-        lead = work.insert(aug, cap=cap)
-        if lead is not None and lead >= EPS_BASE:
+        lead = work.insert(aug)  # never None: the tag is new
+        if lead >= EPS_BASE:
             stored = work.rows[lead]
             kernels.append({k - EPS_BASE: c for k, c in stored.items()})
     return kernels

@@ -307,6 +307,8 @@ def _parse_term(field: Field, text: str):
 
 def parse_poly(text: str, field: Field) -> Poly:
     """Parse the polynomial grammar; raises ParseError on malformed input."""
+    if not isinstance(text, str):
+        raise ParseError(f"a polynomial must be a string, got {text!r}")
     compact = text.replace("−", "-").replace(" ", "").replace("\t", "")
     if not compact:
         raise ParseError("empty polynomial")

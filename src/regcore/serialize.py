@@ -73,17 +73,18 @@ def module_from_obj(obj, config: EngineConfig = DEFAULT) -> ModuleRep:
             raise ParseError(f"module needs '{key}'")
     fld = field_from_name(obj["field"])
     rank = obj["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ParseError("'rank' must be a positive integer")
-    cols = []
-    for col in obj["generators"]:
-        if not isinstance(col, list) or len(col) != rank:
-            raise ParseError("each generator must list one entry per row")
-        cols.append(tuple(parse_poly(s, fld) for s in col))
-    pres = None
-    if obj.get("presentation") is not None:
-        pres = [[parse_poly(s, fld) for s in row]
-                for row in obj["presentation"]]
+    gens, pres = obj["generators"], obj.get("presentation")
+    if not isinstance(gens, list) or not all(
+            isinstance(col, list) and len(col) == rank for col in gens):
+        raise ParseError("each generator must list one entry per row")
+    cols = [tuple(parse_poly(s, fld) for s in col) for col in gens]
+    if pres is not None:
+        if not isinstance(pres, list) or not all(
+                isinstance(row, list) for row in pres):
+            raise ParseError("'presentation' must be a list of rows")
+        pres = [[parse_poly(s, fld) for s in row] for row in pres]
     try:
         module = ModuleRep(fld, rank, cols, presentation=pres, config=config)
     except MathError as exc:

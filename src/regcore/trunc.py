@@ -195,20 +195,9 @@ def span_colon(span: TruncatedSpan, columns,
     degree < t, and r_low lies in the colon too; so the colon is generated
     by the low combinations it contains and m^t.  The low candidates are
     refined one column c at a time: the new ones are the relations among
-    the normal forms of the old ones times c, a kernel against an empty
-    basis.  Zero columns impose nothing.
-
-    The generators are those of refining every monomial of degree < d
-    against N itself, then m^d.  Top reduction of a row against N's
-    reduced basis and the rows stored on top of it meets the stored rows
-    at the same keys, with the same ratios, as top reduction of the row's
-    normal form against theirs: an N row leaves normal forms alone, and
-    the normal form of a row whose least key k is standard keeps its
-    coefficient at k and has no smaller key.  So the residuals' normal
-    forms agree up to a scalar, and a relation, a residual with tags
-    only, is stored as the same ray.  A monomial u of degree >= t gives a
-    zero row, whose relation {u: 1} no other relation holds, so the
-    candidates of degree t..d-1 stay units, listed after the low ones.
+    the normal forms of the old ones times c, a plain `kernel_modulo`.
+    Zero columns impose nothing.  The survivors and m^t are returned, with
+    n0 = t, since m^(t-1) * M <= N fails by the choice of t.
     """
     field = span.field
     orders = [f.order() for col in columns for f in col if not f.is_zero]
@@ -229,23 +218,16 @@ def span_colon(span: TruncatedSpan, columns,
     for rows in shifted:
         if not candidates:
             break
-        lams = kernel_modulo(SparseBasis(field),
-                             [combine(v, rows, field.p) for v in candidates])
+        lams = kernel_modulo([combine(v, rows, field.p) for v in candidates],
+                             field)
         candidates = [v for v in (combine(lam, candidates, field.p)
                                   for lam in lams) if v]
-    low = len(candidates)
-    monos = monomials_below(d - 1)
-    candidates += [{i: 1} for i in range(triangle(t), len(monos))]
+    monos = monomials_below(t - 1)
     gens = [Poly.from_canonical(field, {monos[i]: field.coerce(c)
                                         for i, c in v.items()})
             for v in candidates]
-    gens += [Poly.term(field, d - b, b) for b in range(d + 1)]
-    ideal = TruncatedIdeal.materialize(
-        gens[:low] + [Poly.term(field, t - b, b) for b in range(t + 1)],
-        field, order=t + 1, config=config)
-    if ideal.is_unit:  # gens (1,), as for a unit among `gens`
-        return ideal
-    return TruncatedIdeal(field, gens, ideal.span, config)
+    gens += [Poly.term(field, t - b, b) for b in range(t + 1)]
+    return TruncatedIdeal.materialize(gens, field, order=t + 1, config=config)
 
 
 class TruncatedIdeal:
@@ -337,16 +319,9 @@ class TruncatedIdeal:
             self._square = self.product(self)
         return self._square
 
-    def colon(self, other) -> "TruncatedIdeal":
-        """(self : other) = { r : r * other <= self }, by `span_colon`.
-
-        `other` may be a TruncatedIdeal or an iterable of generators.
-        """
-        other_gens = other.gens if isinstance(other, TruncatedIdeal) \
-            else list(other)
-        if any(g.constant_term() != self.field.zero for g in other_gens):
-            return self  # (I : R) = I
-        return span_colon(self.span, [(g,) for g in other_gens], self.config)
+    def colon(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
+        """(self : other) = { r : r * other <= self }, by `span_colon`."""
+        return span_colon(self.span, [(g,) for g in other.gens], self.config)
 
     # -- conversions ---------------------------------------------------------
 

@@ -34,7 +34,7 @@ from itertools import (combinations, combinations_with_replacement,
 from regcore.config import DEFAULT
 from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.linalg import (EPS_BASE, SparseBasis, combine, degree_limit,
-                            kernel_modulo, key_exponents, times_monomial)
+                            key_exponents, times_monomial)
 from regcore.modcore import _component_split
 from regcore.poly import Monomial, Poly, matrix_minors, poly_det
 from regcore.staircase import MonomialIdeal, colength, facets
@@ -198,10 +198,13 @@ def reference_span(columns, nslots, field, ceiling=64):
 
 
 def reference_kernel(basis, rows, cap=None):
-    """`kernel_modulo`'s relation rays, by top reduction against the rows
-    of `basis` as stored (echelon, not necessarily reduced): `insert`
-    never interreduces."""
-    work = basis.clone()
+    """Relations sum(lam_i * rows_i) in span(basis), within the capped
+    quotient, as ray representatives {i: coeff}: each row goes on top of a
+    copy of the rows of `basis` as stored (echelon, not necessarily
+    reduced; `insert` never interreduces) with its own kernel tag.  Against
+    an empty basis these are `kernel_modulo`'s rays."""
+    work = SparseBasis(basis.field)
+    work.rows = dict(basis.rows)
     kernels = []
     for i, row in enumerate(rows):
         aug = dict(row)
@@ -226,7 +229,7 @@ def reference_colon(span, columns, config=DEFAULT):
             break
         rows = [vector_row(tuple(c * f for f in col), cap=cap)
                 for c in candidates]
-        lams = kernel_modulo(span.basis, rows, cap=cap)
+        lams = reference_kernel(span.basis, rows, cap=cap)
         new_candidates = []
         for lam in lams:
             combo = Poly.zero(field)
@@ -242,7 +245,7 @@ def reference_colon(span, columns, config=DEFAULT):
 def sequential_colon(span, columns, config=DEFAULT):
     """(N : M) as the engine computed it before it worked in F/N: every
     monomial of degree < d = n0 - o is a candidate, refined one column at
-    a time by `kernel_modulo` against N itself, then m^d is appended."""
+    a time by `reference_kernel` against N itself, then m^d is appended."""
     field = span.field
     orders = [f.order() for col in columns for f in col if not f.is_zero]
     d = max(span.n0 - min(orders, default=span.n0), 0)
@@ -259,7 +262,7 @@ def sequential_colon(span, columns, config=DEFAULT):
         shifted = [{k: c for k, c in times_monomial(base, *m).items()
                     if k < limit} for m in monos]
         rows = [combine(v, shifted, field.p) for v in candidates]
-        lams = kernel_modulo(span.basis, rows, cap=cap)
+        lams = reference_kernel(span.basis, rows, cap=cap)
         candidates = [v for v in (combine(lam, candidates, field.p)
                                   for lam in lams) if v]
     gens = [Poly.from_canonical(field, {monos[i]: field.coerce(c)
@@ -280,7 +283,7 @@ def reference_intersect(a, b):
     limit = degree_limit(t - 1)
     rows = [{k: c for k, c in a.span.basis.rows[lead].items() if k < limit}
             for lead in sorted(a.span.basis.rows) if lead < limit]
-    lams = kernel_modulo(b.span.basis, rows, cap=b.n0 - 1)
+    lams = reference_kernel(b.span.basis, rows, cap=b.n0 - 1)
     gens = []
     for combo in (combine(lam, rows, field.p) for lam in lams):
         if combo:

@@ -196,23 +196,28 @@ def test_howald_adjoint_of_terms_is_answered_above_the_ceiling(tmp_path,
 
 # phi(x^4, x^2*y, y^2) for phi: y -> x + y; its adjoint is phi((x^2, y))
 PHI = ["x^4", "x^2*y + x^3", "y^2 + 2*x*y + x^2"]
-BELOW_5 = [str(m) for d in (2, 3, 4) for m in MonomialIdeal.max_power(d).gens]
 
 
 @pytest.mark.parametrize("field", ["Q", "F65537"])
 def test_colon_adjoint_prints_a_non_monomial_answer(tmp_path, capsys, field):
     path = write(tmp_path, "I.json", {"field": field, "gens": PHI})
     argv = ("adjoint", "--ideal", path, "--method", "colon")
-    gens = ["x + y"] + BELOW_5  # (x^2, x + y), with n0 = 2
+    # (x^2, x + y), with n0 = 2: the low combination x + y, then m^2
+    gens = ["x + y", "x^2", "x*y", "y^2"]
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert json.loads(out) == {"field": field, "gens": gens, "n0": 2,
                                "colength": 2, "method": "colon"}
     assert run(capsys, *argv, "--format", "text") == \
         (0, "(" + ", ".join(gens) + ")\n", "")
+    # core = adj*I, each generator printed once
+    code, out, err = run(capsys, "core", "--ideal", path)
+    assert code == 0
+    core = json.loads(out)
+    assert (core["n0"], core["colength"]) == (6, 12)
+    assert len(core["gens"]) == len(set(core["gens"])) == 10
     # times x: the answer x*adj is not m-primary, so only its generators
-    shifted = ["x^2 + x*y"] + [str(parse_poly(g, QQ).shift(1, 0))
-                               for g in BELOW_5]
+    shifted = [str(parse_poly(g, QQ).shift(1, 0)) for g in gens]
     path = write(tmp_path, "J.json", {
         "field": field,
         "gens": [str(parse_poly(g, QQ).shift(1, 0)) for g in PHI]})
@@ -345,6 +350,30 @@ def test_unknown_fields_rejected(tmp_path, capsys):
     code, out, err = run(capsys, "mult", "--ideal", path)
     assert code == 2
     assert "bogus" in err
+
+
+GEN = [["x"], ["y"]]
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (("closure", "--ideal"), {"field": "Q", "gens": [1, "y"]}),
+    (("closure", "--ideal"), {"field": 7, "gens": ["x", "y"]}),
+    (("br", "--module"), {"field": "Q", "rank": 1, "generators": [None]}),
+    (("br", "--module"), {"field": "Q", "rank": 1, "generators": [[None]]}),
+    (("br", "--module"), {"field": "Q", "rank": 1, "generators": 5}),
+    (("br", "--module"), {"field": "Q", "rank": True, "generators": GEN}),
+    (("br", "--module"), {"field": "Q", "rank": 1, "generators": GEN,
+                          "presentation": [["y", 1]]}),
+    (("br", "--module"), {"field": "Q", "rank": 1, "generators": GEN,
+                          "presentation": [1]}),
+    (("fitting", "--k", "1", "--presentation"),
+     {"field": "Q", "matrix": [[1]]}),
+])
+def test_json_values_of_the_wrong_type_are_input_errors(tmp_path, capsys,
+                                                        argv, obj):
+    code, out, err = run(capsys, *argv, write(tmp_path, "in.json", obj))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_closure_roundtrip(tmp_path, capsys):

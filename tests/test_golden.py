@@ -60,7 +60,7 @@ CLI_COMMANDS = [["closure"], ["adjoint", "--method", "howald"],
                 ["adjoint", "--method", "both"], ["core"], ["mult"],
                 ["reduction"]]
 CLI_DIGEST = \
-    "cb0d8e0613dcaa8002e56d3a81b359dcb351fa56279549b31fab68535f3035db"
+    "a9af2cdcd1fe24b9cb1f484920c0cd7520ad49a8d9f1e3fc0329b003388c2bbc"
 
 
 def test_cli_digest(tmp_path, capsys):
