@@ -463,23 +463,29 @@ def core_module(M: ModuleRep, sampler: GenericSampler) -> ModuleRep:
     sums of monomial ideals that are not.  adj(I(M)) is read on the
     staircase when I(M) is monomial, else computed by `adjoint_ideal`.
 
-    With a presentation at hand the Fitting route I_(n-r-1)(A) * M is
-    computed as well and any mismatch is an error.
+    With a presentation A, the paper's adj(I(M)) = I_(n-r-1)(A) is checked
+    on the ideals; equal ideals give equal products, so the Fitting route
+    I_(n-r-1)(A) * M agrees too.  Fitting ideals are invariants of M, so
+    for closed M this holds for every presentation.  It fails when A's
+    columns are syzygies that do not generate them all (ModuleRep checks
+    only that they are syzygies), or when M is not integrally closed.
     """
     I = M.minor_ideal()
     if I.is_unit:
         return M  # free module: its only reduction is itself
     mono = I.to_monomial()
     check_closed([mono] if M.rank == 1 else _slot_monomial_ideals(M) or [])
-    if mono is not None:
-        result = M.scale_by_monomial_ideal(staircase.adjoint(mono))
-    else:
-        result = M.scale_by_gens(list(adjoint_ideal(I, sampler).gens))
+    adj = (staircase.adjoint(mono) if mono is not None
+           else adjoint_ideal(I, sampler))
     if M.presentation is not None:
         fit = fitting(M.presentation, M.ngens - M.rank - 1, M.field,
                       config=M.config)
-        via_fitting = M.scale_by_gens(list(fit.gens))
-        if not result.equals(via_fitting):
+        if not (fit.to_monomial() == adj if mono is not None
+                else fit.equals(adj)):
             raise GenericityError(
-                "adjoint route and Fitting route disagree on the core")
-    return result
+                "adj(I(M)) differs from I_(n-r-1) of the presentation: its "
+                "columns do not generate the syzygies, or M is not "
+                "integrally closed")
+    if mono is not None:
+        return M.scale_by_monomial_ideal(adj)
+    return M.scale_by_gens(list(adj.gens))

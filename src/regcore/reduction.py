@@ -141,7 +141,7 @@ def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None):
             next_power = I.square() if n == 1 else power.product(I)
         except TruncationCeilingError:
             return None
-        q_gens = [g * h for g in J.gens for h in power.gens]
+        q_gens = [g * h for g in J.gens for h in power.standard_gens()]
         if smaller_ideal_equals(next_power, q_gens):
             return ReductionCertificate(tuple(J.gens), n,
                                         next_power.colength())

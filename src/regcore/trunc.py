@@ -12,6 +12,7 @@ equality test of the reduction layers is a pivot count on a certified span.
 
 from __future__ import annotations
 
+import weakref
 from math import lcm
 
 from .config import DEFAULT, EngineConfig
@@ -133,10 +134,17 @@ class TruncatedSpan:
                                    cap=self.n0 - 1)
 
 
+# Certified spans by (field, nslots, columns, stop), held only while some
+# caller holds them.  A span never changes after __init__ (`interreduce`
+# keeps its span and leads), so equal inputs can share one.
+_certified: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def span_with_certificate(columns, nslots: int, field: Field,
                           config: EngineConfig = DEFAULT,
                           order: int | None = None) -> TruncatedSpan:
-    """Materialize a span up to its Nakayama certificate.
+    """Materialize a span up to its Nakayama certificate, or return the
+    certified span already built from the same columns and stop.
 
     An explicit `order` bounds the stages; otherwise the truncation ceiling
     does.
@@ -144,9 +152,11 @@ def span_with_certificate(columns, nslots: int, field: Field,
     ceiling = config.truncation_ceiling
     if order is not None and order > ceiling:
         raise TruncationCeilingError(f"order {order} exceeds ceiling {ceiling}")
-    span = TruncatedSpan(field, nslots, columns,
-                         ceiling if order is None else order)
+    stop = ceiling if order is None else order
+    key = (field, nslots, tuple(map(tuple, columns)), stop)
+    span = _certified.get(key) or TruncatedSpan(field, nslots, key[2], stop)
     if span.n0 is not None:
+        _certified[key] = span
         return span
     if order is not None:
         raise NotMPrimaryError("not m-primary at this truncation")
@@ -305,7 +315,9 @@ class TruncatedIdeal:
     # -- arithmetic ---------------------------------------------------------
 
     def product(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
-        gens = list(dict.fromkeys(g * h for g in self.gens for h in other.gens))
+        """I*J from the standard generators of each, at most n0 + 1."""
+        gens = list(dict.fromkeys(g * h for g in self.standard_gens()
+                                  for h in other.standard_gens()))
         order = self.n0 + other.n0 + 1
         if order > self.config.truncation_ceiling:
             raise TruncationCeilingError(
@@ -333,8 +345,10 @@ class TruncatedIdeal:
         v*lead.  The least term of f in I lies in L (the rows are an echelon
         basis of I/m^n0), so subtracting a multiple of v times one generator
         raises f's least key.  So I <= I' + m^k for their ideal I' and every
-        k, and I = I' by Krull's intersection theorem in R/I'.
+        k, and I = I' by Krull's intersection theorem in R/I'.  The rows are
+        read reduced, so every holder of a shared span gets the same list.
         """
+        self.span.basis.interreduce()
         field, rows = self.field, self.span.basis.rows
         leads = {key_exponents(k): k for k in rows}
         lead_ideal = staircase.MonomialIdeal.from_exponents(

@@ -525,6 +525,24 @@ def test_core_of_direct_sum():
     assert core.equals(msum(M(6), M(7)))
 
 
+@pytest.mark.parametrize("field", [QQ, F65537])
+def test_core_module_checks_the_fitting_ideal_of_its_presentation(field):
+    def mat(rows):
+        return [[P(t, field) for t in row] for row in rows]
+    cols = [(P(t, field),) for t in ("x^3", "x*y", "y^2")]
+    good = mat([["y", "0"], ["-x^2", "y"], ["0", "-x"]])
+    core = core_module(ModuleRep(field, 1, cols, presentation=good),
+                       GenericSampler(seed=42))
+    assert core.equals(mono_module(MonomialIdeal.from_exponents(
+        [(4, 0), (2, 1), (1, 2), (0, 3)]), field))
+    # x times the second column: still syzygies, but they no longer
+    # generate them, and I_1 = (y, x^2) is not adj(I) = m
+    bad = mat([["y", "0"], ["-x^2", "x*y"], ["0", "-x^2"]])
+    with pytest.raises(GenericityError, match="do not generate the syzygies"):
+        core_module(ModuleRep(field, 1, cols, presentation=bad),
+                    GenericSampler(seed=42))
+
+
 def test_core_module_refuses_input_that_is_not_closed():
     # (x^2, y^2) is not integrally closed (its closure is m^2), so the
     # formula core = adj(I(M))*M does not hold: refused by core_module itself

@@ -1,8 +1,12 @@
+import gc
+import weakref
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regcore import trunc
+from regcore.config import EngineConfig
 from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.field import QQ, PrimeField
 from regcore.linalg import (SparseBasis, combine, kernel_modulo, key_degree,
@@ -718,6 +722,56 @@ def test_standard_gens_of_the_unit_ideal():
     for field in (QQ, F7, F65537):
         unit = TruncatedIdeal.materialize([P("1 + x", field)], field)
         assert unit.standard_gens() == [Poly.one(field)]
+
+
+def test_equal_columns_share_one_certified_span():
+    cols = [(P("x^2"),), (P("x*y + y^3"),), (P("y^4"),)]
+    span = span_with_certificate(cols, 1, QQ)
+    assert span_with_certificate(tuple(cols), 1, QQ) is span
+    assert span_with_certificate([list(c) for c in cols], 1, QQ) is span
+    # a different stop, ceiling, slot count or field is another span
+    assert span_with_certificate(cols, 1, QQ, order=10) is not span
+    assert span_with_certificate(
+        cols, 1, QQ, EngineConfig(truncation_ceiling=30)) is not span
+    with pytest.raises(NotMPrimaryError):  # m^3 F is not inside a 1-slot I
+        span_with_certificate(cols, 2, QQ)
+    other = span_with_certificate([(P(str(c[0]), F65537),) for c in cols],
+                                  1, F65537)
+    assert other is not span and other.field == F65537
+    # an explicit order below the certificate is refused, not served
+    with pytest.raises(NotMPrimaryError):
+        span_with_certificate(cols, 1, QQ, order=span.n0)
+
+
+def test_span_memo_holds_only_certified_spans_in_use():
+    cols = ((P("x^3") + P("y^5"),), (P("x*y^2"),), (P("x^2*y"),),
+            (P("y^6"),))
+    span = span_with_certificate(cols, 1, QQ)
+    ref = weakref.ref(span)
+    del span
+    gc.collect()
+    assert ref() is None
+    assert all(key[2] != cols for key in list(trunc._certified.keys()))
+    line = ((P("x^2"),), (P("x*y"),))  # no power of y: not m-primary
+    for _ in range(2):  # the traceback keeps the refused span alive
+        with pytest.raises(NotMPrimaryError) as refused:
+            span_with_certificate(line, 1, QQ, order=8)
+        assert refused.traceback
+        assert all(key[2] != line for key in list(trunc._certified.keys()))
+
+
+def test_shared_span_gives_the_same_standard_gens():
+    # the same list whether or not another holder queried the span first
+    gens = [P("x^2 + x*y"), P("x*y + y^2"), P("x^3"), P("y^3")]
+    untouched = TruncatedIdeal.materialize(gens, QQ).standard_gens()
+    gc.collect()
+    first = TruncatedIdeal.materialize(gens, QQ)
+    assert first.contains_poly(P("x^2 + 2*x*y + y^2"))
+    second = TruncatedIdeal.materialize(gens, QQ)
+    assert second.span is first.span
+    assert second.standard_gens() == untouched
+    # a power is built from standard generators: at most (n0 + 1)^2
+    assert len(first.square().gens) <= (first.n0 + 1) ** 2
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
