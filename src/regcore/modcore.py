@@ -12,15 +12,17 @@ or, once one has fixed br(M), by one colength with the ideal engine's
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import cached_property
+from itertools import combinations_with_replacement, islice
 from math import comb
 
 from .config import DEFAULT, EngineConfig
 from .errors import (FieldMismatchError, GenericityError, MathError,
                      ZeroIdealError)
 from .field import Field
-from .poly import Poly, matrix_minors
+from .poly import Poly, matrix_minors, minor_supports
 from .reduction import (GenericSampler, adjoint_ideal, by_multiplicity,
                         check_closed, search_reduction, stable_difference,
                         term_ideal)
@@ -58,6 +60,8 @@ class ModuleRep:
                 raise MathError("presentation must be n x (n - rank)")
             self._check_syzygies()
         self.config = config
+        self._fitting = (presentation is not None  # keeps its chain alive
+                         and _chain_of(self.presentation, field, config))
         self._span = None
         self._minor_ideal = None
 
@@ -109,7 +113,8 @@ class ModuleRep:
     def minor_ideal(self) -> TruncatedIdeal:
         """I(M): the ideal of rank-sized minors of the representing matrix."""
         if self._minor_ideal is None:
-            minors = matrix_minors(self.rep_matrix(), self.rank, self.field)
+            minors = matrix_minors(self.rep_matrix(), self.rank, self.field,
+                                   by_support=True)
             minors = [m for m in minors if not m.is_zero]
             if not minors:
                 raise ZeroIdealError(
@@ -219,33 +224,48 @@ class _FittingChain:
     s_b-minor of each block b with sum s_b = k, which keeps structured
     presentations (bidiagonal blocks) tractable at every k.  A block's
     minors of one size are enumerated when a requested I_k first needs
-    them, and every size reads and fills the block's one memo of
-    sub-determinants, so a k-minor reuses the (k-1)-minors its expansion
-    asks for.
+    them, only where the block's support admits a transversal
+    (`minor_supports`), and every size reads and fills the block's one
+    memo of sub-determinants, so a k-minor reuses the (k-1)-minors its
+    expansion asks for.
+
+    Minor and partial lists keep the first occurrence of each generator,
+    which leaves I_k's generators in their order with repeats: a product's
+    first occurrence in [u * v for u in U for v in V] is at the least pair
+    (i, j) giving it, where U[i] and V[j] are first occurrences (else a
+    smaller pair gives it), and a concatenation's are those of its parts.
     """
 
-    def __init__(self, matrix, nrows: int, ncols: int, field: Field,
-                 config: EngineConfig):
-        self.field, self.config = field, config
-        # per block: its submatrix, its nonzero minors by size, its memo
-        self.blocks = [([[matrix[i][j] for j in cols] for i in rows],
-                        {0: [Poly.one(field)]}, {})
-                       for rows, cols in _component_split(matrix, nrows, ncols)]
-        # (b, s) -> the nonzero generators of I_s of the first b blocks
+    def __init__(self, matrix, field: Field, config: EngineConfig):
+        self.matrix, self.field, self.config = matrix, field, config
+        # (b, s) -> the distinct generators of I_s of the first b blocks
         self.partial = {(0, 0): [Poly.one(field)]}
         self.ideals: dict[int, TruncatedIdeal] = {}
+
+    @cached_property
+    def blocks(self) -> list:
+        """Per block: its submatrix, its nonzero minors by size, its memo;
+        split on first use, as most modules never ask for a Fitting ideal."""
+        matrix, nrows = self.matrix, len(self.matrix)
+        split = _component_split(matrix, nrows, len(matrix[0]) if nrows else 0)
+        return [([[matrix[i][j] for j in cols] for i in rows],
+                 {0: [Poly.one(self.field)]}, {}) for rows, cols in split]
 
     def _minors(self, b: int, size: int, k: int) -> list[Poly]:
         sub, minors, memo = self.blocks[b]
         if size not in minors:
             count = comb(len(sub), size) * comb(len(sub[0]), size)
-            if count > _MINOR_BUDGET:
+            if count > _MINOR_BUDGET and _MINOR_BUDGET < sum(
+                    1 for _ in islice(minor_supports(sub, size),
+                                      _MINOR_BUDGET + 1)):
                 raise MathError(
                     f"I_{k} needs the {size}x{size} minors of a {len(sub)}x"
                     f"{len(sub[0])} block of the presentation: {count} "
-                    f"minors, over the budget of {_MINOR_BUDGET}")
-            minors[size] = [m for m in matrix_minors(sub, size, self.field,
-                                                     memo) if not m.is_zero]
+                    f"minors, more than {_MINOR_BUDGET} of them (the "
+                    f"budget) not zero by support")
+            minors[size] = list(dict.fromkeys(
+                m for m in matrix_minors(sub, size, self.field, memo,
+                                         by_support=True) if not m.is_zero))
         return minors[size]
 
     def _gens(self, nblocks: int, size: int, k: int) -> list[Poly]:
@@ -264,11 +284,11 @@ class _FittingChain:
                         gens.extend(
                             minors if have == 0 else value if have == size
                             else (u * v for u in value for v in minors))
-            self.partial[key] = gens
+            self.partial[key] = list(dict.fromkeys(gens))
         return self.partial[key]
 
     def generators(self, k: int) -> list[Poly]:
-        """The nonzero generators of I_k, repeats included."""
+        """The distinct nonzero generators of I_k."""
         return self._gens(len(self.blocks), k, k)
 
     def ideal(self, k: int) -> TruncatedIdeal:
@@ -276,35 +296,41 @@ class _FittingChain:
             gens = self.generators(k)
             if not gens:
                 raise ZeroIdealError(f"I_{k} vanishes: all {k}-minors are zero")
-            self.ideals[k] = TruncatedIdeal.materialize(
-                list(dict.fromkeys(gens)), self.field, config=self.config)
+            self.ideals[k] = TruncatedIdeal.materialize(  # I_0 as unit()
+                gens, self.field, order=None if k else 1, config=self.config)
         return self.ideals[k]
 
 
-# The chain of the most recent presentation only: successive fitting()
-# calls on one matrix (a k-loop, core_module's Fitting route) share it,
-# and no chain outlives the next presentation.
-_last_chain: list = [None, None]  # [key, _FittingChain]
+# Fitting chains by (hash of the entries, field, config), held by each live
+# ModuleRep they present and by _latest, the last matrix fitting() was asked
+# about.  Keying by the hash hashes the entries once; a chain of other
+# entries under the same key is replaced, not shared.
+_chains: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_latest: list = [None]
+
+
+def _chain_of(matrix, field: Field, config: EngineConfig) -> _FittingChain:
+    matrix = tuple(map(tuple, matrix))
+    key = (hash(matrix), field, config)
+    chain = _chains.get(key)
+    if chain is None or chain.matrix != matrix:
+        chain = _chains[key] = _FittingChain(matrix, field, config)
+    return chain
 
 
 def fitting(matrix, k: int, field: Field,
             config: EngineConfig = DEFAULT) -> TruncatedIdeal:
     """I_k(A): the ideal of k x k minors of A, as a truncated ideal.
 
-    Unit for k <= 0; ZeroIdealError when I_k is zero.  A view of the
-    Fitting chain of A, which is kept for the latest presentation.
+    Unit for k <= 0; ZeroIdealError when I_k is zero.  A view of the one
+    Fitting chain of A, shared by every live module presented by A.
     """
-    if k <= 0:
-        return TruncatedIdeal.unit(field, config)
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     if k > min(nrows, ncols):
         raise ZeroIdealError(f"I_{k} of a {nrows}x{ncols} matrix is zero")
-    key = (tuple(tuple(row) for row in matrix), field, config)
-    if _last_chain[0] != key:
-        _last_chain[:] = [key, _FittingChain(matrix, nrows, ncols, field,
-                                             config)]
-    return _last_chain[1].ideal(k)
+    _latest[0] = chain = _chain_of(matrix, field, config)
+    return chain.ideal(max(k, 0))
 
 
 # ---------------------------------------------------------------------------

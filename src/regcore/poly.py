@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import NamedTuple
 
@@ -380,9 +381,51 @@ def poly_det(matrix: list[list[Poly]], field: Field, rows=None, cols=None,
     return det(rows, cols)
 
 
+def minor_supports(matrix: list[list[Poly]], k: int):
+    """(rows, cols) of the k x k submatrices whose support admits a
+    transversal, in `matrix_minors`' order: every other minor is zero term
+    by term.  A depth-first walk picks rows, then columns among the rows'
+    nonzero ones, and grows a matching by one augmenting path per pick; a
+    set with no matching has none above it, so its subtree is cut.
+    """
+    nonzero = [[j for j, f in enumerate(row) if not f.is_zero]
+               for row in matrix]
+
+    def matched(items, partners):
+        if all(len(partners[i]) >= k for i in items):
+            return combinations(items, k)  # greedily, k items never run out
+
+        def augment(i, match, seen) -> bool:
+            for p in partners[i]:
+                if p not in seen:
+                    seen.add(p)
+                    if p not in match or augment(match[p], match, seen):
+                        match[p] = i
+                        return True
+            return False
+
+        def walk(start, chosen, match):
+            for pos in range(start, len(items) - k + len(chosen) + 1):
+                grown = dict(match)
+                if augment(items[pos], grown, set()):
+                    new = chosen + (items[pos],)
+                    if len(new) == k:
+                        yield new
+                    else:
+                        yield from walk(pos + 1, new, grown)
+        return walk(0, (), {})
+
+    for rows in matched(range(len(matrix)), nonzero):
+        cols = sorted({j for i in rows for j in nonzero[i]})
+        for subset in matched(cols, {j: [i for i in rows if j in nonzero[i]]
+                                     for j in cols}):
+            yield rows, subset
+
+
 def matrix_minors(matrix: list[list[Poly]], k: int, field: Field,
-                  memo: dict | None = None):
-    """All k x k minors of a rectangular Poly matrix, sharing
+                  memo: dict | None = None, by_support: bool = False):
+    """All k x k minors of a rectangular Poly matrix, in combinations
+    order, or with `by_support` only those at `minor_supports`, sharing
     sub-determinants through `memo` (a fresh one by default).
 
     For k <= 0 the one minor is the empty one, 1; an empty list when k
@@ -390,13 +433,12 @@ def matrix_minors(matrix: list[list[Poly]], k: int, field: Field,
     """
     if k <= 0:
         return [Poly.one(field)]
-    from itertools import combinations
-
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     if k > nrows or k > ncols:
         return []
     memo = {} if memo is None else memo
-    return [poly_det(matrix, field, rows, cols, memo)
-            for rows in combinations(range(nrows), k)
-            for cols in combinations(range(ncols), k)]
+    pairs = (minor_supports(matrix, k) if by_support else
+             ((rows, cols) for rows in combinations(range(nrows), k)
+              for cols in combinations(range(ncols), k)))
+    return [poly_det(matrix, field, rows, cols, memo) for rows, cols in pairs]

@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 from time import monotonic
@@ -125,17 +126,21 @@ def test_fitting_goes_through_the_traced_minor_boundaries(monkeypatch):
     # a traced run (--trace 1) fails when no call reaches one of these
     M = MonomialIdeal.max_power
     calls = count_boundary_calls(monkeypatch, ("poly_det", "matrix_minors"))
+
+    def fresh_chains():  # the next fitting() call builds its chain anew
+        monkeypatch.setattr(modcore, "_chains", weakref.WeakValueDictionary())
+        monkeypatch.setattr(modcore, "_latest", [None])
     one_block = ModuleRep.from_monomial_ideal(M(3), QQ)
     two_blocks = one_block.direct_sum(ModuleRep.from_monomial_ideal(M(2), QQ))
     for module in (one_block, two_blocks):
         calls.clear()
-        monkeypatch.setattr(modcore, "_last_chain", [None, None])
+        fresh_chains()
         fitting(module.presentation, module.ngens - module.rank - 1, QQ)
         assert calls["poly_det"] >= calls["matrix_minors"] > 0
 
     two_blocks.minor_ideal()  # core_module's other minors, computed first
     calls.clear()
-    monkeypatch.setattr(modcore, "_last_chain", [None, None])
+    fresh_chains()
     core_module(two_blocks, GenericSampler(seed=42))
     assert calls["poly_det"] >= calls["matrix_minors"] > 0
 

@@ -6,10 +6,10 @@ import pytest
 from regcore import cli, reduction
 from regcore.cli import main
 from regcore.serialize import ideal_from_obj, module_from_obj, module_to_obj
-from regcore.field import QQ
+from regcore.field import QQ, PrimeField
 from regcore.modcore import ModuleRep
 from regcore.poly import parse_poly
-from regcore.staircase import MonomialIdeal
+from regcore.staircase import MonomialIdeal, presentation_matrix
 from regcore.trunc import TruncatedIdeal
 
 
@@ -416,6 +416,19 @@ def test_fitting_command(tmp_path, capsys):
     code, out, err = run(capsys, "fitting", "--presentation", path, "--k", "0")
     assert code == 0
     assert json.loads(out)["gens"] == ["1"]
+
+
+def test_fitting_command_counts_minors_by_support(tmp_path, capsys):
+    # 1,585,584 index pairs of 6-minors, 27,132 of them admit a transversal
+    pres = presentation_matrix(MonomialIdeal.max_power(12),
+                               PrimeField(65537))
+    path = write(tmp_path, "A.json", {
+        "field": "F65537", "matrix": [[str(f) for f in row] for row in pres]})
+    code, out, err = run(capsys, "fitting", "--presentation", path,
+                         "--k", "6")
+    assert code == 0
+    assert json.loads(out)["gens"] == ["x^6", "x^5*y", "x^4*y^2", "x^3*y^3",
+                                       "x^2*y^4", "x*y^5", "y^6"]
 
 
 def test_fitting_names_the_minor_budget(tmp_path, capsys):

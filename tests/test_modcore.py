@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,20 +217,21 @@ def test_lazy_chain_answers_each_k_in_any_order(data):
             assert_same_fitting(
                 fitting_outcome(lambda: fitting(A, k, field, SMALL)),
                 fitting_outcome(lambda: reference_fitting(A, k, field, SMALL)))
-            assert modcore._last_chain[1].generators(k) == \
-                chain_gens.get(k, [])
+            assert modcore._latest[0].generators(k) == \
+                list(dict.fromkeys(chain_gens.get(k, [])))
 
 
 def count_minors(monkeypatch):
     """Fresh Fitting chains whose enumerated minors are counted."""
     counted = [0]
 
-    def counting(*args):
-        minors = matrix_minors(*args)
+    def counting(*args, **kwargs):
+        minors = matrix_minors(*args, **kwargs)
         counted[0] += len(minors)
         return minors
     monkeypatch.setattr(modcore, "matrix_minors", counting)
-    monkeypatch.setattr(modcore, "_last_chain", [None, None])
+    monkeypatch.setattr(modcore, "_chains", weakref.WeakValueDictionary())
+    monkeypatch.setattr(modcore, "_latest", [None])
     return counted
 
 
@@ -248,6 +251,41 @@ def test_fitting_of_a_large_bidiagonal_block():
     # enumerates every size refuses it (its 6-minors exceed the budget)
     pres = presentation_matrix(M(12), F65537)
     assert fitting(pres, 11, F65537).to_monomial() == M(11)
+
+
+def test_fitting_enumerates_minors_by_support(monkeypatch):
+    # I_6 of m^12's presentation is m^6: of its 13 * 12 block's 1,585,584
+    # index pairs, over the budget, only 27,132 admit a transversal
+    counted = count_minors(monkeypatch)
+    pres = presentation_matrix(M(12), F65537)
+    assert fitting(pres, 6, F65537).to_monomial() == M(6)
+    assert counted[0] == 27132
+
+
+def test_modules_with_one_presentation_share_one_chain(monkeypatch):
+    built = []
+
+    class CountedChain(modcore._FittingChain):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+    monkeypatch.setattr(modcore, "_FittingChain", CountedChain)
+    monkeypatch.setattr(modcore, "_chains", weakref.WeakValueDictionary())
+    monkeypatch.setattr(modcore, "_latest", [None])
+    a, b = mono_module(M(4), F7), mono_module(M(4), F7)
+    assert a.presentation == b.presentation
+    assert fitting(a.presentation, 3, F7).to_monomial() == M(3)
+    assert fitting(b.presentation, 3, F7) is fitting(a.presentation, 3, F7)
+    assert len(built) == 1
+    chain = weakref.ref(modcore._latest[0])
+    fitting([[P("x", F7), P("y", F7)]], 1, F7)  # another latest chain
+    del a
+    gc.collect()
+    assert chain() is not None  # b still holds it
+    del b
+    gc.collect()
+    assert chain() is None
+    assert len(built) == 2
 
 
 def dense_block(n, seed):

@@ -1,12 +1,13 @@
 import pytest
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
 
 from regcore.errors import FieldMismatchError, ParseError
 from regcore.field import QQ, PrimeField, field_from_name
-from regcore.poly import Monomial, Poly, matrix_minors, parse_poly, poly_det
+from regcore.poly import (Monomial, Poly, matrix_minors, minor_supports,
+                          parse_poly, poly_det)
 
 from oracles import (permutation_determinant, reference_add, reference_mul,
                      reference_neg, reference_scale)
@@ -177,6 +178,73 @@ def test_minors_are_the_determinants_of_the_submatrices(field, nrows, ncols,
     for k in (0, min(nrows, ncols) + 1):
         assert matrix_minors(A, k, field, memo) == \
             ([Poly.one(field)] if k == 0 else [])
+
+
+NONZERO_ENTRIES = [e for e in MINOR_ENTRIES if e != "0"]
+
+
+@st.composite
+def shaped_matrices(draw):
+    """A field and a matrix of one of the shapes the Fitting chain meets:
+    bidiagonal, block-diagonal, dense, sparse, or an outer product u v^T,
+    whose 2-minors all cancel although their supports admit transversals
+    (e.g. [[x, x], [y, y]])."""
+    field = draw(st.sampled_from([QQ, F7, F65537]))
+    shape = draw(st.sampled_from(
+        ["bidiagonal", "blocks", "dense", "sparse", "outer"]))
+    entry = st.sampled_from(NONZERO_ENTRIES).map(lambda e: P(e, field))
+    zero = Poly.zero(field)
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if shape == "bidiagonal":
+        n = draw(st.integers(1, 6))
+        return field, [[draw(entry) if i in (j, j + 1) else zero
+                        for j in range(n)] for i in range(n + 1)]
+    if shape == "outer":
+        u = [draw(entry) for _ in range(nrows)]
+        v = [draw(entry) for _ in range(ncols)]
+        return field, [[a * b for b in v] for a in u]
+    if shape == "blocks":
+        split_r, split_c = nrows // 2, ncols // 2
+        return field, [[draw(entry) if (i < split_r) == (j < split_c)
+                        else zero for j in range(ncols)]
+                       for i in range(nrows)]
+    pool = entry if shape == "dense" else st.one_of(st.just(zero), entry)
+    return field, [[draw(pool) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(shaped_matrices())
+def test_supported_minors_are_the_nonzero_minors_in_order(case):
+    field, A = case
+    nrows, ncols = len(A), len(A[0])
+    for k in range(1, min(nrows, ncols) + 1):
+        pairs = [(rows, cols) for rows in combinations(range(nrows), k)
+                 for cols in combinations(range(ncols), k)]
+        full = matrix_minors(A, k, field)
+        supports = list(minor_supports(A, k))
+        # combinations order, without repeats
+        assert supports == sorted(set(supports))
+        # exactly the pairs with a nonzero term in the Leibniz expansion
+        kept = set(supports)
+        assert kept == {(rows, cols) for rows, cols in pairs
+                        if any(all(not A[i][j].is_zero
+                                   for i, j in zip(rows, perm))
+                               for perm in permutations(cols))}
+        supported = matrix_minors(A, k, field, by_support=True)
+        assert supported == [m for pair, m in zip(pairs, full)
+                             if pair in kept]
+        assert [m for m in supported if not m.is_zero] == \
+            [m for m in full if not m.is_zero]
+
+
+def test_cancelling_minors_are_supported_but_zero():
+    A = [[P("x"), P("x")], [P("y"), P("y")]]
+    assert list(minor_supports(A, 2)) == [((0, 1), (0, 1))]
+    assert matrix_minors(A, 2, QQ, by_support=True) == [Poly.zero(QQ)]
+    # a zero column leaves no transversal: no 2-minor is enumerated
+    B = [[P("x"), P("0")], [P("y"), P("0")]]
+    assert list(minor_supports(B, 2)) == []
+    assert list(minor_supports(B, 1)) == [((0,), (0,)), ((1,), (0,))]
 
 
 def test_determinant_of_a_submatrix_by_index():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcore import trunc
-from regcore.config import EngineConfig
+from regcore.config import DEFAULT, EngineConfig
 from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.field import QQ, PrimeField
 from regcore.linalg import (SparseBasis, combine, kernel_modulo, key_degree,
@@ -427,7 +427,10 @@ def test_interreduce_keeps_leads_span_and_answers(data):
     zero = Poly.zero(field)
     rank_two = [(g, zero) for g in i_gens] + [(zero, h) for h in j_gens]
     for columns, nslots in (([(g,) for g in i_gens], 1), (rank_two, 2)):
-        span = span_with_certificate(columns, nslots, field)
+        # built directly: a span shared through span_with_certificate may
+        # already have been interreduced by another holder's queries
+        span = TruncatedSpan(field, nslots, columns,
+                             DEFAULT.truncation_ceiling)
         plain = span.basis
         assert not plain.reduced  # building a span never interreduces
         stored = {lead: dict(row) for lead, row in plain.rows.items()}
