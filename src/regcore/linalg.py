@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 from math import gcd, lcm
 
+from .errors import MathError
 from .field import Field
 
 EPS_BASE = 1 << 60  # tag keys for kernel bookkeeping; order after all others
@@ -46,6 +47,38 @@ def times_monomial(row: dict, a: int, b: int) -> dict:
     """The row multiplied by x^a y^b."""
     delta = ((a + b) << _DEG_SHIFT) | b
     return {k + delta: c for k, c in row.items()}
+
+
+def monomial_row(a: int, b: int) -> dict:
+    """The row of x^a y^b in slot 0."""
+    return {pack_key(a + b, 0, b): 1}
+
+
+def sym_row(row: dict, rank: int, base: int) -> dict:
+    """A row of R^rank in Sym(R^rank): slot i < rank - 1 goes to base^i, the
+    last to 0, so a product of fewer than `base` such rows holds e_1^a_1 *
+    ... * e_rank^a_rank in slot sum(a_i * base^(i-1)) over i < rank."""
+    if base ** (rank - 1) > _MASK + 1:
+        raise MathError(f"Sym_{base - 1} of rank {rank} has too many slots")
+    moves = [((base ** s if s < rank - 1 else 0) - s) << _SLOT_SHIFT
+             for s in range(rank)]
+    return {k + moves[(k >> _SLOT_SHIFT) & _MASK]: c for k, c in row.items()}
+
+
+def row_product(a: dict, b: dict, cap=None, p=None) -> dict:
+    """The product of two rows, one in slot 0 or both `sym_row`s, below
+    degree `cap`: integer rays over Q, residues mod p over F_p."""
+    limit = degree_limit(cap)
+    out: dict = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            if k < limit:
+                out[k] = get(k, 0) + c1 * c2
+    if p is not None:
+        return {k: r for k, v in out.items() if (r := v % p)}
+    return {k: v for k, v in out.items() if v}
 
 
 def combine(coeffs: dict, rows: list[dict], p=None) -> dict:

@@ -26,8 +26,9 @@ from .poly import Poly, matrix_minors, minor_supports
 from .reduction import (GenericSampler, adjoint_ideal, by_multiplicity,
                         check_closed, search_reduction, stable_difference,
                         term_ideal)
+from .linalg import monomial_row, row_product, sym_row
 from .trunc import (TruncatedIdeal, TruncatedSpan, nakayama_covers,
-                    span_colon, span_with_certificate)
+                    span_colon, span_with_certificate, vector_row)
 from . import staircase
 
 # Symmetric-power degree bound tried for module reduction certificates.
@@ -103,8 +104,9 @@ class ModuleRep:
 
     def span(self) -> TruncatedSpan:
         if self._span is None:
-            self._span = span_with_certificate(self.columns, self.rank,
-                                               self.field, config=self.config)
+            self._span = span_with_certificate(
+                [vector_row(col) for col in self.columns], self.rank,
+                self.field, config=self.config)
         return self._span
 
     def colength(self) -> int:
@@ -132,7 +134,7 @@ class ModuleRep:
         vector = tuple(vector)
         if len(vector) != self.rank:
             raise MathError("vector has wrong rank")
-        return self.span().contains_vector(vector)
+        return self.span().contains_row(vector_row(vector))
 
     def contains_module(self, other: "ModuleRep") -> bool:
         if other.rank != self.rank:
@@ -349,50 +351,25 @@ def colon_into(N: ModuleRep, M: ModuleRep) -> TruncatedIdeal:
 # symmetric powers
 
 
-def sym_slots(rank: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of the degree-d monomials in rank slot variables."""
-    slots = []
-    for combo in combinations_with_replacement(range(rank), degree):
-        exp = [0] * rank
-        for i in combo:
-            exp[i] += 1
-        slots.append(tuple(exp))
-    return slots
-
-
-def _sym_multiply(state: dict, column, rank: int):
-    """Multiply a Sym-degree state {exponent: Poly} by a degree-1 column."""
-    out: dict[tuple[int, ...], Poly] = {}
-    for exp, poly in state.items():
-        for i in range(rank):
-            f = column[i]
-            if f.is_zero:
-                continue
-            key = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
-            prod = poly * f
-            out[key] = out[key] + prod if key in out else prod
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
 def sym_generators(M: ModuleRep, degree: int, first: ModuleRep | None = None):
-    """Generators of S_degree(M) as slot vectors inside Sym_degree(F); with
-    `first`, of S_1(first) * S_(degree-1)(M): each column of `first` times
-    each generator of S_(degree-1)(M)."""
-    slots = sym_slots(M.rank, degree)
-    zero = Poly.zero(M.field)
-    one_state = {(0,) * M.rank: Poly.one(M.field)}
-    states = []
-    for combo in combinations_with_replacement(
-            range(M.ngens), degree - (first is not None)):
-        state = one_state
-        for j in combo:
-            state = _sym_multiply(state, M.columns[j], M.rank)
-        states.append(state)
+    """(slot count, rows) of the generators of S_degree(M) in Sym_degree(F),
+    products of `sym_row`s; with `first`, of S_1(first) * S_(degree-1)(M):
+    each column of `first` times each generator of S_(degree-1)(M)."""
+    p, base = M.field.p, degree + 1
+
+    def sym_rows(module):
+        return [sym_row(vector_row(c), M.rank, base) for c in module.columns]
+    rows = []
+    for combo in combinations_with_replacement(sym_rows(M),
+                                               degree - (first is not None)):
+        row = monomial_row(0, 0)
+        for col in combo:
+            row = row_product(row, col, None, p)
+        rows.append(row)
     if first is not None:
-        states = [_sym_multiply(state, col, M.rank)
-                  for col in first.columns for state in states]
-    return slots, [tuple(state.get(exp, zero) for exp in slots)
-                   for state in states]
+        rows = [row_product(row, col, None, p)
+                for col in sym_rows(first) for row in rows]
+    return comb(M.rank + degree - 1, degree), rows
 
 
 def _slot_monomial_ideals(M: ModuleRep) -> list[staircase.MonomialIdeal] | None:
@@ -410,8 +387,8 @@ def _slot_monomial_ideals(M: ModuleRep) -> list[staircase.MonomialIdeal] | None:
 
 def sym_colength(M: ModuleRep, degree: int) -> int:
     """Exact length of Sym_degree(F) / S_degree(M)."""
-    slots, vectors = sym_generators(M, degree)
-    return span_with_certificate(vectors, len(slots), M.field,
+    nslots, rows = sym_generators(M, degree)
+    return span_with_certificate(rows, nslots, M.field,
                                  config=M.config).colength()
 
 
@@ -423,9 +400,8 @@ def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int) -> bool:
     """
     if not M.contains_module(N):
         raise MathError("N is not contained in M")
-    slots, big_gens = sym_generators(M, t + 1)
-    big = span_with_certificate(big_gens, len(slots), M.field,
-                                config=M.config)
+    nslots, big_rows = sym_generators(M, t + 1)
+    big = span_with_certificate(big_rows, nslots, M.field, config=M.config)
     return nakayama_covers(big, sym_generators(M, t + 1, N)[1])
 
 

@@ -23,7 +23,9 @@ from .errors import (GenericityError, MathError, NotMPrimaryError,
                      TruncationCeilingError, ZeroIdealError)
 from .field import Field
 from .poly import Poly
-from .trunc import TruncatedIdeal, monomials_below, nakayama_covers
+from .linalg import row_product
+from .trunc import (TruncatedIdeal, monomials_below, nakayama_covers,
+                    vector_row)
 from . import staircase
 
 
@@ -118,10 +120,10 @@ class ReductionCertificate:
     colength: int  # of I^(n+1)
 
 
-def smaller_ideal_equals(big: TruncatedIdeal, small_gens: list[Poly]) -> bool:
-    """Decide ideal(small_gens) == big, given ideal(small_gens) <= big, by
+def smaller_ideal_equals(big: TruncatedIdeal, small_rows: list[dict]) -> bool:
+    """Decide ideal(small_rows) == big, given ideal(small_rows) <= big, by
     `nakayama_covers` on the certified span of `big`."""
-    return nakayama_covers(big.span, [(q,) for q in small_gens])
+    return nakayama_covers(big.span, small_rows)
 
 
 def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None):
@@ -135,14 +137,15 @@ def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None):
         raise MathError("J is not contained in I")
     if nmax is None:
         nmax = max(1, J.colength())
-    power = I  # I^n, starting at n = 1
+    power, j_rows = I, [vector_row((g,)) for g in J.gens]  # I^n, n = 1
     for n in range(1, nmax + 1):
         try:  # I^(n+1); I's kept square first
             next_power = I.square() if n == 1 else power.product(I)
         except TruncationCeilingError:
             return None
-        q_gens = [g * h for g in J.gens for h in power.standard_gens()]
-        if smaller_ideal_equals(next_power, q_gens):
+        q_rows = [row_product(g, h, next_power.n0, I.field.p)
+                  for g in j_rows for h in power.standard_rows]
+        if smaller_ideal_equals(next_power, q_rows):
             return ReductionCertificate(tuple(J.gens), n,
                                         next_power.colength())
         power = next_power
@@ -277,11 +280,13 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
 
     Requires I integrally closed (`check_closed` decides it when I is
     monomial, the caller asserts it otherwise).  The first seed's J is
-    certified by powers of I, and its colon must have colength(J) -
-    colength(I), as linkage gives for a parameter ideal J <= I
-    (Peskine-Szpiro 1974).  The later seeds' J_k, certified by colength
-    e(I) (`rees_reduction`), must agree: their colons have that colength
-    too, so J_k : I = first exactly when first*I <= J_k.
+    certified by powers of I, with exponent 1 if I is closed: I^2 = J*I for
+    every minimal reduction J (Lipman-Teissier 1981; R(X) for a finite
+    field).  Its colon must have colength(J) - colength(I), as linkage
+    gives for a parameter ideal J <= I (Peskine-Szpiro 1974).  The later
+    seeds' J_k, certified by colength e(I) (`rees_reduction`), must agree,
+    as J : I = adj(I) for closed I: their colons have that colength too,
+    so J_k : I = first exactly when first*I <= J_k.
     On monomial input the output is checked to be integrally closed.
     """
     if I.is_unit:
@@ -289,15 +294,19 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
     mono = I.to_monomial()
     check_closed([mono])
     J, cert = minimal_reduction(I, sampler.spawn(0))
+    if cert.exponent > 1:
+        raise MathError(f"the input is not integrally closed: J*I != I^2 for "
+                        f"a minimal reduction J (exponent {cert.exponent})")
     e, first = J.colength(), J.colon(I)
     if first.colength() != e - I.colength():
         raise MathError("colength(J : I) is not colength(J) - colength(I)")
-    products = [g * h for g in first.standard_gens()
-                for h in I.standard_gens()]
+    products = [row_product(g, h, None, I.field.p)
+                for g in first.standard_rows for h in I.standard_rows]
     for k in range(1, ADJOINT_SEEDS):
         J, _ = rees_reduction(I, sampler.spawn(1009 * k), e, cert)
-        if not all(J.contains_poly(f) for f in products):
-            raise GenericityError("colon adjoints disagree across seeds")
+        if not all(J.span.contains_row(f) for f in products):
+            raise MathError("the input is not integrally closed: colon "
+                            "adjoints disagree across seeds")
     if mono is not None:
         out = first.to_monomial()
         if out is None or staircase.integral_closure(out) != out:

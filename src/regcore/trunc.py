@@ -13,6 +13,8 @@ equality test of the reduction layers is a pivot count on a certified span.
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
+from itertools import chain
 from math import lcm
 
 from .config import DEFAULT, EngineConfig
@@ -20,7 +22,8 @@ from .errors import (FieldMismatchError, NotMPrimaryError,
                      TruncationCeilingError, ZeroIdealError)
 from .field import Field
 from .linalg import (SparseBasis, combine, kernel_modulo, key_degree,
-                     key_exponents, normal_forms, pack_key, times_monomial)
+                     key_exponents, monomial_row, normal_forms, pack_key,
+                     row_product, times_monomial)
 from .poly import Monomial, Poly
 from . import staircase
 
@@ -54,8 +57,7 @@ def vector_row(vector, cap=None) -> dict:
 
 class TruncatedSpan:
     """Echelonized R-span I of column vectors inside F/m^order F, F = R^nslots,
-    built once, one degree at a time like a Macaulay matrix, and never
-    changed afterwards.
+    given by rows, built once, one degree at a time like a Macaulay matrix.
 
     Stage t inserts the generator columns of order t, then x*b for every
     stored pivot row b of lead degree t-1, then y*b for those of them whose
@@ -94,7 +96,7 @@ class TruncatedSpan:
     basis of I/m^n0 F.  No certificate below `order` leaves n0 = None.
     """
 
-    def __init__(self, field: Field, nslots: int, columns, order: int):
+    def __init__(self, field: Field, nslots: int, rows, order: int):
         self.field = field
         self.nslots = nslots
         self.basis = SparseBasis(field)
@@ -102,10 +104,9 @@ class TruncatedSpan:
         self.order = order
         cap = order - 1
         pending: list[list[dict]] = [[] for _ in range(order)]
-        for col in columns:
-            row = vector_row(col, cap=cap)
-            if row:
-                pending[key_degree(min(row))].append(row)
+        for row in rows:  # `insert` reads a row below the cap only
+            if row and (t := key_degree(min(row))) <= cap:
+                pending[t].append(row)
         leads: list[list[int]] = [[] for _ in range(order)]  # by degree
         x_leads = set()  # leads whose stored row came from an x-product
         for t, gens in enumerate(pending):
@@ -129,22 +130,22 @@ class TruncatedSpan:
     def colength(self) -> int:
         return self.nslots * triangle(self.n0) - self.basis.dim_up_to(self.n0 - 1)
 
-    def contains_vector(self, vector) -> bool:
-        return self.basis.contains(vector_row(vector, cap=self.n0 - 1),
-                                   cap=self.n0 - 1)
+    def contains_row(self, row: dict) -> bool:
+        return self.basis.contains(row, cap=self.n0 - 1)
 
 
-# Certified spans by (field, nslots, columns, stop), held only while some
+# Certified spans by (field, nslots, rows, stop), held only while some
 # caller holds them.  A span never changes after __init__ (`interreduce`
-# keeps its span and leads), so equal inputs can share one.
+# keeps its span and leads), so equal inputs can share one.  Keys hold each
+# distinct row once, its terms sorted: equal Polys may order them apart.
 _certified: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def span_with_certificate(columns, nslots: int, field: Field,
+def span_with_certificate(rows, nslots: int, field: Field,
                           config: EngineConfig = DEFAULT,
                           order: int | None = None) -> TruncatedSpan:
-    """Materialize a span up to its Nakayama certificate, or return the
-    certified span already built from the same columns and stop.
+    """Materialize the span of rows up to its Nakayama certificate, or
+    return the certified span already built from the same rows and stop.
 
     An explicit `order` bounds the stages; otherwise the truncation ceiling
     does.
@@ -153,8 +154,10 @@ def span_with_certificate(columns, nslots: int, field: Field,
     if order is not None and order > ceiling:
         raise TruncationCeilingError(f"order {order} exceeds ceiling {ceiling}")
     stop = ceiling if order is None else order
-    key = (field, nslots, tuple(map(tuple, columns)), stop)
-    span = _certified.get(key) or TruncatedSpan(field, nslots, key[2], stop)
+    distinct = {tuple(chain(*sorted(row.items()))): row for row in rows}
+    key = (field, nslots, tuple(distinct), stop)
+    span = (_certified.get(key)
+            or TruncatedSpan(field, nslots, distinct.values(), stop))
     if span.n0 is not None:
         _certified[key] = span
         return span
@@ -166,7 +169,7 @@ def span_with_certificate(columns, nslots: int, field: Field,
 
 
 def nakayama_covers(big: TruncatedSpan, small) -> bool:
-    """Is the certified span I = `big` generated by the columns `small`?
+    """Is the certified span I = `big` generated by the rows `small`?
 
     Requires span(small) <= I: every caller knows it.  With n0 = n0(I),
     m^(n0+1)F = m*m^n0 F <= m*I, so by Nakayama span(small) = I exactly
@@ -174,7 +177,7 @@ def nakayama_covers(big: TruncatedSpan, small) -> bool:
     in the right one, exactly when their dimensions there agree.  There I
     is its stored basis of I/m^n0 F plus all of m^n0 F, the degree-n0
     block of nslots*(n0+1) keys, and m*I is spanned by x*b and y*b for the
-    stored rows b; m*span(small) <= m*I, so the `small` columns go in
+    stored rows b; m*span(small) <= m*I, so the `small` rows go in
     unshifted.
     """
     n0 = big.n0
@@ -182,10 +185,8 @@ def nakayama_covers(big: TruncatedSpan, small) -> bool:
     for _, b in sorted(big.basis.rows.items()):
         basis.insert(times_monomial(b, 1, 0), cap=n0)
         basis.insert(times_monomial(b, 0, 1), cap=n0)
-    for col in small:
-        row = vector_row(col, cap=n0)
-        if row:
-            basis.insert(row, cap=n0)
+    for row in small:
+        basis.insert(row, cap=n0)
     return basis.dim_up_to(n0) == \
         big.basis.dim_up_to(n0 - 1) + big.nslots * (n0 + 1)
 
@@ -242,15 +243,25 @@ def span_colon(span: TruncatedSpan, columns,
 
 class TruncatedIdeal:
     """Finite-colength ideal with a verified Nakayama certificate m^n0 <= I,
-    held as its certified span; the unit ideal R is the span of 1, n0 = 0."""
+    held as its certified span; the unit ideal R is the span of 1, n0 = 0.
+    A product is given by rows, and builds its `gens` when they are read:
+    over Q its rows are rays, unit multiples of the products."""
 
-    def __init__(self, field: Field, gens, span: TruncatedSpan,
-                 config: EngineConfig = DEFAULT):
+    def __init__(self, field: Field, span: TruncatedSpan,
+                 config: EngineConfig = DEFAULT, gens=None, rows=None):
         self.field = field
-        self.gens = tuple(gens)
         self.span = span
         self.config = config
+        self._rows = rows
         self._square = None  # I*I once built; no higher power is kept
+        if gens is not None:
+            self.gens = tuple(gens)
+
+    @cached_property
+    def gens(self) -> tuple[Poly, ...]:
+        return tuple(dict.fromkeys(Poly.from_canonical(self.field, {
+            Monomial(*key_exponents(k)): self.field.coerce(c)
+            for k, c in row.items()}) for row in self._rows))
 
     # -- constructors ---------------------------------------------------
 
@@ -268,9 +279,9 @@ class TruncatedIdeal:
                 raise FieldMismatchError("generators over different fields")
         if any(g.constant_term() != field.zero for g in gens):
             gens = [Poly.one(field)]  # a unit generates R
-        span = span_with_certificate([(g,) for g in gens], 1, field,
-                                     config=config, order=order)
-        return cls(field, gens, span, config)
+        span = span_with_certificate([vector_row((g,)) for g in gens], 1,
+                                     field, config=config, order=order)
+        return cls(field, span, config, gens=gens)
 
     @classmethod
     def unit(cls, field: Field, config: EngineConfig = DEFAULT) -> "TruncatedIdeal":
@@ -299,7 +310,7 @@ class TruncatedIdeal:
     def contains_poly(self, f: Poly) -> bool:
         if f.field != self.field:
             raise FieldMismatchError("membership across fields")
-        return self.span.contains_vector((f,))
+        return self.span.contains_row(vector_row((f,)))
 
     # -- comparisons ------------------------------------------------------
 
@@ -315,15 +326,16 @@ class TruncatedIdeal:
     # -- arithmetic ---------------------------------------------------------
 
     def product(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
-        """I*J from the standard generators of each, at most n0 + 1."""
-        gens = list(dict.fromkeys(g * h for g in self.standard_gens()
-                                  for h in other.standard_gens()))
+        """I*J from the standard rows of each, at most n0 + 1."""
         order = self.n0 + other.n0 + 1
         if order > self.config.truncation_ceiling:
             raise TruncationCeilingError(
                 f"product needs truncation {order} > ceiling")
-        return TruncatedIdeal.materialize(gens, self.field, order=order,
-                                          config=self.config)
+        rows = [row_product(a, b, order - 1, self.field.p)
+                for a in self.standard_rows for b in other.standard_rows]
+        span = span_with_certificate(rows, 1, self.field, config=self.config,
+                                     order=order)
+        return TruncatedIdeal(self.field, span, self.config, rows=rows)
 
     def square(self) -> "TruncatedIdeal":
         """I*I, built by `product` on first use and kept."""
@@ -337,9 +349,11 @@ class TruncatedIdeal:
 
     # -- conversions ---------------------------------------------------------
 
-    def standard_gens(self) -> list[Poly]:
-        """Generators of I, at most n0 + 1: for each minimal generator u of
-        the lead ideal L = (leads) + m^n0, the stored row of lead u, or u.
+    @cached_property
+    def standard_rows(self) -> list[dict]:
+        """Rows of generators of I, at most n0 + 1: for each minimal
+        generator u of the lead ideal L = (leads) + m^n0, the stored row of
+        lead u, or the row of u.
 
         A stored row lies in I + m^n0 = I, and v times it has least key
         v*lead.  The least term of f in I lies in L (the rows are an echelon
@@ -349,14 +363,11 @@ class TruncatedIdeal:
         read reduced, so every holder of a shared span gets the same list.
         """
         self.span.basis.interreduce()
-        field, rows = self.field, self.span.basis.rows
+        rows = self.span.basis.rows
         leads = {key_exponents(k): k for k in rows}
         lead_ideal = staircase.MonomialIdeal.from_exponents(
             list(leads) + [(self.n0 - b, b) for b in range(self.n0 + 1)])
-        return [Poly.from_canonical(field, {
-                    Monomial(*key_exponents(k)): field.coerce(c)
-                    for k, c in rows[leads[u]].items()})
-                if u in leads else Poly.monomial(field, u)
+        return [rows[leads[u]] if u in leads else monomial_row(*u)
                 for u in lead_ideal.gens]
 
     def to_monomial(self) -> staircase.MonomialIdeal | None:

@@ -18,7 +18,8 @@ certificate for membership, `reference_nakayama_covers` builds both
 sides of a Nakayama test in one ReferenceSpan, `reference_sym_product`
 multiplies symmetric-power generators out term by term,
 `reference_chain_gens` builds every generator list of a Fitting chain
-eagerly, one determinant per minor, and `reference_minimalize` drops
+eagerly, one determinant per minor, `reference_product` multiplies two
+ideals' standard generators as Polys, and `reference_minimalize` drops
 dominated monomials by pairwise divisibility.  `reference_integral_closure`
 and `reference_adjoint` test every point of the generator box against the
 Newton polyhedron's facets.  `reference_add`,
@@ -355,6 +356,24 @@ def reference_fitting(matrix, k, field, config=DEFAULT):
         return TruncatedIdeal.unit(field, config)
     return TruncatedIdeal.materialize(list(dict.fromkeys(value)), field,
                                       config=config)
+
+
+def row_poly(row, field):
+    """The Poly a slot-0 row packs; over Q rows are rays, so a unit
+    multiple of the Poly that was packed."""
+    return Poly.from_canonical(field, {
+        Monomial(*key_exponents(k)): field.coerce(c) for k, c in row.items()})
+
+
+def reference_product(a, b):
+    """I*J by the Poly route: every product of the standard generators of
+    I and of J as Polys, each once, materialized below the product's
+    certificate n0(I) + n0(J)."""
+    gens = list(dict.fromkeys(
+        row_poly(g, a.field) * row_poly(h, a.field)
+        for g in a.standard_rows for h in b.standard_rows))
+    return TruncatedIdeal.materialize(gens, a.field, order=a.n0 + b.n0 + 1,
+                                      config=a.config)
 
 
 def reference_to_monomial(ideal):

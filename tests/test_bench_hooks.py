@@ -22,7 +22,7 @@ from regcore.modcore import (ModuleRep, core_module, fitting,
                              minimal_reduction_module)
 from regcore.reduction import GenericSampler, minimal_reduction
 from regcore.staircase import MonomialIdeal
-from regcore.trunc import TruncatedIdeal, span_with_certificate
+from regcore.trunc import TruncatedIdeal, span_with_certificate, vector_row
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -97,7 +97,8 @@ def test_hooks_read_what_the_boundaries_return():
     assert (tracer.counts["modcore.sym_degree_sum"],
             tracer.counts["modcore.sym_certificates"]) == (cert.degree, 2)
 
-    span = span_with_certificate([(g,) for g in ideal.gens], 1, QQ)
+    span = span_with_certificate([vector_row((g,)) for g in ideal.gens], 1,
+                                 QQ)
     hooks["trunc.spans"][1]((), {}, span)
     assert (tracer.counts["trunc.order_sum"],
             tracer.counts["trunc.n0_sum"]) == (span.order, span.n0)

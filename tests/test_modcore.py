@@ -13,14 +13,14 @@ from regcore.field import QQ, PrimeField
 from regcore.modcore import (ModuleRep, _slot_monomial_ideals, buchsbaum_rim,
                              colon_into, core_module, fitting,
                              minimal_reduction_module, sym_colength,
-                             sym_reduction_check, sym_slots)
+                             sym_generators, sym_reduction_check)
 from regcore.poly import Poly, matrix_minors, parse_poly
 from regcore.reduction import (RETRY_LIMIT, GenericSampler,
                                MultiplicityCertificate, hilbert_samuel,
                                minimal_reduction, rees_reduction)
 from regcore.staircase import (MonomialIdeal, colength, multiplicity,
                                presentation_matrix)
-from regcore.trunc import TruncatedIdeal, span_with_certificate
+from regcore.trunc import TruncatedIdeal, span_with_certificate, vector_row
 
 from oracles import (reference_chain_gens, reference_fitting,
                      reference_sym_product)
@@ -344,8 +344,8 @@ def test_colon_into_minimal_reduction_is_adjoint():
 
 
 def test_sym_slots_and_colength():
-    assert sym_slots(2, 2) == [(2, 0), (1, 1), (0, 2)]
     mm = msum(M(1), M(1))
+    assert sym_generators(mm, 2)[0] == 3  # slots e1^2, e1*e2, e2^2
     assert sym_colength(mm, 2) == 9  # sum of len(R/m^i m^j), i+j=2
     assert sym_colength(mm, 0) == 0
     rank1 = mono_module(M(2))
@@ -412,7 +412,8 @@ def test_sym_reduction_check_on_twisted_sums(field, t):
             n = ModuleRep(field, 2, [sampler.combination(source.columns)
                                      for _ in range(3)])
             slots, products = reference_sym_product(n, mod, t)
-            span = span_with_certificate(products, len(slots), field)
+            span = span_with_certificate([vector_row(c) for c in products],
+                                         len(slots), field)
             assert (span.colength() == sym_colength(mod, t + 1)) == expected
             assert sym_reduction_check(n, mod, t) == expected
 

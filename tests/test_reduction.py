@@ -292,15 +292,17 @@ def test_rees_and_nakayama_agree(data):
     with pytest.raises(GenericityError):
         rees_reduction(I, GenericSampler(seed), e - 1, cert)
     # the same draws are accepted, so the colon adjoint is unchanged; the
-    # seeds may disagree, as I need not be integrally closed
+    # seeds may disagree, as I need not be integrally closed, and then I
+    # is refused; refused input is skipped
     mono = I.to_monomial()
     if mono is None or integral_closure(mono) == mono:  # else refused
         expected = _parent_adjoint_route(I, GenericSampler(seed))
-        if expected is None:
-            with pytest.raises(GenericityError):
-                adjoint_ideal(I, GenericSampler(seed))
+        try:
+            adj = adjoint_ideal(I, GenericSampler(seed))
+        except MathError as refused:
+            assert "not integrally closed" in str(refused)
         else:
-            assert adjoint_ideal(I, GenericSampler(seed)).equals(expected)
+            assert expected is not None and adj.equals(expected)
 
 
 def test_degree_four_coordinate_change_builds_no_powers(monkeypatch):
@@ -359,16 +361,25 @@ def test_colon_by_a_parameter_ideal_has_the_linked_colength(data):
         J.colength() - I.colength()
 
 
-def test_seeds_that_disagree_are_refused():
+def test_seeds_that_disagree_are_refused(monkeypatch):
     # the later seeds' reductions are tested by first*I <= J_k; for this
-    # ideal, which is not monomial, the colons still differ across seeds
+    # ideal, which is not monomial, the colons still differ across seeds,
+    # which only an ideal that is not integrally closed allows; every seed
+    # here finds that earlier, by a first certificate exponent above 1
     gens = ["6*y^3", "6*x^2*y^3", "2*x^2*y", "6*x^3 + 3*x*y^2 + 3*x*y^3",
             "x^6", "y^6"]
     I = TruncatedIdeal.materialize([P(g, F7) for g in gens], F7)
     for seed in range(1, 7):
-        with pytest.raises(GenericityError,
-                           match="colon adjoints disagree across seeds"):
+        with pytest.raises(MathError, match="not integrally closed"):
             adjoint_ideal(I, GenericSampler(seed))
+    # a later seed that disagrees: for m^2, J_1 : I = m, and J = (x, y^4)
+    # has the colength e(m^2) = 4 but not y^3 of m*m^2
+    other = TruncatedIdeal.materialize([P("x"), P("y^4")], QQ)
+    monkeypatch.setattr(reduction, "rees_reduction",
+                        lambda *args: (other, None))
+    with pytest.raises(MathError, match="not integrally closed: colon "
+                                        "adjoints disagree across seeds"):
+        adjoint_ideal(from_mono(M(2)), GenericSampler(1))
 
 
 def test_one_square_per_ideal_and_no_higher_power_kept(monkeypatch):

@@ -1,5 +1,7 @@
 import gc
+from fractions import Fraction
 import weakref
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -10,7 +12,8 @@ from regcore.config import DEFAULT, EngineConfig
 from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.field import QQ, PrimeField
 from regcore.linalg import (SparseBasis, combine, kernel_modulo, key_degree,
-                            normal_forms, pack_key, times_monomial)
+                            normal_forms, pack_key, row_product,
+                            times_monomial)
 from regcore.poly import Poly, parse_poly
 from regcore.serialize import ideal_text
 from regcore.staircase import MonomialIdeal, colength as mono_colength
@@ -21,9 +24,10 @@ from regcore.trunc import (TruncatedIdeal, TruncatedSpan, monomials_below,
                            vector_row)
 
 from oracles import (quotient_dimension, reference_colon, reference_intersect,
-                     reference_kernel, reference_monomial_plus,
+                     reference_kernel, reference_monomial_plus, reference_mul,
                      reference_nakayama_covers, reference_plus,
-                     reference_span, reference_to_monomial, sequential_colon)
+                     reference_product, reference_span, reference_to_monomial,
+                     sequential_colon)
 
 F7 = PrimeField(7)
 F65537 = PrimeField(65537)
@@ -31,6 +35,10 @@ F65537 = PrimeField(65537)
 
 def P(text, field=QQ):
     return parse_poly(text, field)
+
+
+def packed(columns):
+    return [vector_row(col) for col in columns]
 
 
 def Tr(*texts, field=QQ, order=None):
@@ -85,7 +93,7 @@ def test_span_builder_reaches_each_monomial_multiple_once(field, monkeypatch):
     for columns, nslots, inserts, colength in ((x5_y5, 1, 30, 25),
                                                (rank_two, 2, 20, 10)):
         leads.clear()
-        span = span_with_certificate(columns, nslots, field)
+        span = span_with_certificate(packed(columns), nslots, field)
         assert span.colength() == colength
         assert len(leads) == inserts
         assert None not in leads
@@ -353,8 +361,8 @@ def test_builder_matches_reference_builder(data):
     probes = data.draw(st.lists(probe_polys(field), min_size=4, max_size=4))
     new_i, new_j = (TruncatedIdeal.materialize(g, field)
                     for g in (i_gens, j_gens))
-    ref_i, ref_j = (TruncatedIdeal(field, g, reference_span(
-        [(f,) for f in g], 1, field)) for g in (i_gens, j_gens))
+    ref_i, ref_j = (TruncatedIdeal(field, reference_span(
+        [(f,) for f in g], 1, field), gens=g) for g in (i_gens, j_gens))
     for new, ref in ((new_i, ref_i), (new_j, ref_j)):
         assert new.n0 == ref.n0
         assert new.colength() == ref.colength()
@@ -367,24 +375,24 @@ def test_builder_matches_reference_builder(data):
     # the rank-2 direct sum I (+) J
     zero = Poly.zero(field)
     columns = [(g, zero) for g in i_gens] + [(zero, h) for h in j_gens]
-    new = span_with_certificate(columns, 2, field)
+    new = span_with_certificate(packed(columns), 2, field)
     ref = reference_span(columns, 2, field)
     assert new.n0 == ref.n0 == max(new_i.n0, new_j.n0)
     assert new.colength() == ref.colength() == \
         new_i.colength() + new_j.colength()
     vectors = [(f, g) for f in probes for g in probes]
-    assert [new.contains_vector(v) for v in vectors] == \
-        [ref.contains_vector(v) for v in vectors]
+    assert [new.contains_row(r) for r in packed(vectors)] == \
+        [ref.contains_row(r) for r in packed(vectors)]
     # twisted by g = [[1, x], [0, 1]]: g*(I (+) J) is no slotwise sum
     x = P("x", field)
     twisted = [(g, zero) for g in i_gens] + [(x * h, h) for h in j_gens]
-    new = span_with_certificate(twisted, 2, field)
+    new = span_with_certificate(packed(twisted), 2, field)
     ref = reference_span(twisted, 2, field)
     assert new.n0 == ref.n0 == max(new_i.n0, new_j.n0)
     assert new.colength() == ref.colength() == \
         new_i.colength() + new_j.colength()
-    assert [new.contains_vector(v) for v in vectors] == \
-        [ref.contains_vector(v) for v in vectors]
+    assert [new.contains_row(r) for r in packed(vectors)] == \
+        [ref.contains_row(r) for r in packed(vectors)]
 
 
 def to_monomial_inputs(field):
@@ -429,7 +437,7 @@ def test_interreduce_keeps_leads_span_and_answers(data):
     for columns, nslots in (([(g,) for g in i_gens], 1), (rank_two, 2)):
         # built directly: a span shared through span_with_certificate may
         # already have been interreduced by another holder's queries
-        span = TruncatedSpan(field, nslots, columns,
+        span = TruncatedSpan(field, nslots, packed(columns),
                              DEFAULT.truncation_ceiling)
         plain = span.basis
         assert not plain.reduced  # building a span never interreduces
@@ -556,7 +564,7 @@ def colon_degrees(span, columns):
     orders = [f.order() for col in columns for f in col if not f.is_zero]
     d = max(span.n0 - min(orders, default=span.n0), 0)
     t = next(t for t in range(d + 1) if all(
-        span.contains_vector(tuple(f.shift(t - b, b) for f in col))
+        span.contains_row(vector_row(tuple(f.shift(t - b, b) for f in col)))
         for col in columns for b in range(t + 1)))
     return t, d
 
@@ -590,8 +598,8 @@ def test_colon_gens_match_sequential_colon(data):
         assert_same_colon(big.span, [(g,) for g in small_gens])
     zero = Poly.zero(field)
     x = P("x", field)
-    n = span_with_certificate([(g, zero) for g in i_gens]
-                              + [(zero, h) for h in j_gens], 2, field)
+    n = span_with_certificate(packed([(g, zero) for g in i_gens]
+                                     + [(zero, h) for h in j_gens]), 2, field)
     for m in ([(h, zero) for h in j_gens] + [(zero, g) for g in i_gens],
               [(g, x * g) for g in j_gens] + [(zero, zero)]
               + [(zero, h) for h in i_gens]):
@@ -655,7 +663,7 @@ def test_nakayama_covers_matches_reference_joint_build(data):
            for _ in range(nslots)]
     big = [tuple(sum((col[t].scale(mix[s][t]) for t in range(s + 1, nslots)),
                      col[s]) for s in range(nslots)) for col in big]
-    span = span_with_certificate(big, nslots, field)
+    span = span_with_certificate(packed(big), nslots, field)
     cap = span.n0
 
     def times(f, col):
@@ -681,7 +689,7 @@ def test_nakayama_covers_matches_reference_joint_build(data):
     for small, expected in ((combos, True), (combos + extra, True),
                             (dropped, False), (extra + dropped, False),
                             ([], False), (extra, False)):
-        assert nakayama_covers(span, small) == expected
+        assert nakayama_covers(span, packed(small)) == expected
         assert reference_nakayama_covers(big, small, nslots, field,
                                          cap) == expected
 
@@ -691,12 +699,12 @@ def test_nakayama_covers_the_free_module():
     for field in (QQ, F7):
         zero, one = Poly.zero(field), Poly.one(field)
         units = [(one, zero), (zero, one)]
-        free = span_with_certificate(units, 2, field)
+        free = span_with_certificate(packed(units), 2, field)
         assert free.n0 == 0
         mixed = [(one + P("x", field), P("y", field)), (one, one)]
-        assert nakayama_covers(free, mixed)
-        assert not nakayama_covers(free, [(one, one),
-                                          (one + P("x", field), one)])
+        assert nakayama_covers(free, packed(mixed))
+        assert not nakayama_covers(free, packed([(one, one),
+                                                 (one + P("x", field), one)]))
         assert not nakayama_covers(free, [])
 
 
@@ -711,68 +719,80 @@ def span_inputs(field):
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.data())
-def test_standard_gens_generate_the_ideal(data):
+def test_standard_rows_generate_the_ideal(data):
     field = data.draw(st.sampled_from([QQ, F7, F65537]))
     ideal = TruncatedIdeal.materialize(data.draw(span_inputs(field)), field)
-    gens = ideal.standard_gens()
-    assert len(gens) <= ideal.n0 + 1
-    again = TruncatedIdeal.materialize(gens, field)
+    rows = ideal.standard_rows
+    assert len(rows) <= ideal.n0 + 1
+    again = TruncatedIdeal(field, span_with_certificate(rows, 1, field),
+                           rows=rows)
     assert again.colength() == ideal.colength()
     assert again.contains_ideal(ideal) and ideal.contains_ideal(again)
 
 
-def test_standard_gens_of_the_unit_ideal():
+def test_standard_rows_of_the_unit_ideal():
     for field in (QQ, F7, F65537):
         unit = TruncatedIdeal.materialize([P("1 + x", field)], field)
-        assert unit.standard_gens() == [Poly.one(field)]
+        assert unit.standard_rows == packed([(Poly.one(field),)])
 
 
 def test_equal_columns_share_one_certified_span():
-    cols = [(P("x^2"),), (P("x*y + y^3"),), (P("y^4"),)]
+    polys = [(P("x^2"),), (P("x*y + y^3"),), (P("y^4"),)]
+    cols = packed(polys)
     span = span_with_certificate(cols, 1, QQ)
     assert span_with_certificate(tuple(cols), 1, QQ) is span
-    assert span_with_certificate([list(c) for c in cols], 1, QQ) is span
+    # a row's terms in another order, and a repeated row, change nothing
+    shuffled = [dict(reversed(row.items())) for row in cols]
+    assert [list(r) for r in shuffled] != [list(r) for r in cols]
+    assert span_with_certificate(shuffled + cols[:1], 1, QQ) is span
     # a different stop, ceiling, slot count or field is another span
     assert span_with_certificate(cols, 1, QQ, order=10) is not span
     assert span_with_certificate(
         cols, 1, QQ, EngineConfig(truncation_ceiling=30)) is not span
     with pytest.raises(NotMPrimaryError):  # m^3 F is not inside a 1-slot I
         span_with_certificate(cols, 2, QQ)
-    other = span_with_certificate([(P(str(c[0]), F65537),) for c in cols],
-                                  1, F65537)
+    other = span_with_certificate(
+        packed([(P(str(c[0]), F65537),) for c in polys]), 1, F65537)
     assert other is not span and other.field == F65537
     # an explicit order below the certificate is refused, not served
     with pytest.raises(NotMPrimaryError):
         span_with_certificate(cols, 1, QQ, order=span.n0)
 
 
+def memo_rows(columns):
+    """The rows of columns as a span memo key holds them."""
+    return tuple(tuple(chain.from_iterable(sorted(row.items())))
+                 for row in packed(columns))
+
+
 def test_span_memo_holds_only_certified_spans_in_use():
     cols = ((P("x^3") + P("y^5"),), (P("x*y^2"),), (P("x^2*y"),),
             (P("y^6"),))
-    span = span_with_certificate(cols, 1, QQ)
+    span = span_with_certificate(packed(cols), 1, QQ)
     ref = weakref.ref(span)
     del span
     gc.collect()
     assert ref() is None
-    assert all(key[2] != cols for key in list(trunc._certified.keys()))
+    assert all(key[2] != memo_rows(cols) for key in trunc._certified.keys())
     line = ((P("x^2"),), (P("x*y"),))  # no power of y: not m-primary
     for _ in range(2):  # the traceback keeps the refused span alive
         with pytest.raises(NotMPrimaryError) as refused:
-            span_with_certificate(line, 1, QQ, order=8)
+            span_with_certificate(packed(line), 1, QQ, order=8)
         assert refused.traceback
-        assert all(key[2] != line for key in list(trunc._certified.keys()))
+        assert all(key[2] != memo_rows(line)
+                   for key in trunc._certified.keys())
 
 
-def test_shared_span_gives_the_same_standard_gens():
+def test_shared_span_gives_the_same_standard_rows():
     # the same list whether or not another holder queried the span first
     gens = [P("x^2 + x*y"), P("x*y + y^2"), P("x^3"), P("y^3")]
-    untouched = TruncatedIdeal.materialize(gens, QQ).standard_gens()
+    untouched = TruncatedIdeal.materialize(gens, QQ).standard_rows
     gc.collect()
     first = TruncatedIdeal.materialize(gens, QQ)
     assert first.contains_poly(P("x^2 + 2*x*y + y^2"))
     second = TruncatedIdeal.materialize(gens, QQ)
     assert second.span is first.span
-    assert second.standard_gens() == untouched
+    assert second.standard_rows == untouched
     # a power is built from standard generators: at most (n0 + 1)^2
     assert len(first.square().gens) <= (first.n0 + 1) ** 2
 
@@ -789,7 +809,7 @@ def test_certified_spans_store_nothing_at_or_above_n0(data):
     twisted = [(g, zero) for g in i_gens] + [(x * h, h) for h in j_gens]
     for span in (i.span, j.span, i.product(j).span, i.square().span,
                  i.colon(j).span, j.colon(i).span,
-                 span_with_certificate(twisted, 2, field)):
+                 span_with_certificate(packed(twisted), 2, field)):
         assert all(key_degree(k) < span.n0
                    for row in span.basis.rows.values() for k in row)
 
@@ -804,7 +824,7 @@ def test_nakayama_covers_on_twisted_spans_matches_reference(data):
     zero, x = Poly.zero(field), P("x", field)
     big = [(g, zero) for g in data.draw(span_inputs(field))] + \
         [(x * h, h) for h in data.draw(span_inputs(field))]
-    span = span_with_certificate(big, 2, field)
+    span = span_with_certificate(packed(big), 2, field)
     combos = []
     for i, col in enumerate(big):  # unitriangular: they generate M
         for other in big[i + 1:]:
@@ -815,9 +835,9 @@ def test_nakayama_covers_on_twisted_spans_matches_reference(data):
     dropped = list(big)
     del dropped[rnd.randrange(len(big))]
     for small in (combos, dropped, big[:1], []):
-        assert nakayama_covers(span, small) == \
+        assert nakayama_covers(span, packed(small)) == \
             reference_nakayama_covers(big, small, 2, field, span.n0)
-    assert nakayama_covers(span, combos)
+    assert nakayama_covers(span, packed(combos))
 
 
 def test_nakayama_covers_at_n0_zero_matches_reference():
@@ -826,17 +846,96 @@ def test_nakayama_covers_at_n0_zero_matches_reference():
         x, y = P("x", field), P("y", field)
         for big in ([(one, zero), (zero, one)], [(one, zero), (x, one)],
                     [(one, x), (y, one)]):
-            span = span_with_certificate(big, 2, field)
+            span = span_with_certificate(packed(big), 2, field)
             assert span.n0 == 0 and not span.basis.rows
             for small in (big, [(one + x, y), (one, one)],
                           [(one, one), (one + x, one)], [(x, y)], []):
-                assert nakayama_covers(span, small) == \
+                assert nakayama_covers(span, packed(small)) == \
                     reference_nakayama_covers(big, small, 2, field, 0)
-        unit = span_with_certificate([(one + x,)], 1, field)
-        assert nakayama_covers(unit, [(y + one,)])
-        assert not nakayama_covers(unit, [(x,)])
+        unit = span_with_certificate(packed([(one + x,)]), 1, field)
+        assert nakayama_covers(unit, packed([(y + one,)]))
+        assert not nakayama_covers(unit, packed([(x,)]))
 
 
 def test_span_docstrings_name_the_stored_quotient():
     assert "I/m^n0 F" in TruncatedSpan.__doc__
     assert "I/m^n0 F" in nakayama_covers.__doc__
+
+
+def factor_polys(field):
+    coeffs = [1, -1, 2, -3] + ([Fraction(1, 2), Fraction(-3, 4),
+                                Fraction(5, 3)] if field.p is None
+                               else [field.p - 1, 3])
+    term = st.tuples(st.integers(0, 4), st.integers(0, 4),
+                     st.sampled_from(coeffs))
+    return st.lists(term, min_size=1, max_size=5).map(
+        lambda ts: Poly(field, {(a, b): c for a, b, c in ts})).filter(
+        lambda f: not f.is_zero)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_row_product_matches_the_term_by_term_reference(data):
+    # a slot-0 row times a row in any slot, in either order, capped or not:
+    # over F_p the packed product, over Q a positive multiple of it
+    field = data.draw(st.sampled_from([QQ, F7, F65537]))
+    f, g = data.draw(factor_polys(field)), data.draw(factor_polys(field))
+    nslots = data.draw(st.integers(1, 3))
+    slot = data.draw(st.integers(0, nslots - 1))
+    cap = data.draw(st.one_of(st.none(), st.integers(0, 8)))
+    zero = Poly.zero(field)
+    vector = tuple(g if s == slot else zero for s in range(nslots))
+    want = vector_row(tuple(reference_mul(f, h) for h in vector), cap=cap)
+    for got in (row_product(vector_row((f,)), vector_row(vector), cap,
+                            field.p),
+                row_product(vector_row(vector), vector_row((f,)), cap,
+                            field.p)):
+        assert set(got) == set(want) and all(got.values())
+        if field.p is not None:
+            assert got == want
+        else:
+            ratios = {Fraction(got[k], want[k]) for k in want}
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_product_matches_the_poly_route(data):
+    # monomial, coordinate-changed and uneven ideals, and squares: the rows
+    # span the ideal the Poly products span, with the same certificate
+    field = data.draw(st.sampled_from([QQ, F7, F65537]))
+    i, j = (TruncatedIdeal.materialize(data.draw(span_inputs(field)), field)
+            for _ in range(2))
+    for a, b in ((i, j), (j, i), (i, i)):
+        got, want = a.product(b), reference_product(a, b)
+        assert got.n0 == want.n0 and got.colength() == want.colength()
+        assert got.equals(want) and want.equals(got)
+        assert all(got.contains_poly(f) for f in want.gens)
+
+
+def test_products_and_nakayama_tests_make_no_poly_products(monkeypatch):
+    # phi(x^3, x*y, y^2), phi = (x + y, x - y), and a twisted sum: every
+    # product feeding a span or a membership test stays a row product
+    from regcore import modcore, reduction
+    field = F65537
+    x, y = P("x + y", field), P("x - y", field)
+    I = TruncatedIdeal.materialize([x * x * x, x * y, y * y], field)
+    J, _ = reduction.minimal_reduction(I, reduction.GenericSampler(7))
+    zero = Poly.zero(field)
+    twisted = ModuleRep(field, 2, [(P("x^2", field), zero),
+                                   (P("y^2", field), zero),
+                                   (P("x^2", field), P("x", field)),
+                                   (P("x*y", field), P("y", field))])
+    n = ModuleRep(field, 2, [reduction.GenericSampler(k).combination(
+        twisted.columns) for k in range(3)])
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda f, g: calls.append(1) or mul(f, g))
+    I.product(J)
+    I.square().product(I)
+    assert reduction.is_reduction(J, I) is not None
+    reduction.adjoint_ideal(I, reduction.GenericSampler(3))
+    modcore.sym_reduction_check(n, twisted, 1)
+    assert calls == []
+    assert x * y and calls == [1]  # the wrapper counts Poly products
