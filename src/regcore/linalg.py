@@ -49,25 +49,47 @@ def times_monomial(row: dict, a: int, b: int) -> dict:
     return {k + delta: c for k, c in row.items()}
 
 
-def monomial_row(a: int, b: int) -> dict:
-    """The row of x^a y^b in slot 0."""
-    return {pack_key(a + b, 0, b): 1}
+def key_slot(key: int) -> int:
+    return (key >> _SLOT_SHIFT) & _MASK
 
 
-def sym_row(row: dict, rank: int, base: int) -> dict:
-    """A row of R^rank in Sym(R^rank): slot i < rank - 1 goes to base^i, the
-    last to 0, so a product of fewer than `base` such rows holds e_1^a_1 *
-    ... * e_rank^a_rank in slot sum(a_i * base^(i-1)) over i < rank."""
-    if base ** (rank - 1) > _MASK + 1:
-        raise MathError(f"Sym_{base - 1} of rank {rank} has too many slots")
-    moves = [((base ** s if s < rank - 1 else 0) - s) << _SLOT_SHIFT
-             for s in range(rank)]
-    return {k + moves[(k >> _SLOT_SHIFT) & _MASK]: c for k, c in row.items()}
+def monomial_row(a: int, b: int, slot: int = 0) -> dict:
+    """The row of x^a y^b in `slot`."""
+    return {pack_key(a + b, slot, b): 1}
+
+
+def sym_rows(rows, rank: int) -> list[dict]:
+    """Rows of R^rank as rows of Sym(R^rank), whose products add slots: at
+    rank > 2 slot i < rank - 1 goes to B^(i-1) (slot 0 stays) and the last
+    to C = _MASK // (B-1), for the largest B with (B-1)*B^(rank-3) < C.  So
+    e^a of degree t < B lies in slot P + a_last*C, P < C with base-B digits
+    a_i; and e_last^t passes _MASK exactly when t >= B (`slot_sums`)."""
+    if rank <= 2:
+        return list(rows)
+    if 2 ** (rank - 3) >= _MASK:
+        raise MathError(f"Sym of rank {rank} has too many slots")
+    base = 2
+    while base * (base + 1) ** (rank - 3) < _MASK // base:
+        base += 1
+    weights = ([0] + [base ** (s - 1) for s in range(1, rank - 1)]
+               + [_MASK // (base - 1)])
+    moves = [(w - s) << _SLOT_SHIFT for s, w in enumerate(weights)]
+    return [{k + moves[(k >> _SLOT_SHIFT) & _MASK]: c for k, c in row.items()}
+            for row in rows]
+
+
+def slot_sums(a, b) -> list[int]:
+    """The sorted slots of products of rows in slots `a` and `b`, if they
+    fit in a key (see `sym_rows`)."""
+    sums = sorted({s + t for s in a for t in b})
+    if sums[-1] > _MASK:
+        raise MathError("a symmetric power has too many slots")
+    return sums
 
 
 def row_product(a: dict, b: dict, cap=None, p=None) -> dict:
-    """The product of two rows, one in slot 0 or both `sym_row`s, below
-    degree `cap`: integer rays over Q, residues mod p over F_p."""
+    """The product of two rows, whose slots add, below degree `cap`:
+    integer rays over Q, residues mod p over F_p."""
     limit = degree_limit(cap)
     out: dict = {}
     get = out.get

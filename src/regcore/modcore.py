@@ -4,18 +4,17 @@ colengths, Buchsbaum-Rim multiplicity and cores.
 
 Generators are columns inside the ambient free module F = R^r.  All exact
 decisions run through the same truncated spans as the ideal engine, with
-one slot per ambient coordinate; symmetric powers get one slot per degree-t
-monomial in r slot variables.  A reduction is certified by symmetric powers
-or, once one has fixed br(M), by one colength with the ideal engine's
-`MultiplicityCertificate`: an ideal is the rank-1 case.
+one slot per monomial of Sym(F): `ModuleRep.sym` is a TruncatedIdeal whose
+powers are the S_t(M), so the ideal engine's power test certifies module
+reductions and its difference table gives br(M).  Once br(M) is fixed, a
+draw is decided by one colength (`MultiplicityCertificate`).
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement, islice
+from itertools import islice
 from math import comb
 
 from .config import DEFAULT, EngineConfig
@@ -23,18 +22,16 @@ from .errors import (FieldMismatchError, GenericityError, MathError,
                      ZeroIdealError)
 from .field import Field
 from .poly import Poly, matrix_minors, minor_supports
-from .reduction import (GenericSampler, adjoint_ideal, by_multiplicity,
-                        check_closed, search_reduction, stable_difference,
-                        term_ideal)
-from .linalg import monomial_row, row_product, sym_row
-from .trunc import (TruncatedIdeal, TruncatedSpan, nakayama_covers,
-                    span_colon, span_with_certificate, vector_row)
+from .reduction import (GenericSampler, ReductionCertificate, adjoint_ideal,
+                        by_multiplicity, check_closed, is_reduction,
+                        power_difference, search_reduction, term_ideal)
+from .linalg import sym_rows
+from .trunc import (TruncatedIdeal, span_colon, span_with_certificate,
+                    vector_row)
 from . import staircase
 
 # Symmetric-power degree bound tried for module reduction certificates.
 SYM_POWER_BOUND = 3
-# Largest symmetric power materialised for Buchsbaum-Rim stabilisation.
-BR_DEGREE_BOUND = 12
 
 
 class ModuleRep:
@@ -63,7 +60,6 @@ class ModuleRep:
         self.config = config
         self._fitting = (presentation is not None  # keeps its chain alive
                          and _chain_of(self.presentation, field, config))
-        self._span = None
         self._minor_ideal = None
 
     def _check_syzygies(self):
@@ -102,15 +98,20 @@ class ModuleRep:
         return [[self.columns[j][i] for j in range(self.ngens)]
                 for i in range(self.rank)]
 
-    def span(self) -> TruncatedSpan:
-        if self._span is None:
-            self._span = span_with_certificate(
-                [vector_row(col) for col in self.columns], self.rank,
-                self.field, config=self.config)
-        return self._span
-
     def colength(self) -> int:
-        return self.span().colength()
+        return self.sym.colength()
+
+    @cached_property
+    def rows(self) -> list[dict]:
+        """The columns as rows of Sym_1(F) = F (`sym_rows`)."""
+        return sym_rows([vector_row(col) for col in self.columns], self.rank)
+
+    @cached_property
+    def sym(self) -> TruncatedIdeal:
+        """M as S_1(M), a TruncatedIdeal of `rows`, whose span is M's."""
+        span = span_with_certificate(self.rows, self.rank, self.field,
+                                     config=self.config)
+        return TruncatedIdeal(self.field, span, self.config, rows=self.rows)
 
     def minor_ideal(self) -> TruncatedIdeal:
         """I(M): the ideal of rank-sized minors of the representing matrix."""
@@ -134,18 +135,18 @@ class ModuleRep:
         vector = tuple(vector)
         if len(vector) != self.rank:
             raise MathError("vector has wrong rank")
-        return self.span().contains_row(vector_row(vector))
+        return self.sym.span.contains_row(sym_rows([vector_row(vector)],
+                                                   self.rank)[0])
 
     def contains_module(self, other: "ModuleRep") -> bool:
         if other.rank != self.rank:
             raise MathError("rank mismatch")
-        return all(self.contains_vector(col) for col in other.columns)
+        return self.sym.contains_ideal(other)
 
     def equals(self, other: "ModuleRep") -> bool:
         if self.rank != other.rank or self.field != other.field:
             return False
-        return (self.colength() == other.colength()
-                and self.contains_module(other))
+        return self.sym.equals(other.sym)
 
     # -- constructions ------------------------------------------------------
 
@@ -344,32 +345,11 @@ def colon_into(N: ModuleRep, M: ModuleRep) -> TruncatedIdeal:
     `span_colon`."""
     if N.rank != M.rank:
         raise MathError("colon needs modules of equal rank")
-    return span_colon(N.span(), M.columns, N.config)
+    return span_colon(N.sym.span, M.rows, N.config)
 
 
 # ---------------------------------------------------------------------------
 # symmetric powers
-
-
-def sym_generators(M: ModuleRep, degree: int, first: ModuleRep | None = None):
-    """(slot count, rows) of the generators of S_degree(M) in Sym_degree(F),
-    products of `sym_row`s; with `first`, of S_1(first) * S_(degree-1)(M):
-    each column of `first` times each generator of S_(degree-1)(M)."""
-    p, base = M.field.p, degree + 1
-
-    def sym_rows(module):
-        return [sym_row(vector_row(c), M.rank, base) for c in module.columns]
-    rows = []
-    for combo in combinations_with_replacement(sym_rows(M),
-                                               degree - (first is not None)):
-        row = monomial_row(0, 0)
-        for col in combo:
-            row = row_product(row, col, None, p)
-        rows.append(row)
-    if first is not None:
-        rows = [row_product(row, col, None, p)
-                for col in sym_rows(first) for row in rows]
-    return comb(M.rank + degree - 1, degree), rows
 
 
 def _slot_monomial_ideals(M: ModuleRep) -> list[staircase.MonomialIdeal] | None:
@@ -387,30 +367,16 @@ def _slot_monomial_ideals(M: ModuleRep) -> list[staircase.MonomialIdeal] | None:
 
 def sym_colength(M: ModuleRep, degree: int) -> int:
     """Exact length of Sym_degree(F) / S_degree(M)."""
-    nslots, rows = sym_generators(M, degree)
-    return span_with_certificate(rows, nslots, M.field,
-                                 config=M.config).colength()
+    return degree and next(islice(M.sym.powers(), degree - 1,
+                                  None)).colength()
 
 
-def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int) -> bool:
-    """Exact test of S_1(N) * S_t(M) = S_(t+1)(M), for N <= M.
-
-    N <= M puts S_1(N) * S_t(M) inside S_(t+1)(M), so `nakayama_covers`
-    decides the equality on the certified span of S_(t+1)(M).
-    """
+def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int):
+    """`is_reduction` of N's rows on M.sym: the certificate of the first
+    n <= t with S_1(N) * S_n(M) = S_(n+1)(M), for N <= M, or None."""
     if not M.contains_module(N):
         raise MathError("N is not contained in M")
-    nslots, big_rows = sym_generators(M, t + 1)
-    big = span_with_certificate(big_rows, nslots, M.field, config=M.config)
-    return nakayama_covers(big, sym_generators(M, t + 1, N)[1])
-
-
-@dataclass(frozen=True)
-class ModuleReductionCertificate:
-    """S_1(N) * S_t(M) = S_(t+1)(M) was verified at this degree."""
-
-    degree: int
-    trivial: bool = False
+    return is_reduction(N, M.sym, nmax=t)
 
 
 def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler,
@@ -421,38 +387,25 @@ def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler,
     A free module is its own minimal reduction, with a trivial certificate.
     """
     if M.is_free():
-        return M, ModuleReductionCertificate(0, trivial=True)
+        return M, ReductionCertificate(0, 0, trivial=True)
 
     def build(cand):
         N = ModuleRep(M.field, M.rank, cand, config=M.config)
-        N.span()  # must have finite colength in F
+        N.sym  # must have finite colength in F
         return N
 
-    def by_symmetric_powers(N, _):
-        return next((ModuleReductionCertificate(t)
-                     for t in range(1, SYM_POWER_BOUND + 1)
-                     if sym_reduction_check(N, M, t)), None)
-    certify = (by_symmetric_powers if reference is None
-               else by_multiplicity(*reference))
+    certify = (by_multiplicity(*reference) if reference is not None
+               else lambda N, _: sym_reduction_check(N, M, SYM_POWER_BOUND))
     return search_reduction(M.columns, sampler, build, certify,
                             M.config.truncation_ceiling)
 
 
 def buchsbaum_rim(M: ModuleRep) -> int:
-    """Buchsbaum-Rim multiplicity of F/M by difference stabilization.
-
-    (rank+1)-th finite differences of t -> len(Sym_t(F)/S_t(M)) must be
-    constant over three consecutive degrees; errors out rather than guess.
-    """
+    """Buchsbaum-Rim multiplicity of F/M: the stable (rank+1)-th
+    difference of t -> len(Sym_t(F)/S_t(M)) (`power_difference`)."""
     if M.is_free():
         return 0
-    value = stable_difference((sym_colength(M, t)
-                               for t in range(1, BR_DEGREE_BOUND + 1)),
-                              M.rank + 1)
-    if value is None:
-        raise MathError(f"Buchsbaum-Rim differences did not stabilize by "
-                        f"degree {BR_DEGREE_BOUND}")
-    return value
+    return power_difference(M.sym, M.rank + 1)
 
 
 # ---------------------------------------------------------------------------

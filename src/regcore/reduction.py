@@ -16,16 +16,18 @@ refusal of input that is not integrally closed, for adjoints and cores.
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
+from math import comb
 
 from .errors import (GenericityError, MathError, NotMPrimaryError,
                      TruncationCeilingError, ZeroIdealError)
 from .field import Field
 from .poly import Poly
 from .linalg import row_product
-from .trunc import (TruncatedIdeal, monomials_below, nakayama_covers,
-                    vector_row)
+from .trunc import TruncatedIdeal, monomials_below, nakayama_covers
 from . import staircase
 
 
@@ -94,30 +96,31 @@ def search_reduction(columns, sampler: GenericSampler, build, certify,
         f"{RETRY_LIMIT} draws; {reason}")
 
 
-def stable_difference(values, order: int) -> int | None:
-    """The order-th finite difference of 0, values..., once it takes one
-    value at three consecutive places; None if `values` run out first."""
-    seen = [0]
-    stable: list[int] = []
-    for value in values:
-        seen.append(value)
+def power_difference(I: TruncatedIdeal, order: int) -> int:
+    """The order-th difference of 0, colength(I), colength(I^2), ... once
+    stable at three places: e(I) at order 2, br(M) at rank + 1 on M.sym."""
+    seen, stable = [0], []
+    for power in I.powers():
+        seen.append(power.colength())
         if len(seen) > order:
-            diffs = seen[-order - 1:]
-            for _ in range(order):
-                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            stable.append(diffs[0])
+            stable.append(sum((-1) ** k * comb(order, k) * seen[-1 - k]
+                              for k in range(order + 1)))
             if stable[-3:] == [stable[-1]] * 3:
                 return stable[-1]
-    return None
 
 
 @dataclass(frozen=True)
 class ReductionCertificate:
-    """Witness that J*I^n = I^(n+1): re-verifiable by re-running the check."""
+    """Witness that J*I^n = I^(n+1), or S_1(N)*S_n(M) = S_(n+1)(M) with
+    n = `degree` (0 for a free module): re-verifiable by re-running it."""
 
-    subideal_gens: tuple[Poly, ...]
     exponent: int
     colength: int  # of I^(n+1)
+    trivial: bool = False
+
+    @property
+    def degree(self) -> int:
+        return self.exponent
 
 
 def smaller_ideal_equals(big: TruncatedIdeal, small_rows: list[dict]) -> bool:
@@ -127,7 +130,8 @@ def smaller_ideal_equals(big: TruncatedIdeal, small_rows: list[dict]) -> bool:
 
 
 def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None):
-    """The certificate of the first n <= nmax with J*I^n = I^(n+1), or None.
+    """The certificate of the first n <= nmax with J*I^n = I^(n+1), or None;
+    J is read by its `field` and `rows`, so on I = M.sym it is a module N.
 
     None is one-sided: no certificate up to the bound or below the
     truncation ceiling is not a disproof.  The default bound tries n = 1
@@ -137,18 +141,13 @@ def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None):
         raise MathError("J is not contained in I")
     if nmax is None:
         nmax = max(1, J.colength())
-    power, j_rows = I, [vector_row((g,)) for g in J.gens]  # I^n, n = 1
-    for n in range(1, nmax + 1):
-        try:  # I^(n+1); I's kept square first
-            next_power = I.square() if n == 1 else power.product(I)
-        except TruncationCeilingError:
-            return None
-        q_rows = [row_product(g, h, next_power.n0, I.field.p)
-                  for g in j_rows for h in power.standard_rows]
-        if smaller_ideal_equals(next_power, q_rows):
-            return ReductionCertificate(tuple(J.gens), n,
-                                        next_power.colength())
-        power = next_power
+    with suppress(TruncationCeilingError):  # a power past the ceiling
+        for n, (power, bigger) in zip(range(1, nmax + 1),
+                                      pairwise(I.powers())):
+            q_rows = [row_product(g, h, bigger.n0, I.field.p)
+                      for g in J.rows for h in power.standard_rows]
+            if smaller_ideal_equals(bigger, q_rows):
+                return ReductionCertificate(n, bigger.colength())
     return None
 
 
@@ -184,7 +183,7 @@ class MultiplicityCertificate:
 
     columns: tuple
     e: int
-    reference: object  # the ReductionCertificate or ModuleReductionCertificate
+    reference: object  # the ReductionCertificate
     degree: int = 0
     trivial: bool = False
 
@@ -218,7 +217,7 @@ def is_integral_element(f: Poly, I: TruncatedIdeal, nmax: int | None = None):
     one-sided, no certificate up to the bound.
     """
     if f.is_zero or I.contains_poly(f):
-        return True, ReductionCertificate(tuple(I.gens), 0, I.colength())
+        return True, ReductionCertificate(0, I.colength())
     if f.constant_term() != I.field.zero:
         raise MathError("candidate element must lie in the maximal ideal")
     enlarged = TruncatedIdeal.materialize(list(I.gens) + [f], I.field,
@@ -320,25 +319,12 @@ def hilbert_samuel(I: TruncatedIdeal, sampler: GenericSampler) -> int:
 
     Method A: colength of a verified 2-generated minimal reduction.
     Method B: second differences of n -> colength(I^n), stabilized over
-    three consecutive values.
+    three consecutive values (`power_difference`).
     """
     if I.is_unit:
         return 0
     method_a = minimal_reduction(I, sampler)[0].colength()
-
-    def colengths():  # of I, I^2, ... up to the truncation ceiling
-        power = I
-        while True:
-            yield power.colength()
-            try:
-                power = I.square() if power is I else power.product(I)
-            except TruncationCeilingError:
-                raise TruncationCeilingError(
-                    "cannot stabilize second differences under the "
-                    "truncation ceiling; raise it or use the reduction "
-                    "method") from None
-
-    method_b = stable_difference(colengths(), 2)
+    method_b = power_difference(I, 2)
     if method_a != method_b:
         raise GenericityError(
             f"multiplicity methods disagree: reduction colength {method_a} "

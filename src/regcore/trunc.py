@@ -22,8 +22,8 @@ from .errors import (FieldMismatchError, NotMPrimaryError,
                      TruncationCeilingError, ZeroIdealError)
 from .field import Field
 from .linalg import (SparseBasis, combine, kernel_modulo, key_degree,
-                     key_exponents, monomial_row, normal_forms, pack_key,
-                     row_product, times_monomial)
+                     key_exponents, key_slot, monomial_row, normal_forms,
+                     pack_key, row_product, slot_sums, times_monomial)
 from .poly import Monomial, Poly
 from . import staircase
 
@@ -94,6 +94,7 @@ class TruncatedSpan:
     stops there with order = n0 + 1, and since m^n0 F <= I the rows are
     trimmed to degree < n0 and rows of higher lead are dropped, leaving a
     basis of I/m^n0 F.  No certificate below `order` leaves n0 = None.
+    The nslots slots need not be 0..nslots-1: `slots` records them.
     """
 
     def __init__(self, field: Field, nslots: int, rows, order: int):
@@ -124,6 +125,7 @@ class TruncatedSpan:
                             x_leads.add(lead)
             if len(leads[t]) == nslots * (t + 1):
                 self.n0, self.order = t, t + 1
+                self.slots = sorted({key_slot(k) for k in leads[t]})
                 self.basis.truncate(t - 1)
                 return
 
@@ -191,10 +193,10 @@ def nakayama_covers(big: TruncatedSpan, small) -> bool:
         big.basis.dim_up_to(n0 - 1) + big.nslots * (n0 + 1)
 
 
-def span_colon(span: TruncatedSpan, columns,
+def span_colon(span: TruncatedSpan, rows,
                config: EngineConfig = DEFAULT) -> "TruncatedIdeal":
     """(N : M) = { r in R : r*M <= N } for the certified span N of R^s and
-    the columns of M, computed in the quotient F/N.
+    the rows of the columns of M, computed in the quotient F/N.
 
     With o the least order of a nonzero entry of M and d = n0 - o,
     m^d * M <= m^n0 F <= N.  Whether r*c lies in N is decided modulo
@@ -207,15 +209,14 @@ def span_colon(span: TruncatedSpan, columns,
     by the low combinations it contains and m^t.  The low candidates are
     refined one column c at a time: the new ones are the relations among
     the normal forms of the old ones times c, a plain `kernel_modulo`.
-    Zero columns impose nothing.  The survivors and m^t are returned, with
-    n0 = t, since m^(t-1) * M <= N fails by the choice of t.
+    Columns in m^n0 F impose nothing.  The survivors and m^t are returned,
+    with n0 = t, since m^(t-1) * M <= N fails by the choice of t.
     """
     field = span.field
-    orders = [f.order() for col in columns for f in col if not f.is_zero]
-    d = max(span.n0 - min(orders, default=span.n0), 0)
     cap = span.n0 - 1
+    bases = [row for row in rows if row and key_degree(min(row)) <= cap]
+    d = span.n0 - min(map(key_degree, map(min, bases)), default=span.n0)
     nf = normal_forms(span.basis, cap)
-    bases = [r for r in (vector_row(col, cap=cap) for col in columns) if r]
     shifted = [[] for _ in bases]  # normal forms of u*column, deg u < t
     t = 0
     while t < d:
@@ -243,25 +244,30 @@ def span_colon(span: TruncatedSpan, columns,
 
 class TruncatedIdeal:
     """Finite-colength ideal with a verified Nakayama certificate m^n0 <= I,
-    held as its certified span; the unit ideal R is the span of 1, n0 = 0.
-    A product is given by rows, and builds its `gens` when they are read:
-    over Q its rows are rays, unit multiples of the products."""
+    held as its certified span and generating rows (in several slots, and
+    no `gens`, for `ModuleRep.sym`); the unit ideal R is the span of 1.  A
+    product's `gens` are its rows, over Q rays: unit multiples of products."""
 
     def __init__(self, field: Field, span: TruncatedSpan,
                  config: EngineConfig = DEFAULT, gens=None, rows=None):
         self.field = field
         self.span = span
         self.config = config
-        self._rows = rows
         self._square = None  # I*I once built; no higher power is kept
         if gens is not None:
             self.gens = tuple(gens)
+        if rows is not None:
+            self.rows = rows
 
     @cached_property
     def gens(self) -> tuple[Poly, ...]:
         return tuple(dict.fromkeys(Poly.from_canonical(self.field, {
             Monomial(*key_exponents(k)): self.field.coerce(c)
-            for k, c in row.items()}) for row in self._rows))
+            for k, c in row.items()}) for row in self.rows))
+
+    @cached_property
+    def rows(self) -> list[dict]:
+        return [vector_row((g,)) for g in self.gens]
 
     # -- constructors ---------------------------------------------------
 
@@ -315,7 +321,9 @@ class TruncatedIdeal:
     # -- comparisons ------------------------------------------------------
 
     def contains_ideal(self, other: "TruncatedIdeal") -> bool:
-        return all(self.contains_poly(g) for g in other.gens)
+        if other.field != self.field:
+            raise FieldMismatchError("containment across fields")
+        return all(self.span.contains_row(row) for row in other.rows)
 
     def equals(self, other: "TruncatedIdeal") -> bool:
         if self.field != other.field:
@@ -326,15 +334,20 @@ class TruncatedIdeal:
     # -- arithmetic ---------------------------------------------------------
 
     def product(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
-        """I*J from the standard rows of each, at most n0 + 1."""
+        """I*J from the standard rows of each, a square's pairs once, in the
+        factors' slot sums: S_s(M)*S_t(M) = S_(s+t)(M) for Sym_1 forms."""
         order = self.n0 + other.n0 + 1
-        if order > self.config.truncation_ceiling:
+        ceiling = self.config.truncation_ceiling
+        if order > ceiling:
             raise TruncationCeilingError(
-                f"product needs truncation {order} > ceiling")
+                f"a power or product needs truncation order {order}, above "
+                f"the truncation ceiling {ceiling}: raise --ceiling")
+        slots = slot_sums(self.span.slots, other.span.slots)
         rows = [row_product(a, b, order - 1, self.field.p)
-                for a in self.standard_rows for b in other.standard_rows]
-        span = span_with_certificate(rows, 1, self.field, config=self.config,
-                                     order=order)
+                for i, a in enumerate(self.standard_rows)
+                for b in other.standard_rows[i if other is self else 0:]]
+        span = span_with_certificate(rows, len(slots), self.field,
+                                     config=self.config, order=order)
         return TruncatedIdeal(self.field, span, self.config, rows=rows)
 
     def square(self) -> "TruncatedIdeal":
@@ -343,32 +356,46 @@ class TruncatedIdeal:
             self._square = self.product(self)
         return self._square
 
+    def powers(self):
+        """I, I^2 (the kept square), I^3, ... by `product`, until a power
+        passes the truncation ceiling (TruncationCeilingError)."""
+        power = self
+        while True:
+            yield power
+            power = self.square() if power is self else power.product(self)
+
     def colon(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
         """(self : other) = { r : r * other <= self }, by `span_colon`."""
-        return span_colon(self.span, [(g,) for g in other.gens], self.config)
+        return span_colon(self.span, other.rows, self.config)
 
     # -- conversions ---------------------------------------------------------
 
     @cached_property
     def standard_rows(self) -> list[dict]:
-        """Rows of generators of I, at most n0 + 1: for each minimal
-        generator u of the lead ideal L = (leads) + m^n0, the stored row of
-        lead u, or the row of u.
+        """Rows of generators of I, at most n0 + 1 per slot: for each slot s
+        and each minimal generator u of its lead ideal L_s = (leads in slot
+        s) + m^n0, the stored row of lead u in slot s, or the row of u there.
 
-        A stored row lies in I + m^n0 = I, and v times it has least key
-        v*lead.  The least term of f in I lies in L (the rows are an echelon
-        basis of I/m^n0), so subtracting a multiple of v times one generator
-        raises f's least key.  So I <= I' + m^k for their ideal I' and every
-        k, and I = I' by Krull's intersection theorem in R/I'.  The rows are
-        read reduced, so every holder of a shared span gets the same list.
+        A stored row lies in I + m^n0 F = I, and v times it has least key
+        v*lead.  The least term of f in I lies in its slot's L_s (the rows
+        are an echelon basis of I/m^n0 F), so subtracting a multiple of v
+        times one generator raises f's least key.  So I <= I' + m^k F for
+        their span I' and every k, and I = I' by Krull's intersection
+        theorem in F/I'.  The rows are read reduced, so every holder of a
+        shared span gets the same list.
         """
         self.span.basis.interreduce()
-        rows = self.span.basis.rows
-        leads = {key_exponents(k): k for k in rows}
-        lead_ideal = staircase.MonomialIdeal.from_exponents(
-            list(leads) + [(self.n0 - b, b) for b in range(self.n0 + 1)])
-        return [rows[leads[u]] if u in leads else monomial_row(*u)
-                for u in lead_ideal.gens]
+        rows, n0 = self.span.basis.rows, self.n0
+        leads: dict = {slot: {} for slot in self.span.slots}
+        for k in rows:
+            leads[key_slot(k)][key_exponents(k)] = k
+        out = []
+        for slot, lead in leads.items():
+            lead_ideal = staircase.MonomialIdeal.from_exponents(
+                list(lead) + [(n0 - b, b) for b in range(n0 + 1)])
+            out += [rows[lead[u]] if u in lead else monomial_row(*u, slot)
+                    for u in lead_ideal.gens]
+        return out
 
     def to_monomial(self) -> staircase.MonomialIdeal | None:
         """The monomial ideal equal to self, if self is monomial: as m^n0 <= I,

@@ -420,6 +420,8 @@ def _family_multiplicity(runner: _Runner, seed: int, ideals):
                       f"a={ideal_text(a)}", colength(a),
                       _alternating_multiplicity(chain[:-1]))
     for i, a in enumerate(ideals[:10]):
+        # br and method B share one difference table; hilbert_samuel also
+        # requires method A, a reduction's colength, to equal it
         sampler = GenericSampler(_child_seed(seed, 43, i))
         br = buchsbaum_rim(_mod(runner, a))
         runner.eq_int("buchsbaum-rim-of-ideal-equals-hilbert-samuel",

@@ -75,6 +75,32 @@ def test_mult_names_the_truncation_ceiling(tmp_path, capsys):
     assert "not m-primary, or" in err and "ceiling 3" in err
 
 
+def test_br_and_mult_name_the_truncation_ceiling(tmp_path, capsys):
+    # m^20 (+) m^20 has finite colength, but its S_4 needs truncation order
+    # 81, above the default ceiling 64; --ceiling 200 answers it
+    gens = ["*".join(p for p in (f"x^{20 - i}" if i < 20 else "",
+                                 f"y^{i}" if i else "") if p)
+            for i in range(21)]
+    path = write(tmp_path, "M.json", {
+        "field": "Q", "rank": 2,
+        "generators": [[g, "0"] for g in gens] + [["0", g] for g in gens]})
+    code, out, err = run(capsys, "br", "--module", path)
+    assert code == 1
+    assert "ceiling 64" in err and "--ceiling" in err
+    assert "finite colength" not in err
+    code, out, err = run(capsys, "br", "--module", path, "--ceiling", "200")
+    assert code == 0 and json.loads(out)["multiplicity"] == 1200
+    # the same error from mult: I = m^2 by generators that are not terms,
+    # whose I^3 needs truncation order 7
+    path = write(tmp_path, "I.json",
+                 {"field": "Q", "gens": ["x^2 + x^3", "x*y", "y^2"]})
+    code, out, err = run(capsys, "mult", "--ideal", path, "--ceiling", "6")
+    assert code == 1
+    assert "ceiling 6" in err and "--ceiling" in err
+    assert run(capsys, "mult", "--ideal", path, "--ceiling", "9")[:2] == \
+        (0, '{\n  "multiplicity": 4\n}\n')
+
+
 def test_closure_names_the_truncation_ceiling(tmp_path, capsys):
     # term generators are answered from the staircase, with no --ceiling
     path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^40", "y^40"]})

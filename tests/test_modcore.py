@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,11 @@ from regcore.config import EngineConfig
 from regcore.errors import (GenericityError, MathError, NotMPrimaryError,
                             ZeroIdealError)
 from regcore.field import QQ, PrimeField
+from regcore.linalg import key_slot, monomial_row, slot_sums, sym_rows
 from regcore.modcore import (ModuleRep, _slot_monomial_ideals, buchsbaum_rim,
                              colon_into, core_module, fitting,
                              minimal_reduction_module, sym_colength,
-                             sym_generators, sym_reduction_check)
+                             sym_reduction_check)
 from regcore.poly import Poly, matrix_minors, parse_poly
 from regcore.reduction import (RETRY_LIMIT, GenericSampler,
                                MultiplicityCertificate, hilbert_samuel,
@@ -345,7 +347,7 @@ def test_colon_into_minimal_reduction_is_adjoint():
 
 def test_sym_slots_and_colength():
     mm = msum(M(1), M(1))
-    assert sym_generators(mm, 2)[0] == 3  # slots e1^2, e1*e2, e2^2
+    assert mm.sym.square().span.nslots == 3  # slots e1^2, e1*e2, e2^2
     assert sym_colength(mm, 2) == 9  # sum of len(R/m^i m^j), i+j=2
     assert sym_colength(mm, 0) == 0
     rank1 = mono_module(M(2))
@@ -369,6 +371,66 @@ def test_sym_colength_and_buchsbaum_rim_of_sums_are_exact(field):
                                               for f in ("x", "y^2", "x + y")]:
                 assert [sym_colength(mod, t) for t in (1, 2)] == expected
                 assert buchsbaum_rim(mod) == br
+
+
+def test_sym_slots_stay_distinct_until_refused():
+    # the slots of Sym_t(R^r) are the sums of t slots of Sym_1: there are
+    # comb(r + t - 1, t) of them, one per monomial, up to the first degree
+    # that `slot_sums` refuses, which lies past every degree t with
+    # (t + 1)^(r - 1) <= 2^14
+    for rank in range(1, 12):
+        one = sorted({key_slot(k) for row in sym_rows(
+            [monomial_row(0, 0, s) for s in range(rank)], rank) for k in row})
+        slots, t = one, 1
+        while t < 200:
+            assert len(slots) == comb(rank + t - 1, t)
+            try:
+                slots = slot_sums(slots, one)
+            except MathError as exc:
+                assert "too many slots" in str(exc)
+                break
+            t += 1
+        assert (t + 2) ** (rank - 1) > 2 ** 14 or t == 200
+
+
+def three_sum(a, b, c, field, f=None, h=None):
+    """A (+) B (+) C, or g*(A (+) B (+) C) for g = [[1, f, 0], [0, 1, h],
+    [0, 0, 1]], which is isomorphic to it and not slot-monomial."""
+    zero = Poly.zero(field)
+    f, h = (P(s, field) if s else zero for s in (f, h))
+    return ModuleRep(field, 3, [
+        (g, zero, zero) for g in (Poly.monomial(field, m) for m in a.gens)
+    ] + [(f * g, g, zero) for g in (Poly.monomial(field, m) for m in b.gens)
+         ] + [(zero, h * g, g)
+              for g in (Poly.monomial(field, m) for m in c.gens)])
+
+
+@pytest.mark.parametrize("field", [QQ, F65537], ids=str)
+def test_sym_colength_of_rank_three_sums_is_exact(field):
+    # S_t(A (+) B (+) C) is the sum of A^i B^j C^k e1^i e2^j e3^k over
+    # i + j + k = t, so its colength is the sum of the staircase colengths
+    a, b, c = M(1), M(2), WORKED
+    expected = [sum(colength(a.power(i).product(b.power(j))
+                             .product(c.power(t - i - j)))
+                    for i in range(t + 1) for j in range(t + 1 - i))
+                for t in (1, 2, 3)]
+    for mod in (three_sum(a, b, c, field),
+                three_sum(a, b, c, field, "x + y", "y^2")):
+        assert [sym_colength(mod, t) for t in (1, 2, 3)] == expected
+
+
+def test_buchsbaum_rim_at_rank_three_and_five():
+    # br(m^(+r)) = e(m)*comb(r + 1, 2): 6 at rank 3, 15 at rank 5, where a
+    # minimal reduction is certified by S_1(N)*S_1(M) = S_2(M)
+    mmm = three_sum(M(1), M(1), M(1), QQ)
+    assert buchsbaum_rim(mmm) == 6
+    m5 = mono_module(M(1), F65537)
+    for _ in range(4):
+        m5 = m5.direct_sum(mono_module(M(1), F65537))
+    assert buchsbaum_rim(m5) == 15
+    n, cert = minimal_reduction_module(m5, GenericSampler(seed=42))
+    assert (cert.degree, cert.trivial) == (1, False)
+    assert n.ngens == 6 and n.colength() == 15
 
 
 def test_sym_reduction_certificate_m_plus_m():
@@ -415,7 +477,7 @@ def test_sym_reduction_check_on_twisted_sums(field, t):
             span = span_with_certificate([vector_row(c) for c in products],
                                          len(slots), field)
             assert (span.colength() == sym_colength(mod, t + 1)) == expected
-            assert sym_reduction_check(n, mod, t) == expected
+            assert bool(sym_reduction_check(n, mod, t)) == expected
 
 
 def test_sym_reduction_check_refuses_n_outside_m():

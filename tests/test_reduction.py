@@ -10,6 +10,7 @@ from regcore.config import EngineConfig
 from regcore.errors import (GenericityError, MathError, NotMPrimaryError,
                             ZeroIdealError)
 from regcore.field import QQ, PrimeField
+from regcore.modcore import ModuleRep, buchsbaum_rim, minimal_reduction_module
 from regcore.poly import parse_poly
 from regcore.poly import Poly
 from regcore.reduction import (COEFFICIENT_POOL, RETRY_LIMIT, GenericSampler,
@@ -21,7 +22,7 @@ from regcore.reduction import (COEFFICIENT_POOL, RETRY_LIMIT, GenericSampler,
                                rees_reduction, term_ideal)
 from regcore.staircase import (MonomialIdeal, adjoint, integral_closure,
                                multiplicity)
-from regcore.trunc import TruncatedIdeal, span_colon
+from regcore.trunc import TruncatedIdeal, span_colon, vector_row
 
 from test_trunc import as_m_primary, mixed_ideals
 
@@ -357,7 +358,8 @@ def test_colon_by_a_parameter_ideal_has_the_linked_colength(data):
             [sampler.combination(columns)[0] for _ in range(2)], field)
     except (NotMPrimaryError, ZeroIdealError):
         return  # J is no parameter ideal
-    assert span_colon(J.span, columns).colength() == \
+    rows = [vector_row(c) for c in columns]
+    assert span_colon(J.span, rows).colength() == \
         J.colength() - I.colength()
 
 
@@ -383,16 +385,23 @@ def test_seeds_that_disagree_are_refused(monkeypatch):
 
 
 def test_one_square_per_ideal_and_no_higher_power_kept(monkeypatch):
-    # phi(x^3, x*y, y^2), phi = (x + y, x - y): closed, not monomial
+    # phi(x^3, x*y, y^2), phi = (x + y, x - y): closed, not monomial; and
+    # the twisted sum g*(m^2 (+) I), g = [[1, x + y], [0, 1]], whose Sym_1
+    # form keeps S_2(M) the same way
     field = F65537
-    I = TruncatedIdeal.materialize(
-        _changed(field, [(3, 0), (1, 1), (0, 2)], ((1, 1), (1, -1))), field)
+    gens = _changed(field, [(3, 0), (1, 1), (0, 2)], ((1, 1), (1, -1)))
+    I = TruncatedIdeal.materialize(gens, field)
+    zero, f = Poly.zero(field), P("x + y", field)
+    mod = ModuleRep(field, 2, [(P(g, field), zero)
+                               for g in ("x^2", "x*y", "y^2")]
+                    + [(f * g, g) for g in gens])
+    sym = mod.sym
     squares, built = [], []
     product = TruncatedIdeal.product
 
     def counted(self, other):
         out = product(self, other)
-        if self is I and other is I:
+        if self is other and (self is I or self is sym):
             squares.append(out)
         built.append(weakref.ref(out))
         return out
@@ -400,6 +409,13 @@ def test_one_square_per_ideal_and_no_higher_power_kept(monkeypatch):
     assert hilbert_samuel(I, GenericSampler(1)) == 5
     assert adjoint_ideal(I, GenericSampler(2)).colength() == 1
     assert len(squares) == 1 and len(built) > 1  # I^3, ... were built too
+    # S_2(M) certifies the reduction, then starts the difference table;
+    # br(M) = br(m^2 (+) I) = e(m^2) + e(m^2|I) + e(I) = 4 + 4 + 5
+    _, cert = minimal_reduction_module(mod, GenericSampler(3))
+    assert cert.degree == 1
+    assert buchsbaum_rim(mod) == 13
+    assert len(squares) == 2 and squares[1] is sym.square()
     del squares
     gc.collect()
-    assert [ref() for ref in built if ref() is not None] == [I.square()]
+    assert [ref() for ref in built if ref() is not None] == \
+        [I.square(), sym.square()]
