@@ -367,16 +367,13 @@ def _slot_monomial_ideals(M: ModuleRep) -> list[staircase.MonomialIdeal] | None:
 
 def sym_colength(M: ModuleRep, degree: int) -> int:
     """Exact length of Sym_degree(F) / S_degree(M)."""
-    return degree and next(islice(M.sym.powers(), degree - 1,
-                                  None)).colength()
+    return degree and next(islice(M.sym.powers(), degree - 1, None)).colength()
 
 
 def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int):
     """`is_reduction` of N's rows on M.sym: the certificate of the first
     n <= t with S_1(N) * S_n(M) = S_(n+1)(M), for N <= M, or None."""
-    if not M.contains_module(N):
-        raise MathError("N is not contained in M")
-    return is_reduction(N, M.sym, nmax=t)
+    return is_reduction(N, M.sym, nmax=t, names=("N", "M"))
 
 
 def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler,

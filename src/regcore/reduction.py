@@ -129,16 +129,18 @@ def smaller_ideal_equals(big: TruncatedIdeal, small_rows: list[dict]) -> bool:
     return nakayama_covers(big.span, small_rows)
 
 
-def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None):
+def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None,
+                 names=("J", "I")):
     """The certificate of the first n <= nmax with J*I^n = I^(n+1), or None;
-    J is read by its `field` and `rows`, so on I = M.sym it is a module N.
+    J is read by its `rows` (and `colength()` if nmax is None), so on I =
+    M.sym it may be a module N of any colength.  `names` name J and I.
 
     None is one-sided: no certificate up to the bound or below the
     truncation ceiling is not a disproof.  The default bound tries n = 1
     first and falls back to colength(J).
     """
     if not I.contains_ideal(J):
-        raise MathError("J is not contained in I")
+        raise MathError("{} is not contained in {}".format(*names))
     if nmax is None:
         nmax = max(1, J.colength())
     with suppress(TruncationCeilingError):  # a power past the ceiling
@@ -266,8 +268,7 @@ def check_closed(parts):
     is not known and so not decided here), include one that is not
     integrally closed: adj(I) = (J : I) and core(M) = adj(I(M))*M need it."""
     for slot, part in enumerate(parts, 1):
-        if part is not None and staircase.integral_closure(part) != part:
-            closure = staircase.integral_closure(part)
+        if part and (closure := staircase.integral_closure(part)) != part:
             raise MathError(
                 f"the input must be integrally closed (adj(I) = (J : I) and "
                 f"core(M) = adj(I(M))*M need it); slot {slot} is {part}, "

@@ -149,8 +149,7 @@ def span_with_certificate(rows, nslots: int, field: Field,
     """Materialize the span of rows up to its Nakayama certificate, or
     return the certified span already built from the same rows and stop.
 
-    An explicit `order` bounds the stages; otherwise the truncation ceiling
-    does.
+    An explicit `order` bounds the stages, else the truncation ceiling does.
     """
     ceiling = config.truncation_ceiling
     if order is not None and order > ceiling:
@@ -335,19 +334,22 @@ class TruncatedIdeal:
 
     def product(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
         """I*J from the standard rows of each, a square's pairs once, in the
-        factors' slot sums: S_s(M)*S_t(M) = S_(s+t)(M) for Sym_1 forms."""
-        order = self.n0 + other.n0 + 1
+        factors' slot sums: S_s(M)*S_t(M) = S_(s+t)(M) for Sym_1 forms.
+        m^(n0(I) + n0(J)) <= I*J, but n0(I*J) is often lower: a bound above
+        the truncation ceiling is cut to it, and refused only if it fails."""
         ceiling = self.config.truncation_ceiling
-        if order > ceiling:
-            raise TruncationCeilingError(
-                f"a power or product needs truncation order {order}, above "
-                f"the truncation ceiling {ceiling}: raise --ceiling")
+        order = min(self.n0 + other.n0 + 1, ceiling)
         slots = slot_sums(self.span.slots, other.span.slots)
         rows = [row_product(a, b, order - 1, self.field.p)
                 for i, a in enumerate(self.standard_rows)
                 for b in other.standard_rows[i if other is self else 0:]]
-        span = span_with_certificate(rows, len(slots), self.field,
-                                     config=self.config, order=order)
+        try:
+            span = span_with_certificate(rows, len(slots), self.field,
+                                         config=self.config, order=order)
+        except NotMPrimaryError:  # I*J has finite colength: the ceiling
+            raise TruncationCeilingError(
+                f"a power or product has no Nakayama certificate below the "
+                f"truncation ceiling {ceiling}: raise --ceiling") from None
         return TruncatedIdeal(self.field, span, self.config, rows=rows)
 
     def square(self) -> "TruncatedIdeal":

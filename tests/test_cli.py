@@ -101,6 +101,23 @@ def test_br_and_mult_name_the_truncation_ceiling(tmp_path, capsys):
         (0, '{\n  "multiplicity": 4\n}\n')
 
 
+def test_symmetric_powers_are_certified_up_to_the_ceiling(tmp_path, capsys):
+    # M = (x^2, y^2) (+) (x^2, y^2) has S_t(M) = I^t in each slot and
+    # n0(S_t) = 2t + 1, below the n0(S_(t-1)) + n0(M) = 2t + 2 of a product
+    path = write(tmp_path, "M.json", {
+        "field": "Q", "rank": 2,
+        "generators": [["x^2", "0"], ["y^2", "0"], ["0", "x^2"],
+                       ["0", "y^2"]]})
+    code, out, err = run(capsys, "br", "--module", path, "--ceiling", "12")
+    assert code == 0 and json.loads(out)["multiplicity"] == 12
+    code, out, err = run(capsys, "br", "--module", path, "--ceiling", "11")
+    assert code == 1 and "ceiling 11" in err and "--ceiling" in err
+    code, out, err = run(capsys, "reduction", "--module", path,
+                         "--ceiling", "6")
+    assert code == 0
+    assert json.loads(out)["certificate"]["symmetric_degree"] == 1
+
+
 def test_closure_names_the_truncation_ceiling(tmp_path, capsys):
     # term generators are answered from the staircase, with no --ceiling
     path = write(tmp_path, "I.json", {"field": "Q", "gens": ["x^40", "y^40"]})
