@@ -116,8 +116,7 @@ class ModuleRep:
     def minor_ideal(self) -> TruncatedIdeal:
         """I(M): the ideal of rank-sized minors of the representing matrix."""
         if self._minor_ideal is None:
-            minors = matrix_minors(self.rep_matrix(), self.rank, self.field,
-                                   by_support=True)
+            minors = matrix_minors(self.rep_matrix(), self.rank, self.field)
             minors = [m for m in minors if not m.is_zero]
             if not minors:
                 raise ZeroIdealError(
@@ -267,8 +266,8 @@ class _FittingChain:
                     f"minors, more than {_MINOR_BUDGET} of them (the "
                     f"budget) not zero by support")
             minors[size] = list(dict.fromkeys(
-                m for m in matrix_minors(sub, size, self.field, memo,
-                                         by_support=True) if not m.is_zero))
+                m for m in matrix_minors(sub, size, self.field, memo)
+                if not m.is_zero))
         return minors[size]
 
     def _gens(self, nblocks: int, size: int, k: int) -> list[Poly]:
@@ -299,8 +298,8 @@ class _FittingChain:
             gens = self.generators(k)
             if not gens:
                 raise ZeroIdealError(f"I_{k} vanishes: all {k}-minors are zero")
-            self.ideals[k] = TruncatedIdeal.materialize(  # I_0 as unit()
-                gens, self.field, order=None if k else 1, config=self.config)
+            self.ideals[k] = TruncatedIdeal.materialize(
+                gens, self.field, config=self.config)
         return self.ideals[k]
 
 

@@ -423,9 +423,9 @@ def minor_supports(matrix: list[list[Poly]], k: int):
 
 
 def matrix_minors(matrix: list[list[Poly]], k: int, field: Field,
-                  memo: dict | None = None, by_support: bool = False):
-    """All k x k minors of a rectangular Poly matrix, in combinations
-    order, or with `by_support` only those at `minor_supports`, sharing
+                  memo: dict | None = None):
+    """The k x k minors of a rectangular Poly matrix at `minor_supports`,
+    in combinations order (every other minor is zero), sharing
     sub-determinants through `memo` (a fresh one by default).
 
     For k <= 0 the one minor is the empty one, 1; an empty list when k
@@ -433,12 +433,6 @@ def matrix_minors(matrix: list[list[Poly]], k: int, field: Field,
     """
     if k <= 0:
         return [Poly.one(field)]
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if k > nrows or k > ncols:
-        return []
     memo = {} if memo is None else memo
-    pairs = (minor_supports(matrix, k) if by_support else
-             ((rows, cols) for rows in combinations(range(nrows), k)
-              for cols in combinations(range(ncols), k)))
-    return [poly_det(matrix, field, rows, cols, memo) for rows, cols in pairs]
+    return [poly_det(matrix, field, rows, cols, memo)
+            for rows, cols in minor_supports(matrix, k)]

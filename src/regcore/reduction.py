@@ -16,7 +16,6 @@ refusal of input that is not integrally closed, for adjoints and cores.
 from __future__ import annotations
 
 import random
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
@@ -74,23 +73,23 @@ def search_reduction(columns, sampler: GenericSampler, build, certify,
     """(N, certify(N, drawn)) for the first draw of rank+1 seeded-generic
     combinations of `columns` that `build` turns into a finite-colength N
     and `certify` does not answer None; GenericityError after RETRY_LIMIT
-    draws, naming the truncation ceiling when no draw had a Nakayama
-    certificate below it."""
+    draws, naming the truncation ceiling when no draw was decided, both
+    built and certified or refuted, below it."""
     rank = len(columns[0])
-    built = False
+    decided = False
     for _ in range(RETRY_LIMIT):
         cand = [sampler.combination(columns) for _ in range(rank + 1)]
         try:
             N = build(cand)
+            cert = certify(N, cand)
         except (NotMPrimaryError, ZeroIdealError, TruncationCeilingError):
             continue
-        built = True
-        cert = certify(N, cand)
+        decided = True
         if cert is not None:
             return N, cert
-    reason = ("the field may be too small or the input pathological" if built
-              else f"no draw has a Nakayama certificate below the truncation "
-              f"ceiling {ceiling}: raise --ceiling")
+    reason = ("the field may be too small or the input pathological" if decided
+              else f"no draw could be decided below the truncation ceiling "
+              f"{ceiling}: raise --ceiling")
     raise GenericityError(
         f"no certified reduction by {rank + 1} generic combinations in "
         f"{RETRY_LIMIT} draws; {reason}")
@@ -135,21 +134,19 @@ def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None,
     J is read by its `rows` (and `colength()` if nmax is None), so on I =
     M.sym it may be a module N of any colength.  `names` name J and I.
 
-    None is one-sided: no certificate up to the bound or below the
-    truncation ceiling is not a disproof.  The default bound tries n = 1
-    first and falls back to colength(J).
+    None is one-sided: no certificate up to the bound is not a disproof.
+    A power past the truncation ceiling raises TruncationCeilingError.
+    The default bound tries n = 1 first and falls back to colength(J).
     """
     if not I.contains_ideal(J):
         raise MathError("{} is not contained in {}".format(*names))
     if nmax is None:
         nmax = max(1, J.colength())
-    with suppress(TruncationCeilingError):  # a power past the ceiling
-        for n, (power, bigger) in zip(range(1, nmax + 1),
-                                      pairwise(I.powers())):
-            q_rows = [row_product(g, h, bigger.n0, I.field.p)
-                      for g in J.rows for h in power.standard_rows]
-            if smaller_ideal_equals(bigger, q_rows):
-                return ReductionCertificate(n, bigger.colength())
+    for n, (power, bigger) in zip(range(1, nmax + 1), pairwise(I.powers())):
+        q_rows = [row_product(g, h, bigger.n0, I.field.p)
+                  for g in J.rows for h in power.standard_rows]
+        if smaller_ideal_equals(bigger, q_rows):
+            return ReductionCertificate(n, bigger.colength())
     return None
 
 
@@ -213,19 +210,20 @@ def rees_reduction(I: TruncatedIdeal, sampler: GenericSampler, e: int,
 
 
 def is_integral_element(f: Poly, I: TruncatedIdeal, nmax: int | None = None):
-    """Is f integral over I?  (I must be a reduction of I + (f).)
-
-    Returns (True, certificate) or (False, None): the negative is
-    one-sided, no certificate up to the bound.
+    """The certificate that f is integral over I (I is a reduction of
+    I + (f)), or None: one-sided, no certificate up to the bound or below
+    the truncation ceiling.
     """
     if f.is_zero or I.contains_poly(f):
-        return True, ReductionCertificate(0, I.colength())
+        return ReductionCertificate(0, I.colength())
     if f.constant_term() != I.field.zero:
         raise MathError("candidate element must lie in the maximal ideal")
     enlarged = TruncatedIdeal.materialize(list(I.gens) + [f], I.field,
                                           config=I.config)
-    cert = is_reduction(I, enlarged, nmax=nmax)
-    return cert is not None, cert
+    try:
+        return is_reduction(I, enlarged, nmax=nmax)
+    except TruncationCeilingError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -254,8 +252,7 @@ def integral_closure_ideal(I: TruncatedIdeal,
             cand = Poly.monomial(I.field, m)
             if current.contains_poly(cand):
                 continue
-            verdict, _ = is_integral_element(cand, current, nmax=nmax)
-            if verdict:
+            if is_integral_element(cand, current, nmax=nmax) is not None:
                 added.append(cand)
         if not added:
             return ClosureResult(current, False)

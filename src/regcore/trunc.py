@@ -38,17 +38,14 @@ def monomials_below(degree_cap: int):
     return [Monomial(d - b, b) for d in range(degree_cap + 1) for b in range(d + 1)]
 
 
-def vector_row(vector, cap=None) -> dict:
+def vector_row(vector) -> dict:
     """Pack a tuple of polynomials (one per slot) into a sparse row.
 
     Over Q one common denominator is cleared for the whole vector, so the
     row is an integer ray representing the same vector.
     """
-    items = []
-    for slot, f in enumerate(vector):
-        for (a, b), coeff in f.terms.items():
-            if cap is None or a + b <= cap:
-                items.append((pack_key(a + b, slot, b), coeff))
+    items = [(pack_key(a + b, slot, b), coeff) for slot, f in enumerate(vector)
+             for (a, b), coeff in f.terms.items()]
     if not items or vector[0].field.p is not None:
         return dict(items)
     den = lcm(*(c.denominator for _, c in items))
@@ -136,7 +133,7 @@ class TruncatedSpan:
         return self.basis.contains(row, cap=self.n0 - 1)
 
 
-# Certified spans by (field, nslots, rows, stop), held only while some
+# Certified spans by (field, nslots, rows, ceiling), held only while some
 # caller holds them.  A span never changes after __init__ (`interreduce`
 # keeps its span and leads), so equal inputs can share one.  Keys hold each
 # distinct row once, its terms sorted: equal Polys may order them apart.
@@ -144,29 +141,21 @@ _certified: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def span_with_certificate(rows, nslots: int, field: Field,
-                          config: EngineConfig = DEFAULT,
-                          order: int | None = None) -> TruncatedSpan:
-    """Materialize the span of rows up to its Nakayama certificate, or
-    return the certified span already built from the same rows and stop.
-
-    An explicit `order` bounds the stages, else the truncation ceiling does.
-    """
+                          config: EngineConfig = DEFAULT) -> TruncatedSpan:
+    """Materialize the span of rows up to its Nakayama certificate below
+    the truncation ceiling, or return the certified span already built
+    from the same rows under the same ceiling."""
     ceiling = config.truncation_ceiling
-    if order is not None and order > ceiling:
-        raise TruncationCeilingError(f"order {order} exceeds ceiling {ceiling}")
-    stop = ceiling if order is None else order
     distinct = {tuple(chain(*sorted(row.items()))): row for row in rows}
-    key = (field, nslots, tuple(distinct), stop)
+    key = (field, nslots, tuple(distinct), ceiling)
     span = (_certified.get(key)
-            or TruncatedSpan(field, nslots, distinct.values(), stop))
-    if span.n0 is not None:
-        _certified[key] = span
-        return span
-    if order is not None:
-        raise NotMPrimaryError("not m-primary at this truncation")
-    raise NotMPrimaryError(
-        f"no Nakayama certificate up to the truncation ceiling "
-        f"{ceiling}: not finite colength")
+            or TruncatedSpan(field, nslots, distinct.values(), ceiling))
+    if span.n0 is None:
+        raise NotMPrimaryError(
+            f"no Nakayama certificate up to the truncation ceiling "
+            f"{ceiling}: not finite colength")
+    _certified[key] = span
+    return span
 
 
 def nakayama_covers(big: TruncatedSpan, small) -> bool:
@@ -238,7 +227,7 @@ def span_colon(span: TruncatedSpan, rows,
                                         for i, c in v.items()})
             for v in candidates]
     gens += [Poly.term(field, t - b, b) for b in range(t + 1)]
-    return TruncatedIdeal.materialize(gens, field, order=t + 1, config=config)
+    return TruncatedIdeal.materialize(gens, field, config=config)
 
 
 class TruncatedIdeal:
@@ -272,7 +261,6 @@ class TruncatedIdeal:
 
     @classmethod
     def materialize(cls, gens, field: Field | None = None,
-                    order: int | None = None,
                     config: EngineConfig = DEFAULT) -> "TruncatedIdeal":
         gens = [g for g in gens if not g.is_zero]
         if not gens:
@@ -285,19 +273,20 @@ class TruncatedIdeal:
         if any(g.constant_term() != field.zero for g in gens):
             gens = [Poly.one(field)]  # a unit generates R
         span = span_with_certificate([vector_row((g,)) for g in gens], 1,
-                                     field, config=config, order=order)
+                                     field, config=config)
         return cls(field, span, config, gens=gens)
-
-    @classmethod
-    def unit(cls, field: Field, config: EngineConfig = DEFAULT) -> "TruncatedIdeal":
-        return cls.materialize([Poly.one(field)], field, order=1, config=config)
 
     @classmethod
     def from_monomial(cls, ideal: staircase.MonomialIdeal, field: Field,
                       config: EngineConfig = DEFAULT) -> "TruncatedIdeal":
         cert = staircase.power_certificate(ideal)
+        if cert >= config.truncation_ceiling:  # the staircase knows n0
+            raise TruncationCeilingError(
+                f"the Nakayama certificate n0 = {cert} of {ideal} is not "
+                f"below the truncation ceiling {config.truncation_ceiling}: "
+                f"raise --ceiling")
         gens = [Poly.monomial(field, g) for g in ideal.gens]
-        return cls.materialize(gens, field, order=cert + 1, config=config)
+        return cls.materialize(gens, field, config=config)
 
     # -- basic structure --------------------------------------------------
 
@@ -335,17 +324,17 @@ class TruncatedIdeal:
     def product(self, other: "TruncatedIdeal") -> "TruncatedIdeal":
         """I*J from the standard rows of each, a square's pairs once, in the
         factors' slot sums: S_s(M)*S_t(M) = S_(s+t)(M) for Sym_1 forms.
-        m^(n0(I) + n0(J)) <= I*J, but n0(I*J) is often lower: a bound above
-        the truncation ceiling is cut to it, and refused only if it fails."""
+        m^(n0(I) + n0(J)) <= I*J, so the rows are cut above that degree, or
+        at the truncation ceiling; n0(I*J) is often lower."""
         ceiling = self.config.truncation_ceiling
-        order = min(self.n0 + other.n0 + 1, ceiling)
+        cap = min(self.n0 + other.n0, ceiling - 1)
         slots = slot_sums(self.span.slots, other.span.slots)
-        rows = [row_product(a, b, order - 1, self.field.p)
+        rows = [row_product(a, b, cap, self.field.p)
                 for i, a in enumerate(self.standard_rows)
                 for b in other.standard_rows[i if other is self else 0:]]
         try:
             span = span_with_certificate(rows, len(slots), self.field,
-                                         config=self.config, order=order)
+                                         config=self.config)
         except NotMPrimaryError:  # I*J has finite colength: the ceiling
             raise TruncationCeilingError(
                 f"a power or product has no Nakayama certificate below the "

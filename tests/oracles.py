@@ -3,7 +3,10 @@
 Nothing here touches the engine's staircase geometry or echelon bases:
 membership is raw divisibility scanning, colength is raw lattice counting,
 rank computations use a standalone Fraction Gaussian elimination, and
-determinants use the permutation-sum formula.  The exceptions are the
+determinants use the permutation-sum formula.  `all_minors` lists every
+minor in combinations order, zero or not, by the engine's `poly_det`, and
+`capped_row` packs a vector with its terms above a degree dropped first.
+The other exceptions are the
 references for the engine's faster routines, which reuse its echelon
 basis: `ReferenceSpan` builds a span the direct way, `reference_colon`
 tests every monomial below the certificate, `sequential_colon` refines
@@ -37,10 +40,30 @@ from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.linalg import (EPS_BASE, SparseBasis, combine, degree_limit,
                             key_exponents, times_monomial)
 from regcore.modcore import _component_split
-from regcore.poly import Monomial, Poly, matrix_minors, poly_det
+from regcore.poly import Monomial, Poly, poly_det
 from regcore.staircase import MonomialIdeal, colength, facets
 from regcore.trunc import (TruncatedIdeal, TruncatedSpan, monomials_below,
                            vector_row)
+
+
+def capped_row(vector, cap):
+    """`vector_row` of the vector with its terms above degree `cap` (if
+    any) dropped first."""
+    return vector_row(tuple(Poly.from_canonical(f.field, {
+        m: c for m, c in f.terms.items() if cap is None or m.degree <= cap})
+        for f in vector))
+
+
+def all_minors(matrix, k, field, memo=None):
+    """Every k x k minor of a Poly matrix in combinations order, zero or
+    not, sharing sub-determinants through `memo`."""
+    if k <= 0:
+        return [Poly.one(field)]
+    memo = {} if memo is None else memo
+    ncols = len(matrix[0]) if matrix else 0
+    return [poly_det(matrix, field, rows, cols, memo)
+            for rows in combinations(range(len(matrix)), k)
+            for cols in combinations(range(ncols), k)]
 
 
 def mono_member(point, gens) -> bool:
@@ -172,8 +195,8 @@ class ReferenceSpan(TruncatedSpan):
                 continue
             for d in range(order - min(f.order() for f in nonzero)):
                 for b in range(d + 1):
-                    row = vector_row(tuple(f.shift(d - b, b) for f in col),
-                                     cap=cap)
+                    row = capped_row(tuple(f.shift(d - b, b) for f in col),
+                                     cap)
                     if row:
                         self.basis.insert(row, cap=cap)
         for t in range(order):
@@ -228,7 +251,7 @@ def reference_colon(span, columns, config=DEFAULT):
     for col in columns:
         if not candidates:
             break
-        rows = [vector_row(tuple(c * f for f in col), cap=cap)
+        rows = [capped_row(tuple(c * f for f in col), cap)
                 for c in candidates]
         lams = reference_kernel(span.basis, rows, cap=cap)
         new_candidates = []
@@ -240,7 +263,7 @@ def reference_colon(span, columns, config=DEFAULT):
                 new_candidates.append(combo)
         candidates = new_candidates
     gens = candidates + [Poly.term(field, t - b, b) for b in range(t + 1)]
-    return TruncatedIdeal.materialize(gens, field, order=t + 1, config=config)
+    return TruncatedIdeal.materialize(gens, field, config=config)
 
 
 def sequential_colon(span, columns, config=DEFAULT):
@@ -257,7 +280,7 @@ def sequential_colon(span, columns, config=DEFAULT):
     for col in columns:
         if not candidates:
             break
-        base = vector_row(col, cap=cap)
+        base = capped_row(col, cap)
         if not base:
             continue
         shifted = [{k: c for k, c in times_monomial(base, *m).items()
@@ -270,7 +293,7 @@ def sequential_colon(span, columns, config=DEFAULT):
                                         for i, c in v.items()})
             for v in candidates]
     gens += [Poly.term(field, d - b, b) for b in range(d + 1)]
-    return TruncatedIdeal.materialize(gens, field, order=d + 1, config=config)
+    return TruncatedIdeal.materialize(gens, field, config=config)
 
 
 def reference_intersect(a, b):
@@ -292,15 +315,12 @@ def reference_intersect(a, b):
                 Monomial(*key_exponents(k)): field.coerce(c)
                 for k, c in combo.items()}))
     gens += [Poly.term(field, t - e, e) for e in range(t + 1)]
-    return TruncatedIdeal.materialize(gens, field, order=t + 1,
-                                      config=a.config)
+    return TruncatedIdeal.materialize(gens, field, config=a.config)
 
 
 def reference_plus(a, b):
-    """I + J, certified below the smaller certificate: m^s <= I + J for
-    s = min(n0(I), n0(J))."""
+    """I + J, from both generator lists at once."""
     return TruncatedIdeal.materialize(a.gens + b.gens, a.field,
-                                      order=min(a.n0, b.n0) + 1,
                                       config=a.config)
 
 
@@ -314,7 +334,8 @@ def reference_fitting(matrix, k, field, config=DEFAULT):
     """I_k(A) on its own: the block convolution of the blocks' minor ideals
     of every size, cut at k, for this k alone."""
     if k <= 0:
-        return TruncatedIdeal.unit(field, config)
+        return TruncatedIdeal.materialize([Poly.one(field)], field,
+                                          config=config)
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     if k > min(nrows, ncols):
@@ -325,7 +346,7 @@ def reference_fitting(matrix, k, field, config=DEFAULT):
         sizes = {0: "unit"}
         for size in range(1, min(len(rows), len(cols)) + 1):
             sub = [[matrix[i][j] for j in cols] for i in rows]
-            minors = [m for m in matrix_minors(sub, size, field)
+            minors = [m for m in all_minors(sub, size, field)
                       if not m.is_zero]
             sizes[size] = minors or None
         new_acc = {}
@@ -353,7 +374,8 @@ def reference_fitting(matrix, k, field, config=DEFAULT):
     if value is None:
         raise ZeroIdealError(f"I_{k} vanishes: all {k}-minors are zero")
     if value == "unit":
-        return TruncatedIdeal.unit(field, config)
+        return TruncatedIdeal.materialize([Poly.one(field)], field,
+                                          config=config)
     return TruncatedIdeal.materialize(list(dict.fromkeys(value)), field,
                                       config=config)
 
@@ -367,13 +389,11 @@ def row_poly(row, field):
 
 def reference_product(a, b):
     """I*J by the Poly route: every product of the standard generators of
-    I and of J as Polys, each once, materialized below the product's
-    certificate n0(I) + n0(J)."""
+    I and of J as Polys, each once, materialized."""
     gens = list(dict.fromkeys(
         row_poly(g, a.field) * row_poly(h, a.field)
         for g in a.standard_rows for h in b.standard_rows))
-    return TruncatedIdeal.materialize(gens, a.field, order=a.n0 + b.n0 + 1,
-                                      config=a.config)
+    return TruncatedIdeal.materialize(gens, a.field, config=a.config)
 
 
 def reference_to_monomial(ideal):
@@ -394,7 +414,7 @@ def reference_nakayama_covers(big, small, nslots, field, cap):
     columns = [tuple(f.shift(*xy) for f in col) for col in big
                for xy in ((1, 0), (0, 1))]
     span = ReferenceSpan(field, nslots, columns + list(small), cap + 1)
-    return all(span.basis.contains(vector_row(col, cap=cap), cap=cap)
+    return all(span.basis.contains(capped_row(col, cap), cap=cap)
                for col in big)
 
 

@@ -299,6 +299,46 @@ def test_reduction_search_names_the_truncation_ceiling(tmp_path, capsys,
     assert code == 0
 
 
+def test_module_reduction_search_names_the_ceiling_a_power_passes(tmp_path,
+                                                                   capsys):
+    # m (+) (x^2, y^2): every draw is built below ceiling 7, but deciding it
+    # needs a symmetric power of M whose certificate is not below 7
+    path = write(tmp_path, "M.json", {
+        "field": "Q", "rank": 2,
+        "generators": [["x", "0"], ["y", "0"], ["0", "x^2"], ["0", "y^2"]]})
+    code, out, err = run(capsys, "reduction", "--module", path,
+                         "--ceiling", "7")
+    assert code == 1 and out == ""
+    assert "in 8 draws" in err and "field may be too small" not in err
+    assert "truncation ceiling 7: raise --ceiling" in err
+    code, out, err = run(capsys, "reduction", "--module", path)
+    assert code == 0
+    assert json.loads(out)["certificate"]["symmetric_degree"] == 2
+
+
+COLON = ("--method", "colon")
+NOT_CLOSED = [  # command, input, options
+    ("adjoint", {"field": "Q", "gens": ["x^2", "x^2+2*x*y+y^2"]}, COLON),
+    ("adjoint", {"field": "Q", "gens": ["x^2-y^3", "x*y"]}, COLON),
+    ("adjoint", {"field": "Q", "gens": ["x^2", "x*y+y^2"]}, COLON),
+    ("core", {"field": "Q", "gens": ["x^2", "x^2+2*x*y+y^2"]}, ()),
+    # g*((x^2, y^2) (+) m) for g = [[1, x], [0, 1]]
+    ("core", {"field": "Q", "rank": 2, "generators": [
+        ["x^2", "0"], ["y^2", "0"], ["x^2", "x"], ["x*y", "y"]]}, ()),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="closedness of non-monomial input is "
+                   "not decided yet: each of these is answered, wrongly")
+@pytest.mark.parametrize("command, data, options", NOT_CLOSED)
+def test_input_that_is_not_closed_is_refused(tmp_path, capsys, command, data,
+                                             options):
+    flag = "--module" if "rank" in data else "--ideal"
+    path = write(tmp_path, "input.json", data)
+    code, out, err = run(capsys, command, flag, path, *options)
+    assert code == 1 and "integrally closed" in err
+
+
 def test_core_refuses_a_module_with_a_slot_that_is_not_closed(tmp_path,
                                                               capsys):
     # (x^2, y^2) (+) m: the first slot's closure is m^2

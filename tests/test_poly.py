@@ -9,8 +9,8 @@ from regcore.field import QQ, PrimeField, field_from_name
 from regcore.poly import (Monomial, Poly, matrix_minors, minor_supports,
                           parse_poly, poly_det)
 
-from oracles import (permutation_determinant, reference_add, reference_mul,
-                     reference_neg, reference_scale)
+from oracles import (all_minors, permutation_determinant, reference_add,
+                     reference_mul, reference_neg, reference_scale)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -170,9 +170,13 @@ def test_minors_are_the_determinants_of_the_submatrices(field, nrows, ncols,
           for _ in range(ncols)] for _ in range(nrows)]
     memo = {}  # one memo shared by every size, as in the Fitting chain
     for k in range(1, min(nrows, ncols) + 1):
-        expected = [poly_det([[A[i][j] for j in cols] for i in rows], field)
-                    for rows in combinations(range(nrows), k)
-                    for cols in combinations(range(ncols), k)]
+        dets = {(rows, cols): poly_det([[A[i][j] for j in cols] for i in rows],
+                                       field)
+                for rows in combinations(range(nrows), k)
+                for cols in combinations(range(ncols), k)}
+        assert all_minors(A, k, field) == list(dets.values())
+        # matrix_minors: the submatrices' determinants at their supports
+        expected = [dets[pair] for pair in minor_supports(A, k)]
         assert matrix_minors(A, k, field) == expected
         assert matrix_minors(A, k, field, memo) == expected
     for k in (0, min(nrows, ncols) + 1):
@@ -220,7 +224,7 @@ def test_supported_minors_are_the_nonzero_minors_in_order(case):
     for k in range(1, min(nrows, ncols) + 1):
         pairs = [(rows, cols) for rows in combinations(range(nrows), k)
                  for cols in combinations(range(ncols), k)]
-        full = matrix_minors(A, k, field)
+        full = all_minors(A, k, field)
         supports = list(minor_supports(A, k))
         # combinations order, without repeats
         assert supports == sorted(set(supports))
@@ -230,7 +234,7 @@ def test_supported_minors_are_the_nonzero_minors_in_order(case):
                         if any(all(not A[i][j].is_zero
                                    for i, j in zip(rows, perm))
                                for perm in permutations(cols))}
-        supported = matrix_minors(A, k, field, by_support=True)
+        supported = matrix_minors(A, k, field)
         assert supported == [m for pair, m in zip(pairs, full)
                              if pair in kept]
         assert [m for m in supported if not m.is_zero] == \
@@ -240,7 +244,7 @@ def test_supported_minors_are_the_nonzero_minors_in_order(case):
 def test_cancelling_minors_are_supported_but_zero():
     A = [[P("x"), P("x")], [P("y"), P("y")]]
     assert list(minor_supports(A, 2)) == [((0, 1), (0, 1))]
-    assert matrix_minors(A, 2, QQ, by_support=True) == [Poly.zero(QQ)]
+    assert matrix_minors(A, 2, QQ) == [Poly.zero(QQ)]
     # a zero column leaves no transversal: no 2-minor is enumerated
     B = [[P("x"), P("0")], [P("y"), P("0")]]
     assert list(minor_supports(B, 2)) == []

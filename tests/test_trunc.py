@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from regcore import trunc
 from regcore.config import DEFAULT, EngineConfig
-from regcore.errors import NotMPrimaryError, ZeroIdealError
+from regcore.errors import (NotMPrimaryError, TruncationCeilingError,
+                            ZeroIdealError)
 from regcore.field import QQ, PrimeField
 from regcore.linalg import (SparseBasis, combine, kernel_modulo, key_degree,
                             normal_forms, pack_key, row_product,
@@ -23,8 +24,9 @@ from regcore.trunc import (TruncatedIdeal, TruncatedSpan, monomials_below,
                            span_colon, span_with_certificate, triangle,
                            vector_row)
 
-from oracles import (quotient_dimension, reference_colon, reference_intersect,
-                     reference_kernel, reference_monomial_plus, reference_mul,
+from oracles import (capped_row, quotient_dimension, reference_colon,
+                     reference_intersect, reference_kernel,
+                     reference_monomial_plus, reference_mul,
                      reference_nakayama_covers, reference_plus,
                      reference_product, reference_span, reference_to_monomial,
                      sequential_colon)
@@ -41,16 +43,20 @@ def packed(columns):
     return [vector_row(col) for col in columns]
 
 
-def Tr(*texts, field=QQ, order=None):
+def Tr(*texts, field=QQ, config=DEFAULT):
     return TruncatedIdeal.materialize([P(t, field) for t in texts],
-                                      field, order=order)
+                                      field, config=config)
+
+
+def ceiling(n):
+    return EngineConfig(truncation_ceiling=n)
 
 
 M = MonomialIdeal.max_power
 
 
 def test_maximal_ideal():
-    ideal = Tr("x", "y", order=3)
+    ideal = Tr("x", "y")
     assert ideal.n0 == 1
     assert ideal.colength() == 1
 
@@ -59,16 +65,16 @@ def test_worked_mixed_ideal_certificate_and_colength():
     # oracle (independent Fraction elimination): dim k[x,y]/((x^2-y^3, xy)+m^8)
     gens = [[(1, 2, 0), (-1, 0, 3)], [(1, 1, 1)]]
     assert quotient_dimension(gens, 8) == 5
-    ideal = Tr("x^2 - y^3", "x*y", order=8)
+    ideal = Tr("x^2 - y^3", "x*y")
     assert ideal.n0 == 4
     assert ideal.colength() == 5
 
 
 def test_nakayama_certificate_values():
     # n0 is the least t with m^t <= I
-    assert Tr("x", "y", order=3).n0 == 1
-    assert Tr("x^2", "x*y", "y^2", order=4).n0 == 2
-    worked = Tr("x^3", "x*y", "y^2", order=6)
+    assert Tr("x", "y").n0 == 1
+    assert Tr("x^2", "x*y", "y^2").n0 == 2
+    worked = Tr("x^3", "x*y", "y^2")
     assert worked.n0 == 3
     assert worked.contains_poly(P("y^3")) and worked.contains_poly(P("x^3"))
     assert not worked.contains_poly(P("x^2"))
@@ -101,12 +107,19 @@ def test_span_builder_reaches_each_monomial_multiple_once(field, monkeypatch):
 
 def test_non_m_primary_is_rejected():
     with pytest.raises(NotMPrimaryError):
-        Tr("x^2", order=6)
-    with pytest.raises(NotMPrimaryError):  # n0 is 4: order 4 stops at stage 3
-        Tr("x^2 - y^3", "x*y", order=4)
-    assert Tr("x^2 - y^3", "x*y", order=5).n0 == 4
+        Tr("x^2", config=ceiling(6))
+    with pytest.raises(NotMPrimaryError):  # n0 = 4: ceiling 4 stops at stage 3
+        Tr("x^2 - y^3", "x*y", config=ceiling(4))
+    assert Tr("x^2 - y^3", "x*y", config=ceiling(5)).n0 == 4
     with pytest.raises(NotMPrimaryError):
         TruncatedIdeal.materialize([P("x^2")], QQ)  # auto-raise hits ceiling
+
+
+def test_from_monomial_refuses_a_certificate_at_the_ceiling():
+    # the staircase knows n0 = 5 for m^5: refused before any span is built
+    with pytest.raises(TruncationCeilingError, match="n0 = 5 .* ceiling 5"):
+        TruncatedIdeal.from_monomial(M(5), QQ, config=ceiling(5))
+    assert TruncatedIdeal.from_monomial(M(5), QQ, config=ceiling(6)).n0 == 5
 
 
 def test_zero_ideal_rejected():
@@ -231,9 +244,9 @@ def test_colon_closure_property():
     assert j.contains_ideal(prod)
 
 
-def test_results_independent_of_order():
-    a = Tr("x^2 - y^3", "x*y", order=8)
-    b = Tr("x^2 - y^3", "x*y", order=10)
+def test_results_independent_of_ceiling():
+    a = Tr("x^2 - y^3", "x*y", config=ceiling(8))
+    b = Tr("x^2 - y^3", "x*y", config=ceiling(10))
     assert a.colength() == b.colength()
     assert a.n0 == b.n0
     assert a.equals(b)
@@ -248,7 +261,7 @@ def test_to_monomial_detects_and_rejects():
 
 
 def test_prime_field_engine():
-    ideal = Tr("x^2 - y^3", "x*y", field=F7, order=8)
+    ideal = Tr("x^2 - y^3", "x*y", field=F7)
     assert ideal.n0 == 4
     assert ideal.colength() == 5
 
@@ -462,7 +475,7 @@ def test_interreduce_keeps_leads_span_and_answers(data):
         vectors = [tuple(f if s == slot else zero for s in range(nslots))
                    for f in probes for slot in range(nslots)]
         vectors += [tuple(f.shift(1, 1) for f in col) for col in columns]
-        rows = [vector_row(v, cap=cap) for v in vectors]
+        rows = [capped_row(v, cap) for v in vectors]
         rows = [r for r in rows if r]
         assert [basis.contains(r, cap=cap) for r in rows] == \
             [plain.reduce_to_lead(r, cap)[0] is None for r in rows]
@@ -749,18 +762,28 @@ def test_equal_columns_share_one_certified_span():
     shuffled = [dict(reversed(row.items())) for row in cols]
     assert [list(r) for r in shuffled] != [list(r) for r in cols]
     assert span_with_certificate(shuffled + cols[:1], 1, QQ) is span
-    # a different stop, ceiling, slot count or field is another span
-    assert span_with_certificate(cols, 1, QQ, order=10) is not span
-    assert span_with_certificate(
-        cols, 1, QQ, EngineConfig(truncation_ceiling=30)) is not span
+    # a different ceiling, slot count or field is another span
+    assert span_with_certificate(cols, 1, QQ, ceiling(10)) is not span
+    assert span_with_certificate(cols, 1, QQ, ceiling(30)) is not span
     with pytest.raises(NotMPrimaryError):  # m^3 F is not inside a 1-slot I
         span_with_certificate(cols, 2, QQ)
     other = span_with_certificate(
         packed([(P(str(c[0]), F65537),) for c in polys]), 1, F65537)
     assert other is not span and other.field == F65537
-    # an explicit order below the certificate is refused, not served
+    # a ceiling at the certificate is refused, not served
     with pytest.raises(NotMPrimaryError):
-        span_with_certificate(cols, 1, QQ, order=span.n0)
+        span_with_certificate(cols, 1, QQ, ceiling(span.n0))
+
+
+@pytest.mark.parametrize("field", [QQ, F65537])
+def test_ideal_and_rank_one_module_share_one_span(field):
+    # (x^4, x^2*y, x*y^2, y^3) is integrally closed; its ideal, its rank-1
+    # module and that module's minor ideal are spans of the same rows
+    mono = MonomialIdeal.from_exponents([(4, 0), (2, 1), (1, 2), (0, 3)])
+    ideal = TruncatedIdeal.from_monomial(mono, field)
+    module = ModuleRep.from_monomial_ideal(mono, field)
+    assert module.sym.span is ideal.span
+    assert module.minor_ideal().span is ideal.span
 
 
 def memo_rows(columns):
@@ -781,7 +804,7 @@ def test_span_memo_holds_only_certified_spans_in_use():
     line = ((P("x^2"),), (P("x*y"),))  # no power of y: not m-primary
     for _ in range(2):  # the traceback keeps the refused span alive
         with pytest.raises(NotMPrimaryError) as refused:
-            span_with_certificate(packed(line), 1, QQ, order=8)
+            span_with_certificate(packed(line), 1, QQ, ceiling(8))
         assert refused.traceback
         assert all(key[2] != memo_rows(line)
                    for key in trunc._certified.keys())
@@ -889,7 +912,7 @@ def test_row_product_matches_the_term_by_term_reference(data):
     cap = data.draw(st.one_of(st.none(), st.integers(0, 8)))
     zero = Poly.zero(field)
     vector = tuple(g if s == slot else zero for s in range(nslots))
-    want = vector_row(tuple(reference_mul(f, h) for h in vector), cap=cap)
+    want = capped_row(tuple(reference_mul(f, h) for h in vector), cap)
     for got in (row_product(vector_row((f,)), vector_row(vector), cap,
                             field.p),
                 row_product(vector_row(vector), vector_row((f,)), cap,
