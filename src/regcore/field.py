@@ -91,7 +91,7 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def from_fraction(self, num: int, den: int):
         return num * self.inv(den % self.p) % self.p

@@ -7,7 +7,10 @@ decisions run through the same truncated spans as the ideal engine, with
 one slot per monomial of Sym(F): `ModuleRep.sym` is a TruncatedIdeal whose
 powers are the S_t(M), so the ideal engine's power test certifies module
 reductions and its difference table gives br(M).  Once br(M) is fixed, a
-draw is decided by one colength (`MultiplicityCertificate`).
+draw is decided by one colength (`MultiplicityCertificate`).  Minors,
+Fitting chains and drawn columns are packed rows over one common
+denominator per matrix or column list (`matrix_rows`, `vector_rows`),
+read as Polys only when a generator or column is read.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .poly import Poly, matrix_minors, minor_supports
 from .reduction import (GenericSampler, ReductionCertificate, adjoint_ideal,
                         by_multiplicity, check_closed, is_reduction,
                         power_difference, search_reduction, term_ideal)
-from .linalg import sym_rows
-from .trunc import (TruncatedIdeal, span_colon, span_with_certificate,
-                    vector_row)
+from .linalg import monomial_row, row_product, sym_rows
+from .trunc import (TruncatedIdeal, row_vector, span_colon,
+                    span_with_certificate, vector_row, vector_rows)
 from . import staircase
 
 # Symmetric-power degree bound tried for module reduction certificates.
@@ -42,12 +45,12 @@ class ModuleRep:
                  presentation=None, config: EngineConfig = DEFAULT):
         self.field = field
         self.rank = rank
-        self.columns = tuple(tuple(col) for col in columns)
-        for col in self.columns:
-            if len(col) != rank:
-                raise MathError("generator column has wrong length")
-            for f in col:
-                if f.field != field:
+        if columns is not None:  # else `from_rows` reads them from rows
+            self.columns = tuple(tuple(col) for col in columns)
+            for col in self.columns:
+                if len(col) != rank:
+                    raise MathError("generator column has wrong length")
+                if any(f.field != field for f in col):
                     raise FieldMismatchError("column entries over wrong field")
         self.presentation = None
         if presentation is not None:
@@ -80,6 +83,15 @@ class ModuleRep:
                    config=ideal.config)
 
     @classmethod
+    def from_rows(cls, field: Field, rank: int, rows, den: int,
+                  config: EngineConfig = DEFAULT) -> "ModuleRep":
+        """The module of the columns rows / den (`vector_rows`), unpacked
+        only when they are read: a drawn module."""
+        module = cls(field, rank, None, config=config)
+        module._drawn, module.rows = (rows, den), sym_rows(rows, rank)
+        return module
+
+    @classmethod
     def from_monomial_ideal(cls, ideal: staircase.MonomialIdeal, field: Field,
                             config: EngineConfig = DEFAULT) -> "ModuleRep":
         """Rank-1 module with the analytic bidiagonal presentation."""
@@ -93,13 +105,15 @@ class ModuleRep:
     def ngens(self) -> int:
         return len(self.columns)
 
-    def rep_matrix(self) -> list[list[Poly]]:
-        """rank x ngens matrix whose columns are the generators."""
-        return [[self.columns[j][i] for j in range(self.ngens)]
-                for i in range(self.rank)]
-
     def colength(self) -> int:
         return self.sym.colength()
+
+    @cached_property
+    def columns(self) -> tuple:
+        """The columns of a module built `from_rows`, read from its rows."""
+        rows, den = self._drawn
+        return tuple(row_vector(row, self.rank, self.field, den)
+                     for row in rows)
 
     @cached_property
     def rows(self) -> list[dict]:
@@ -114,15 +128,16 @@ class ModuleRep:
         return TruncatedIdeal(self.field, span, self.config, rows=self.rows)
 
     def minor_ideal(self) -> TruncatedIdeal:
-        """I(M): the ideal of rank-sized minors of the representing matrix."""
+        """I(M): the ideal of the nonzero rank-sized minors of the matrix
+        whose columns are the generators, in `matrix_minors`' order."""
         if self._minor_ideal is None:
-            minors = matrix_minors(self.rep_matrix(), self.rank, self.field)
-            minors = [m for m in minors if not m.is_zero]
-            if not minors:
+            matrix, den = matrix_rows(list(zip(*self.columns)), self.field)
+            minors = matrix_minors(matrix, self.rank, self.field)
+            if not any(minors):
                 raise ZeroIdealError(
                     "representing matrix is rank-deficient: invalid module")
-            self._minor_ideal = TruncatedIdeal.materialize(
-                minors, self.field, config=self.config)
+            self._minor_ideal = TruncatedIdeal.from_rows(
+                minors, self.field, self.config, den ** self.rank)
         return self._minor_ideal
 
     def is_free(self) -> bool:
@@ -189,8 +204,22 @@ class ModuleRep:
 # Fitting ideals
 
 
+def matrix_rows(matrix, field: Field) -> tuple[list[list[dict]], int]:
+    """A Poly matrix as packed rows over one common denominator D: (rows,
+    D), so a k-minor of the rows is D^k times the minor (`vector_rows`)."""
+    flat, den = vector_rows([(f,) for row in matrix for f in row], field)
+    width = len(matrix[0]) if matrix else 0
+    return [flat[i * width:(i + 1) * width] for i in range(len(matrix))], den
+
+
+def _distinct(rows) -> list[dict]:
+    """The nonzero rows, each once, in order of first occurrence."""
+    return list({frozenset(row.items()): row for row in rows if row}.values())
+
+
 def _component_split(matrix, nrows, ncols):
-    """Connected components of the row/column incidence graph."""
+    """Connected components of the row/column incidence graph of a matrix
+    of packed rows (`matrix_rows`)."""
     parent = list(range(nrows + ncols))
 
     def find(i):
@@ -201,16 +230,16 @@ def _component_split(matrix, nrows, ncols):
 
     for i in range(nrows):
         for j in range(ncols):
-            if not matrix[i][j].is_zero:
+            if matrix[i][j]:
                 ri, rj = find(i), find(nrows + j)
                 if ri != rj:
                     parent[ri] = rj
     groups: dict[int, tuple[list[int], list[int]]] = {}
     for i in range(nrows):
-        if any(not matrix[i][j].is_zero for j in range(ncols)):
+        if any(matrix[i][j] for j in range(ncols)):
             groups.setdefault(find(i), ([], []))[0].append(i)
     for j in range(ncols):
-        if any(not matrix[i][j].is_zero for i in range(nrows)):
+        if any(matrix[i][j] for i in range(nrows)):
             groups.setdefault(find(nrows + j), ([], []))[1].append(j)
     return [groups[key] for key in sorted(groups)]
 
@@ -236,24 +265,28 @@ class _FittingChain:
     first occurrence in [u * v for u in U for v in V] is at the least pair
     (i, j) giving it, where U[i] and V[j] are first occurrences (else a
     smaller pair gives it), and a concatenation's are those of its parts.
+    Generators are packed rows over A's one common denominator D
+    (`matrix_rows`), so those of I_k are D^k times the Polys they stand for.
     """
 
     def __init__(self, matrix, field: Field, config: EngineConfig):
         self.matrix, self.field, self.config = matrix, field, config
         # (b, s) -> the distinct generators of I_s of the first b blocks
-        self.partial = {(0, 0): [Poly.one(field)]}
+        self.partial = {(0, 0): [monomial_row(0, 0)]}
         self.ideals: dict[int, TruncatedIdeal] = {}
 
     @cached_property
     def blocks(self) -> list:
         """Per block: its submatrix, its nonzero minors by size, its memo;
-        split on first use, as most modules never ask for a Fitting ideal."""
-        matrix, nrows = self.matrix, len(self.matrix)
+        split (and `den` set) on first use, as most modules never ask for a
+        Fitting ideal."""
+        matrix, self.den = matrix_rows(self.matrix, self.field)
+        nrows = len(matrix)
         split = _component_split(matrix, nrows, len(matrix[0]) if nrows else 0)
         return [([[matrix[i][j] for j in cols] for i in rows],
-                 {0: [Poly.one(self.field)]}, {}) for rows, cols in split]
+                 {0: [monomial_row(0, 0)]}, {}) for rows, cols in split]
 
-    def _minors(self, b: int, size: int, k: int) -> list[Poly]:
+    def _minors(self, b: int, size: int, k: int) -> list[dict]:
         sub, minors, memo = self.blocks[b]
         if size not in minors:
             count = comb(len(sub), size) * comb(len(sub[0]), size)
@@ -265,17 +298,16 @@ class _FittingChain:
                     f"{len(sub[0])} block of the presentation: {count} "
                     f"minors, more than {_MINOR_BUDGET} of them (the "
                     f"budget) not zero by support")
-            minors[size] = list(dict.fromkeys(
-                m for m in matrix_minors(sub, size, self.field, memo)
-                if not m.is_zero))
+            minors[size] = _distinct(matrix_minors(sub, size, self.field,
+                                                   memo))
         return minors[size]
 
-    def _gens(self, nblocks: int, size: int, k: int) -> list[Poly]:
+    def _gens(self, nblocks: int, size: int, k: int) -> list[dict]:
         """I_size of the first nblocks blocks: for each size `have` of the
         blocks before the last, their generators times the last's minors."""
         key = (nblocks, size)
         if key not in self.partial:
-            gens: list[Poly] = []
+            gens: list[dict] = []
             if nblocks:
                 sub = self.blocks[nblocks - 1][0]
                 top = min(len(sub), len(sub[0]))
@@ -285,12 +317,13 @@ class _FittingChain:
                         minors = self._minors(nblocks - 1, size - have, k)
                         gens.extend(
                             minors if have == 0 else value if have == size
-                            else (u * v for u in value for v in minors))
-            self.partial[key] = list(dict.fromkeys(gens))
+                            else (row_product(u, v, None, self.field.p)
+                                  for u in value for v in minors))
+            self.partial[key] = _distinct(gens)
         return self.partial[key]
 
-    def generators(self, k: int) -> list[Poly]:
-        """The distinct nonzero generators of I_k."""
+    def generators(self, k: int) -> list[dict]:
+        """The distinct nonzero generators of I_k, D^k times them."""
         return self._gens(len(self.blocks), k, k)
 
     def ideal(self, k: int) -> TruncatedIdeal:
@@ -298,8 +331,8 @@ class _FittingChain:
             gens = self.generators(k)
             if not gens:
                 raise ZeroIdealError(f"I_{k} vanishes: all {k}-minors are zero")
-            self.ideals[k] = TruncatedIdeal.materialize(
-                gens, self.field, config=self.config)
+            self.ideals[k] = TruncatedIdeal.from_rows(
+                gens, self.field, self.config, self.den ** k)
         return self.ideals[k]
 
 
@@ -385,15 +418,21 @@ def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler,
     if M.is_free():
         return M, ReductionCertificate(0, 0, trivial=True)
 
+    rows, den = vector_rows(M.columns, M.field)
+
     def build(cand):
-        N = ModuleRep(M.field, M.rank, cand, config=M.config)
+        N = ModuleRep.from_rows(M.field, M.rank, cand, den, M.config)
         N.sym  # must have finite colength in F
         return N
 
     certify = (by_multiplicity(*reference) if reference is not None
                else lambda N, _: sym_reduction_check(N, M, SYM_POWER_BOUND))
-    return search_reduction(M.columns, sampler, build, certify,
-                            M.config.truncation_ceiling)
+    return search_reduction(
+        rows, M.rank, M.field, sampler, build, certify,
+        M.config.truncation_ceiling, None if reference is not None else (
+            f"no draw N has S_1(N)*S_n(M) = S_(n+1)(M) for an n <= "
+            f"{SYM_POWER_BOUND}, the symmetric power bound of a module "
+            f"search (an ideal's search tries n up to colength(J))"))
 
 
 def buchsbaum_rim(M: ModuleRep) -> int:

@@ -1,4 +1,6 @@
-"""Exact bivariate polynomials over Q or F_p, and minors of polynomial matrices.
+"""Exact bivariate polynomials over Q or F_p, and minors of polynomial
+matrices held as packed rows (`linalg`), which the engine reads as Polys
+only at its boundary (`trunc.row_vector`).
 
 A Poly is a finite map `terms` from exponent pairs to coefficients, kept
 canonical: every key is a `Monomial`, every coefficient is nonzero and of
@@ -29,6 +31,7 @@ from typing import NamedTuple
 
 from .errors import FieldMismatchError, ParseError
 from .field import Field
+from .linalg import combine, monomial_row, row_product
 
 
 class Monomial(NamedTuple):
@@ -337,19 +340,22 @@ def parse_poly(text: str, field: Field) -> Poly:
 # determinants and minors
 
 
-def poly_det(matrix: list[list[Poly]], field: Field, rows=None, cols=None,
-             memo: dict | None = None) -> Poly:
-    """Exact determinant of the rows x cols submatrix (default: all of it),
-    by expansion along the sparsest column.  `memo` maps (rows, cols) to
-    determinants; calls on one matrix that share it share sub-determinants."""
+def poly_det(matrix: list[list[dict]], field: Field, rows=None, cols=None,
+             memo: dict | None = None) -> dict:
+    """Exact determinant of the rows x cols submatrix (default: all of it)
+    of a matrix of packed rows (`linalg`), by expansion along the sparsest
+    column: an integer row over Q, residues over F_p.  `memo` maps (rows,
+    cols) to determinants; calls on one matrix that share it share
+    sub-determinants."""
     if rows is None:
         rows = tuple(range(len(matrix)))
         cols = tuple(range(len(matrix[0]) if matrix else 0))
     memo = {} if memo is None else memo
+    p = field.p
 
-    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Poly:
+    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
         if not rows:
-            return Poly.one(field)
+            return monomial_row(0, 0)
         key = (rows, cols)
         cached = memo.get(key)
         if cached is not None:
@@ -357,39 +363,31 @@ def poly_det(matrix: list[list[Poly]], field: Field, rows=None, cols=None,
         # expand along the column with the fewest nonzero entries
         best_j, best_count = 0, len(rows) + 1
         for j, cj in enumerate(cols):
-            count = sum(1 for i in rows if not matrix[i][cj].is_zero)
+            count = sum(1 for i in rows if matrix[i][cj])
             if count < best_count:
                 best_j, best_count = j, count
-        result = Poly.zero(field)
-        if best_count > 0:
-            cj = cols[best_j]
-            subcols = cols[:best_j] + cols[best_j + 1:]
-            for pos, i in enumerate(rows):
-                entry = matrix[i][cj]
-                if entry.is_zero:
-                    continue
-                sub = det(rows[:pos] + rows[pos + 1:], subcols)
-                if sub.is_zero:
-                    continue
-                contrib = entry * sub
-                if (pos + best_j) % 2:
-                    contrib = -contrib
-                result = result + contrib
-        memo[key] = result
+        cj = cols[best_j]
+        subcols = cols[:best_j] + cols[best_j + 1:]
+        signs, terms = {}, []
+        for pos, i in enumerate(rows):
+            entry = matrix[i][cj]
+            if entry and (sub := det(rows[:pos] + rows[pos + 1:], subcols)):
+                signs[len(terms)] = -1 if (pos + best_j) % 2 else 1
+                terms.append(row_product(entry, sub, None, p))
+        memo[key] = result = combine(signs, terms, p)
         return result
 
     return det(rows, cols)
 
 
-def minor_supports(matrix: list[list[Poly]], k: int):
+def minor_supports(matrix: list[list[dict]], k: int):
     """(rows, cols) of the k x k submatrices whose support admits a
     transversal, in `matrix_minors`' order: every other minor is zero term
     by term.  A depth-first walk picks rows, then columns among the rows'
     nonzero ones, and grows a matching by one augmenting path per pick; a
     set with no matching has none above it, so its subtree is cut.
     """
-    nonzero = [[j for j, f in enumerate(row) if not f.is_zero]
-               for row in matrix]
+    nonzero = [[j for j, f in enumerate(row) if f] for row in matrix]
 
     def matched(items, partners):
         if all(len(partners[i]) >= k for i in items):
@@ -422,17 +420,17 @@ def minor_supports(matrix: list[list[Poly]], k: int):
             yield rows, subset
 
 
-def matrix_minors(matrix: list[list[Poly]], k: int, field: Field,
+def matrix_minors(matrix: list[list[dict]], k: int, field: Field,
                   memo: dict | None = None):
-    """The k x k minors of a rectangular Poly matrix at `minor_supports`,
-    in combinations order (every other minor is zero), sharing
-    sub-determinants through `memo` (a fresh one by default).
+    """The k x k minors of a rectangular matrix of packed rows at
+    `minor_supports`, in combinations order (every other minor is zero),
+    sharing sub-determinants through `memo` (a fresh one by default).
 
     For k <= 0 the one minor is the empty one, 1; an empty list when k
     exceeds either dimension.
     """
     if k <= 0:
-        return [Poly.one(field)]
+        return [monomial_row(0, 0)]
     memo = {} if memo is None else memo
     return [poly_det(matrix, field, rows, cols, memo)
             for rows, cols in minor_supports(matrix, k)]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import pairwise
 from math import comb
 
@@ -25,8 +24,9 @@ from .errors import (GenericityError, MathError, NotMPrimaryError,
                      TruncationCeilingError, ZeroIdealError)
 from .field import Field
 from .poly import Poly
-from .linalg import row_product
-from .trunc import TruncatedIdeal, monomials_below, nakayama_covers
+from .linalg import combine, row_product
+from .trunc import (TruncatedIdeal, monomials_below, nakayama_covers,
+                    vector_rows)
 from . import staircase
 
 
@@ -47,38 +47,34 @@ class GenericSampler:
     def __post_init__(self):
         self._rng = random.Random(self.seed)
 
-    def coefficient(self, fld: Field):
+    def coefficient(self, fld: Field) -> int:
         if fld.p is None:
             v = self._rng.randint(1, 2 * COEFFICIENT_POOL)
-            return Fraction(v - COEFFICIENT_POOL if v > COEFFICIENT_POOL
-                            else -v)
+            return v - COEFFICIENT_POOL if v > COEFFICIENT_POOL else -v
         return self._rng.randrange(1, fld.p)
 
-    def combination(self, columns) -> tuple[Poly, ...]:
-        """A generic k-linear combination of the given columns, one
-        coefficient per column in order."""
-        fld = columns[0][0].field
-        out = [Poly.zero(fld)] * len(columns[0])
-        for col in columns:
-            c = self.coefficient(fld)
-            out = [acc + f.scale(c) for acc, f in zip(out, col)]
-        return tuple(out)
+    def combination(self, rows: list[dict], fld: Field) -> dict:
+        """A generic k-linear combination of the given rows (`combine`),
+        one coefficient per row in order."""
+        return combine({i: self.coefficient(fld) for i in range(len(rows))},
+                       rows, fld.p)
 
     def spawn(self, offset: int) -> "GenericSampler":
         return GenericSampler(self.seed + offset)
 
 
-def search_reduction(columns, sampler: GenericSampler, build, certify,
-                     ceiling: int):
+def search_reduction(rows, rank: int, fld: Field, sampler: GenericSampler,
+                     build, certify, ceiling: int, refuted: str | None = None):
     """(N, certify(N, drawn)) for the first draw of rank+1 seeded-generic
-    combinations of `columns` that `build` turns into a finite-colength N
-    and `certify` does not answer None; GenericityError after RETRY_LIMIT
+    combinations of `rows`, the columns over one common denominator
+    (`vector_rows`), that `build` turns into a finite-colength N and
+    `certify` does not answer None; GenericityError after RETRY_LIMIT
     draws, naming the truncation ceiling when no draw was decided, both
-    built and certified or refuted, below it."""
-    rank = len(columns[0])
+    built and certified or refuted, below it, else `refuted`: what a None
+    from `certify` may mean besides a field too small for generic draws."""
     decided = False
     for _ in range(RETRY_LIMIT):
-        cand = [sampler.combination(columns) for _ in range(rank + 1)]
+        cand = [sampler.combination(rows, fld) for _ in range(rank + 1)]
         try:
             N = build(cand)
             cert = certify(N, cand)
@@ -87,7 +83,8 @@ def search_reduction(columns, sampler: GenericSampler, build, certify,
         decided = True
         if cert is not None:
             return N, cert
-    reason = ("the field may be too small or the input pathological" if decided
+    reason = ((refuted or "the field may be too small or the input "
+               "pathological") if decided
               else f"no draw could be decided below the truncation ceiling "
               f"{ceiling}: raise --ceiling")
     raise GenericityError(
@@ -152,13 +149,14 @@ def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None,
 
 def _first_reduction(I: TruncatedIdeal, sampler: GenericSampler, certify):
     """(J, certify(J)) for the first 2-generated draw J <= I that `certify`
-    does not answer None."""
+    does not answer None; I's generators are read as Polys, and J's only
+    when asked."""
     if I.is_unit:
         raise NotMPrimaryError("the unit ideal has no minimal reduction")
+    rows, den = vector_rows([(g,) for g in I.gens], I.field)
     return search_reduction(
-        [(g,) for g in I.gens], sampler,
-        lambda cand: TruncatedIdeal.materialize([col[0] for col in cand],
-                                                I.field, config=I.config),
+        rows, 1, I.field, sampler,
+        lambda cand: TruncatedIdeal.from_rows(cand, I.field, I.config, den),
         certify, I.config.truncation_ceiling)
 
 
@@ -170,8 +168,9 @@ def minimal_reduction(I: TruncatedIdeal, sampler: GenericSampler):
 @dataclass(frozen=True)
 class MultiplicityCertificate:
     """Witness that the parameter ideal or module N <= M with these drawn
-    columns is a reduction, by one colength: colength(N) = e, the colength
-    of the reduction that `reference` certifies, so both can be re-verified.
+    columns (rows over one common denominator, `vector_rows`) is a
+    reduction, by one colength: colength(N) = e, the colength of the
+    reduction that `reference` certifies, so both can be re-verified.
 
     R is formally equidimensional, so an m-primary J <= I is a reduction
     exactly when e(J) = e(I) (Rees 1961); a finite-colength N <= M is one

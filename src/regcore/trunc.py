@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property
+from fractions import Fraction
 from itertools import chain
 from math import lcm
 
@@ -38,18 +39,33 @@ def monomials_below(degree_cap: int):
     return [Monomial(d - b, b) for d in range(degree_cap + 1) for b in range(d + 1)]
 
 
-def vector_row(vector) -> dict:
-    """Pack a tuple of polynomials (one per slot) into a sparse row.
+def vector_rows(vectors, field: Field) -> tuple[list[dict], int]:
+    """Pack tuples of polynomials (one per slot) into sparse rows over one
+    common denominator D: (rows, D), each row D times its vector, integer
+    over Q, so a combination of the rows is D times the vectors'."""
+    items = [[(pack_key(a + b, slot, b), c) for slot, f in enumerate(vector)
+              for (a, b), c in f.terms.items()] for vector in vectors]
+    if field.p is not None:
+        return [dict(row) for row in items], 1
+    den = lcm(*(c.denominator for row in items for _, c in row))
+    return [{k: c.numerator * (den // c.denominator) for k, c in row}
+            for row in items], den
 
-    Over Q one common denominator is cleared for the whole vector, so the
-    row is an integer ray representing the same vector.
-    """
-    items = [(pack_key(a + b, slot, b), coeff) for slot, f in enumerate(vector)
-             for (a, b), coeff in f.terms.items()]
-    if not items or vector[0].field.p is not None:
-        return dict(items)
-    den = lcm(*(c.denominator for _, c in items))
-    return {k: c.numerator * (den // c.denominator) for k, c in items}
+
+def vector_row(vector) -> dict:
+    """`vector_rows` of one vector: an integer ray over Q."""
+    return vector_rows([vector], vector[0].field)[0][0]
+
+
+def row_vector(row: dict, nslots: int, field: Field,
+               den: int = 1) -> tuple[Poly, ...]:
+    """The polynomials, one per slot, of row / den: `vector_rows` undone."""
+    parts: dict = {}
+    for k, c in row.items():
+        parts.setdefault(key_slot(k), {})[Monomial(*key_exponents(k))] = (
+            field.coerce(c) if den == 1 else Fraction(c, den))
+    return tuple(Poly.from_canonical(field, parts.get(slot, {}))
+                 for slot in range(nslots))
 
 
 class TruncatedSpan:
@@ -222,46 +238,52 @@ def span_colon(span: TruncatedSpan, rows,
                              field)
         candidates = [v for v in (combine(lam, candidates, field.p)
                                   for lam in lams) if v]
-    monos = monomials_below(t - 1)
-    gens = [Poly.from_canonical(field, {monos[i]: field.coerce(c)
-                                        for i, c in v.items()})
-            for v in candidates]
-    gens += [Poly.term(field, t - b, b) for b in range(t + 1)]
-    return TruncatedIdeal.materialize(gens, field, config=config)
+    keys = [pack_key(m.degree, 0, m.b) for m in monomials_below(t - 1)]
+    gens = [{keys[i]: c for i, c in v.items()} for v in candidates]
+    gens += [monomial_row(t - b, b) for b in range(t + 1)]
+    return TruncatedIdeal.from_rows(gens, field, config)
 
 
 class TruncatedIdeal:
     """Finite-colength ideal with a verified Nakayama certificate m^n0 <= I,
-    held as its certified span and generating rows (in several slots, and
-    no `gens`, for `ModuleRep.sym`); the unit ideal R is the span of 1.  A
-    product's `gens` are its rows, over Q rays: unit multiples of products."""
+    held as its certified span and generating rows (in several slots for
+    `ModuleRep.sym`); the unit ideal R is the span of 1.  `gens` are read
+    from the rows when asked, one per row: row / `den` (`vector_rows`); a
+    product's rows are over Q rays, unit multiples of products."""
 
     def __init__(self, field: Field, span: TruncatedSpan,
-                 config: EngineConfig = DEFAULT, gens=None, rows=None):
+                 config: EngineConfig = DEFAULT, rows=(), den: int = 1):
         self.field = field
         self.span = span
         self.config = config
+        self.rows = rows
+        self.den = den
         self._square = None  # I*I once built; no higher power is kept
-        if gens is not None:
-            self.gens = tuple(gens)
-        if rows is not None:
-            self.rows = rows
 
     @cached_property
     def gens(self) -> tuple[Poly, ...]:
-        return tuple(dict.fromkeys(Poly.from_canonical(self.field, {
-            Monomial(*key_exponents(k)): self.field.coerce(c)
-            for k, c in row.items()}) for row in self.rows))
-
-    @cached_property
-    def rows(self) -> list[dict]:
-        return [vector_row((g,)) for g in self.gens]
+        return tuple(row_vector(row, 1, self.field, self.den)[0]
+                     for row in self.rows)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def from_rows(cls, rows, field: Field, config: EngineConfig = DEFAULT,
+                  den: int = 1) -> "TruncatedIdeal":
+        """The ideal of the nonzero rows / den; R, generated by 1, when one
+        of them has a constant term."""
+        rows = [row for row in rows if row]
+        if not rows:
+            raise ZeroIdealError("the zero ideal is not supported")
+        if any(0 in row for row in rows):  # key 0 is the constant term
+            rows, den = [monomial_row(0, 0)], 1
+        span = span_with_certificate(rows, 1, field, config=config)
+        return cls(field, span, config, rows, den)
+
+    @classmethod
     def materialize(cls, gens, field: Field | None = None,
                     config: EngineConfig = DEFAULT) -> "TruncatedIdeal":
+        """The ideal of the nonzero Polys `gens`, by `from_rows`."""
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             raise ZeroIdealError("the zero ideal is not supported")
@@ -270,11 +292,8 @@ class TruncatedIdeal:
         for g in gens:
             if g.field != field:
                 raise FieldMismatchError("generators over different fields")
-        if any(g.constant_term() != field.zero for g in gens):
-            gens = [Poly.one(field)]  # a unit generates R
-        span = span_with_certificate([vector_row((g,)) for g in gens], 1,
-                                     field, config=config)
-        return cls(field, span, config, gens=gens)
+        rows, den = vector_rows([(g,) for g in gens], field)
+        return cls.from_rows(rows, field, config, den)
 
     @classmethod
     def from_monomial(cls, ideal: staircase.MonomialIdeal, field: Field,
@@ -285,8 +304,8 @@ class TruncatedIdeal:
                 f"the Nakayama certificate n0 = {cert} of {ideal} is not "
                 f"below the truncation ceiling {config.truncation_ceiling}: "
                 f"raise --ceiling")
-        gens = [Poly.monomial(field, g) for g in ideal.gens]
-        return cls.materialize(gens, field, config=config)
+        return cls.from_rows([monomial_row(*g) for g in ideal.gens], field,
+                             config)
 
     # -- basic structure --------------------------------------------------
 
@@ -339,7 +358,7 @@ class TruncatedIdeal:
             raise TruncationCeilingError(
                 f"a power or product has no Nakayama certificate below the "
                 f"truncation ceiling {ceiling}: raise --ceiling") from None
-        return TruncatedIdeal(self.field, span, self.config, rows=rows)
+        return TruncatedIdeal(self.field, span, self.config, rows)
 
     def square(self) -> "TruncatedIdeal":
         """I*I, built by `product` on first use and kept."""

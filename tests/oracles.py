@@ -3,9 +3,11 @@
 Nothing here touches the engine's staircase geometry or echelon bases:
 membership is raw divisibility scanning, colength is raw lattice counting,
 rank computations use a standalone Fraction Gaussian elimination, and
-determinants use the permutation-sum formula.  `all_minors` lists every
-minor in combinations order, zero or not, by the engine's `poly_det`, and
-`capped_row` packs a vector with its terms above a degree dropped first.
+determinants use the permutation-sum formula.  `laplace_det` expands a
+Poly determinant along its first column, `all_minors` lists every minor in
+combinations order, zero or not, by it, `row_minors` reads the engine's
+packed-row minors back as Polys, and `capped_row` packs a vector with its
+terms above a degree dropped first.
 The other exceptions are the
 references for the engine's faster routines, which reuse its echelon
 basis: `ReferenceSpan` builds a span the direct way, `reference_colon`
@@ -21,8 +23,9 @@ certificate for membership, `reference_nakayama_covers` builds both
 sides of a Nakayama test in one ReferenceSpan, `reference_sym_product`
 multiplies symmetric-power generators out term by term,
 `reference_chain_gens` builds every generator list of a Fitting chain
-eagerly, one determinant per minor, `reference_product` multiplies two
-ideals' standard generators as Polys, and `reference_minimalize` drops
+eagerly, one determinant per minor, `reference_combination` draws a
+seeded combination of Poly columns as Poly sums, `reference_product`
+multiplies two ideals' standard generators as Polys, and `reference_minimalize` drops
 dominated monomials by pairwise divisibility.  `reference_integral_closure`
 and `reference_adjoint` test every point of the generator box against the
 Newton polyhedron's facets.  `reference_add`,
@@ -39,11 +42,11 @@ from regcore.config import DEFAULT
 from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.linalg import (EPS_BASE, SparseBasis, combine, degree_limit,
                             key_exponents, times_monomial)
-from regcore.modcore import _component_split
-from regcore.poly import Monomial, Poly, poly_det
+from regcore.modcore import _component_split, matrix_rows
+from regcore.poly import Monomial, Poly, matrix_minors
 from regcore.staircase import MonomialIdeal, colength, facets
 from regcore.trunc import (TruncatedIdeal, TruncatedSpan, monomials_below,
-                           vector_row)
+                           row_vector, vector_row)
 
 
 def capped_row(vector, cap):
@@ -54,6 +57,26 @@ def capped_row(vector, cap):
         for f in vector))
 
 
+def laplace_det(matrix, field, rows=None, cols=None, memo=None):
+    """Determinant of the rows x cols submatrix (default: all of it) of a
+    Poly matrix, by Laplace expansion along its first column, with the
+    sub-determinants kept in `memo` by (rows, cols)."""
+    if rows is None:
+        rows = tuple(range(len(matrix)))
+        cols = tuple(range(len(matrix[0]) if matrix else 0))
+    memo = {} if memo is None else memo
+    if not rows:
+        return Poly.one(field)
+    if (rows, cols) not in memo:
+        out = Poly.zero(field)
+        for pos, i in enumerate(rows):
+            term = matrix[i][cols[0]] * laplace_det(
+                matrix, field, rows[:pos] + rows[pos + 1:], cols[1:], memo)
+            out = out - term if pos % 2 else out + term
+        memo[rows, cols] = out
+    return memo[rows, cols]
+
+
 def all_minors(matrix, k, field, memo=None):
     """Every k x k minor of a Poly matrix in combinations order, zero or
     not, sharing sub-determinants through `memo`."""
@@ -61,9 +84,24 @@ def all_minors(matrix, k, field, memo=None):
         return [Poly.one(field)]
     memo = {} if memo is None else memo
     ncols = len(matrix[0]) if matrix else 0
-    return [poly_det(matrix, field, rows, cols, memo)
+    return [laplace_det(matrix, field, rows, cols, memo)
             for rows in combinations(range(len(matrix)), k)
             for cols in combinations(range(ncols), k)]
+
+
+def row_minors(matrix, k, field, memo=None):
+    """The engine's `matrix_minors` of a Poly matrix, packed over one
+    common denominator D by `matrix_rows`, read back as Polys (/ D^k)."""
+    rows, den = matrix_rows(matrix, field)
+    return [row_vector(m, 1, field, den ** max(k, 0))[0]
+            for m in matrix_minors(rows, k, field, memo)]
+
+
+def support_split(matrix):
+    """`_component_split` of a Poly matrix, read off its zero pattern."""
+    nrows = len(matrix)
+    return _component_split([[not f.is_zero for f in row] for row in matrix],
+                            nrows, len(matrix[0]) if nrows else 0)
 
 
 def mono_member(point, gens) -> bool:
@@ -342,7 +380,7 @@ def reference_fitting(matrix, k, field, config=DEFAULT):
         raise ZeroIdealError(f"I_{k} of a {nrows}x{ncols} matrix is zero")
     # value per partial size: None (zero ideal), "unit", or list of gens
     acc = {0: "unit"}
-    for rows, cols in _component_split(matrix, nrows, ncols):
+    for rows, cols in support_split(matrix):
         sizes = {0: "unit"}
         for size in range(1, min(len(rows), len(cols)) + 1):
             sub = [[matrix[i][j] for j in cols] for i in rows]
@@ -418,6 +456,17 @@ def reference_nakayama_covers(big, small, nslots, field, cap):
                for col in big)
 
 
+def reference_combination(sampler, columns):
+    """A seeded generic combination of Poly columns, summed as Polys: one
+    `coefficient` per column, in order, times the column."""
+    fld = columns[0][0].field
+    out = [Poly.zero(fld)] * len(columns[0])
+    for col in columns:
+        c = sampler.coefficient(fld)
+        out = [acc + f.scale(c) for acc, f in zip(out, col)]
+    return tuple(out)
+
+
 def reference_sym_product(N, M, t):
     """(slots, columns) of S_1(N) * S_t(M) inside Sym_(t+1)(F): each column
     of N times each product of t columns of M, expanded term by term in the
@@ -449,13 +498,12 @@ def reference_chain_gens(matrix, field):
     """{k: nonzero generators of I_k(A)}, repeats and order included: the
     whole chain built eagerly, block by block and size by size, with each
     minor a determinant of its own submatrix."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
     gens = {0: [Poly.one(field)]}
-    for rows, cols in _component_split(matrix, nrows, ncols):
+    for rows, cols in support_split(matrix):
         block = {0: [Poly.one(field)]}
         for size in range(1, min(len(rows), len(cols)) + 1):
-            minors = (poly_det([[matrix[i][j] for j in c] for i in r], field)
+            minors = (laplace_det([[matrix[i][j] for j in c] for i in r],
+                                  field)
                       for r in combinations(rows, size)
                       for c in combinations(cols, size))
             block[size] = [m for m in minors if not m.is_zero]

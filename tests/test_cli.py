@@ -316,6 +316,55 @@ def test_module_reduction_search_names_the_ceiling_a_power_passes(tmp_path,
     assert json.loads(out)["certificate"]["symmetric_degree"] == 2
 
 
+def test_module_reduction_names_the_symmetric_power_bound(tmp_path, capsys):
+    # (x^5, x^4*y, y^5) is not integrally closed: its reductions need
+    # J*I^4 = I^5, past the module search's bound n <= 3, which the refusal
+    # names instead of the field; the ideal search, to colength(J), answers
+    gens = ["x^5", "x^4*y", "y^5"]
+    module = write(tmp_path, "M.json", {"field": "F65537", "rank": 1,
+                                        "generators": [[g] for g in gens]})
+    code, out, err = run(capsys, "reduction", "--module", module)
+    assert code == 1 and out == ""
+    assert "field may be too small" not in err
+    assert "S_1(N)*S_n(M) = S_(n+1)(M) for an n <= 3" in err
+    ideal = write(tmp_path, "I.json", {"field": "F65537", "gens": gens})
+    code, out, err = run(capsys, "reduction", "--ideal", ideal)
+    assert code == 0
+    assert json.loads(out)["certificate"] == {"exponent": 4, "colength": 335}
+
+
+# fractional Q input: one common denominator per matrix or generator list,
+# divided out where the generators are printed
+FRACTIONAL_PINS = [
+    ("fitting", "--presentation", {"field": "Q", "matrix": [
+        ["x + 1/2*y", "0"], ["y^2", "x - 1/3*y"], ["0", "y^2 + 2/5*x^2"]]},
+     ("--k", "2"),
+     "(x^2 + 1/6*x*y - 1/6*y^2, 2/5*x^3 + 1/5*x^2*y + x*y^2 + 1/2*y^3, "
+     "2/5*x^2*y^2 + y^4)"),
+    ("reduction", "--ideal", {"field": "Q", "gens": [
+        "x^3 + 1/2*y^4", "x*y", "y^3 + 2/3*x^4"]}, (),
+     "(-6*x^4 - 4*x^3 - x*y - 9*y^3 - 2*y^4, "
+     "-10/3*x^4 - 8*x^3 - 8*x*y - 5*y^3 - 4*y^4)"),
+    ("reduction", "--module", {"field": "Q", "rank": 2, "generators": [
+        ["x", "0"], ["1/2*y", "0"], ["0", "x^2 + 1/3*y^3"], ["0", "y^2"]]},
+     (), "[(-4*x - 1/2*y, -9*x^2 - 8*y^2 - 3*y^3); "
+     "(-8*x - 5/2*y, -4*x^2 + 8*y^2 - 4/3*y^3); "
+     "(-3*x + 9/2*y, 4*x^2 - 2*y^2 + 4/3*y^3)]"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, obj, options, expected", FRACTIONAL_PINS,
+    ids=["fitting", "reduction-ideal", "reduction-module"])
+def test_fractional_q_output_is_pinned(tmp_path, capsys, command, flag, obj,
+                                       options, expected):
+    path = write(tmp_path, "in.json", obj)
+    code, out, err = run(capsys, command, flag, path, *options,
+                         "--format", "text")
+    assert (code, err) == (0, "")
+    assert out == expected + "\n"
+
+
 COLON = ("--method", "colon")
 NOT_CLOSED = [  # command, input, options
     ("adjoint", {"field": "Q", "gens": ["x^2", "x^2+2*x*y+y^2"]}, COLON),

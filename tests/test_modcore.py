@@ -22,10 +22,11 @@ from regcore.reduction import (RETRY_LIMIT, GenericSampler,
                                minimal_reduction, rees_reduction)
 from regcore.staircase import (MonomialIdeal, colength, multiplicity,
                                presentation_matrix)
-from regcore.trunc import TruncatedIdeal, span_with_certificate, vector_row
+from regcore.trunc import (TruncatedIdeal, row_vector, span_with_certificate,
+                           vector_row, vector_rows)
 
-from oracles import (reference_chain_gens, reference_fitting,
-                     reference_sym_product)
+from oracles import (reference_chain_gens, reference_combination,
+                     reference_fitting, reference_sym_product)
 from test_reduction import StuckSampler
 
 F65537 = PrimeField(65537)
@@ -219,7 +220,9 @@ def test_lazy_chain_answers_each_k_in_any_order(data):
             assert_same_fitting(
                 fitting_outcome(lambda: fitting(A, k, field, SMALL)),
                 fitting_outcome(lambda: reference_fitting(A, k, field, SMALL)))
-            assert modcore._latest[0].generators(k) == \
+            chain = modcore._latest[0]
+            assert [row_vector(g, 1, field, chain.den ** k)[0]
+                    for g in chain.generators(k)] == \
                 list(dict.fromkeys(chain_gens.get(k, [])))
 
 
@@ -262,6 +265,28 @@ def test_fitting_enumerates_minors_by_support(monkeypatch):
     pres = presentation_matrix(M(12), F65537)
     assert fitting(pres, 6, F65537).to_monomial() == M(6)
     assert counted[0] == 27132
+
+
+def test_minors_chains_and_draws_make_no_poly_arithmetic(monkeypatch):
+    # Polys only at the boundary: over Q with fractional entries, the
+    # minors, a Fitting chain, the draws and the colon run on packed rows
+    B = [[P("x + 1/2*y"), P("0")], [P("y^2"), P("x - 1/3*y")],
+         [P("0"), P("y^2 + 2/5*x^2")]]
+    mod = ModuleRep(QQ, 2, [(P("x"), P("0")), (P("1/2*y"), P("0")),
+                            (P("0"), P("x^2 + 1/3*y^3")), (P("0"), P("y^2"))])
+    monkeypatch.setattr(modcore, "_chains", weakref.WeakValueDictionary())
+    calls = []
+    for name in ("__mul__", "__add__", "__neg__", "scale"):
+        original = getattr(Poly, name)
+        monkeypatch.setattr(Poly, name, lambda *args, _f=original:
+                            calls.append(1) or _f(*args))
+    fitting(B, 2, QQ)
+    minors = mod.minor_ideal()
+    minimal_reduction_module(mod, GenericSampler(1))
+    J, _ = minimal_reduction(minors, GenericSampler(2))
+    J.colon(minors)
+    assert calls == []
+    assert minors.gens[0] * minors.gens[0] and calls == [1]  # counted
 
 
 def test_modules_with_one_presentation_share_one_chain(monkeypatch):
@@ -471,13 +496,35 @@ def test_sym_reduction_check_on_twisted_sums(field, t):
         sampler = GenericSampler(seed)
         inside_m = mod.scale_by_gens([P("x", field), P("y", field)])
         for source, expected in ((mod, True), (inside_m, False)):
-            n = ModuleRep(field, 2, [sampler.combination(source.columns)
-                                     for _ in range(3)])
+            rows, den = vector_rows(source.columns, field)
+            n = ModuleRep.from_rows(field, 2, [sampler.combination(rows, field)
+                                               for _ in range(3)], den)
             slots, products = reference_sym_product(n, mod, t)
             span = span_with_certificate([vector_row(c) for c in products],
                                          len(slots), field)
             assert (span.colength() == sym_colength(mod, t + 1)) == expected
             assert bool(sym_reduction_check(n, mod, t)) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_module_draws_read_as_polys_are_the_poly_combinations(field):
+    # rank 2 with fractional entries: one denominator for all the columns
+    mod = ModuleRep(field, 2, [
+        tuple(P(f, field) for f in col) for col in
+        [("x", "0"), ("1/2*y", "0"), ("0", "x^2 + 1/3*y^3"), ("0", "y^2")]])
+    rows, den = vector_rows(mod.columns, field)
+    for seed in range(4):
+        drawn, ref = GenericSampler(seed), GenericSampler(seed)
+        for _ in range(3):
+            assert ModuleRep.from_rows(
+                field, 2, [drawn.combination(rows, field)], den).columns == \
+                (reference_combination(ref, mod.columns),)
+        # N is one of the search's triples of draws, read as Polys
+        n, _ = minimal_reduction_module(mod, GenericSampler(seed))
+        ref = GenericSampler(seed)
+        assert n.columns in [tuple(reference_combination(ref, mod.columns)
+                                   for _ in range(3))
+                             for _ in range(RETRY_LIMIT)]
 
 
 def test_sym_reduction_check_refuses_n_outside_m():
@@ -519,10 +566,10 @@ class FirstDrawFrom(GenericSampler):
         super().__init__(seed)
         self.source, self.drawn = source, []
 
-    def combination(self, columns):
-        first = len(self.drawn) <= len(columns[0])
+    def combination(self, rows, fld):
+        first = len(self.drawn) <= self.source.rank
         self.drawn.append(super().combination(
-            self.source.columns if first else columns))
+            vector_rows(self.source.columns, fld)[0] if first else rows, fld))
         return self.drawn[-1]
 
 
@@ -547,7 +594,7 @@ def test_buchsbaum_rim_reference_agrees_with_symmetric_powers(field):
                                                 (br, cert))
             assert isinstance(mcert, MultiplicityCertificate)
             assert (mcert.e, mcert.reference, mcert.columns) == \
-                (br, cert, n.columns)
+                (br, cert, tuple(n.rows))
             assert (mcert.degree, mcert.trivial) == (0, False)
             assert n.colength() == br
             assert sym_reduction_check(n, mod, 1)
@@ -557,11 +604,11 @@ def test_buchsbaum_rim_reference_agrees_with_symmetric_powers(field):
         inside_m = mod.scale_by_gens([P("x", field), P("y", field)])
         sampler = FirstDrawFrom(41 + i, inside_m)
         n, _ = minimal_reduction_module(mod, sampler, (br, cert))
-        drawn = ModuleRep(field, 2, sampler.drawn[:3])
+        drawn = ModuleRep.from_rows(field, 2, sampler.drawn[:3], 1)
         assert drawn.colength() > br
         assert not sym_reduction_check(drawn, mod, 1)
         assert len(sampler.drawn) > 3
-        assert n.columns == tuple(sampler.drawn[-3:])
+        assert n.rows == sampler.drawn[-3:]
         # a reference above br(M) is refused
         with pytest.raises(MathError, match="below the reference multiplicity"):
             minimal_reduction_module(mod, GenericSampler(i), (br + 1, cert))
@@ -587,7 +634,8 @@ def test_rank_one_is_one_multiplicity_decision(field):
             assert isinstance(icert, MultiplicityCertificate)
             assert icert == mcert
             assert (icert.degree, icert.trivial) == (0, False)
-            assert icert.columns == N.columns == tuple((g,) for g in J.gens)
+            assert icert.columns == tuple(N.rows) == tuple(J.rows)
+            assert N.columns == tuple((g,) for g in J.gens)
         with pytest.raises(MathError) as ideal_error:
             rees_reduction(ideal, GenericSampler(i), e + 1, cert)
         with pytest.raises(MathError) as module_error:

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from regcore.errors import FieldMismatchError, ParseError
 from regcore.field import QQ, PrimeField, field_from_name
-from regcore.poly import (Monomial, Poly, matrix_minors, minor_supports,
-                          parse_poly, poly_det)
+from regcore.modcore import matrix_rows
+from regcore.poly import Monomial, Poly, minor_supports, parse_poly, poly_det
+from regcore.trunc import row_vector
 
 from oracles import (all_minors, permutation_determinant, reference_add,
-                     reference_mul, reference_neg, reference_scale)
+                     reference_mul, reference_neg, reference_scale,
+                     row_minors)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -20,6 +22,20 @@ X = Monomial(1, 0)
 
 def P(text, field=QQ):
     return parse_poly(text, field)
+
+
+def det_of(matrix, field, rows=None, cols=None, memo=None):
+    """The engine's `poly_det` of a Poly matrix, packed by `matrix_rows`
+    over one common denominator D, read back as a Poly (/ D^size)."""
+    packed, den = matrix_rows(matrix, field)
+    size = len(matrix if rows is None else rows)
+    return row_vector(poly_det(packed, field, rows, cols, memo), 1, field,
+                      den ** size)[0]
+
+
+def supports(matrix, k, field=QQ):
+    """`minor_supports` of a Poly matrix, packed by `matrix_rows`."""
+    return minor_supports(matrix_rows(matrix, field)[0], k)
 
 
 def test_parse_and_print_roundtrip():
@@ -126,7 +142,7 @@ def test_ring_axioms_prime_field(f, g, h):
 def test_determinant_matches_permutation_sum(flat):
     matrix = [[Poly.term(QQ, a, b, Fraction(c)) for a, b, c in flat[i:i + 3]]
               for i in range(0, 9, 3)]
-    lap = poly_det(matrix, QQ)
+    lap = det_of(matrix, QQ)
     perm = permutation_determinant(
         matrix, Poly.zero(QQ),
         lambda u, v: u + v, lambda u, v: u * v, lambda u: -u)
@@ -136,25 +152,25 @@ def test_determinant_matches_permutation_sum(flat):
 def test_minors_of_bidiagonal_presentation():
     # hand expansion of the three 2x2 minors of [[y,0],[-x^2,y],[0,-x]]
     A = [[P("y"), P("0")], [P("-x^2"), P("y")], [P("0"), P("-x")]]
-    minors = matrix_minors(A, 2, QQ)
+    minors = row_minors(A, 2, QQ)
     assert sorted(str(m) for m in minors) == sorted(["y^2", "-x*y", "x^3"])
 
 
 def test_minors_size_one_lists_entries():
     A = [[P("y")], [P("-x")]]
-    assert [str(m) for m in matrix_minors(A, 1, QQ)] == ["y", "-x"]
+    assert [str(m) for m in row_minors(A, 1, QQ)] == ["y", "-x"]
 
 
 def test_minors_k_zero_is_unit_marker():
     A = [[P("y")], [P("-x")]]
     # the one 0 x 0 minor is the empty determinant, 1
-    assert matrix_minors(A, 0, QQ) == [Poly.one(QQ)]
-    assert matrix_minors(A, -3, QQ) == [Poly.one(QQ)]
+    assert row_minors(A, 0, QQ) == [Poly.one(QQ)]
+    assert row_minors(A, -3, QQ) == [Poly.one(QQ)]
 
 
 def test_minors_oversized_empty():
     A = [[P("y")], [P("-x")]]
-    assert matrix_minors(A, 2, QQ) == []
+    assert row_minors(A, 2, QQ) == []
 
 
 MINOR_ENTRIES = ["0", "0", "x", "y", "x^2", "x*y", "y^2", "x + y^2",
@@ -170,17 +186,17 @@ def test_minors_are_the_determinants_of_the_submatrices(field, nrows, ncols,
           for _ in range(ncols)] for _ in range(nrows)]
     memo = {}  # one memo shared by every size, as in the Fitting chain
     for k in range(1, min(nrows, ncols) + 1):
-        dets = {(rows, cols): poly_det([[A[i][j] for j in cols] for i in rows],
-                                       field)
+        dets = {(rows, cols): det_of([[A[i][j] for j in cols] for i in rows],
+                                     field)
                 for rows in combinations(range(nrows), k)
                 for cols in combinations(range(ncols), k)}
         assert all_minors(A, k, field) == list(dets.values())
         # matrix_minors: the submatrices' determinants at their supports
-        expected = [dets[pair] for pair in minor_supports(A, k)]
-        assert matrix_minors(A, k, field) == expected
-        assert matrix_minors(A, k, field, memo) == expected
+        expected = [dets[pair] for pair in supports(A, k, field)]
+        assert row_minors(A, k, field) == expected
+        assert row_minors(A, k, field, memo) == expected
     for k in (0, min(nrows, ncols) + 1):
-        assert matrix_minors(A, k, field, memo) == \
+        assert row_minors(A, k, field, memo) == \
             ([Poly.one(field)] if k == 0 else [])
 
 
@@ -188,7 +204,7 @@ NONZERO_ENTRIES = [e for e in MINOR_ENTRIES if e != "0"]
 
 
 @st.composite
-def shaped_matrices(draw):
+def shaped_matrices(draw, pool=tuple(NONZERO_ENTRIES)):
     """A field and a matrix of one of the shapes the Fitting chain meets:
     bidiagonal, block-diagonal, dense, sparse, or an outer product u v^T,
     whose 2-minors all cancel although their supports admit transversals
@@ -196,7 +212,7 @@ def shaped_matrices(draw):
     field = draw(st.sampled_from([QQ, F7, F65537]))
     shape = draw(st.sampled_from(
         ["bidiagonal", "blocks", "dense", "sparse", "outer"]))
-    entry = st.sampled_from(NONZERO_ENTRIES).map(lambda e: P(e, field))
+    entry = st.sampled_from(pool).map(lambda e: P(e, field))
     zero = Poly.zero(field)
     nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     if shape == "bidiagonal":
@@ -225,30 +241,79 @@ def test_supported_minors_are_the_nonzero_minors_in_order(case):
         pairs = [(rows, cols) for rows in combinations(range(nrows), k)
                  for cols in combinations(range(ncols), k)]
         full = all_minors(A, k, field)
-        supports = list(minor_supports(A, k))
+        at = list(supports(A, k, field))
         # combinations order, without repeats
-        assert supports == sorted(set(supports))
+        assert at == sorted(set(at))
         # exactly the pairs with a nonzero term in the Leibniz expansion
-        kept = set(supports)
+        kept = set(at)
         assert kept == {(rows, cols) for rows, cols in pairs
                         if any(all(not A[i][j].is_zero
                                    for i, j in zip(rows, perm))
                                for perm in permutations(cols))}
-        supported = matrix_minors(A, k, field)
+        supported = row_minors(A, k, field)
         assert supported == [m for pair, m in zip(pairs, full)
                              if pair in kept]
         assert [m for m in supported if not m.is_zero] == \
             [m for m in full if not m.is_zero]
 
 
+# entries with denominators: over Q the matrix is packed over their common
+# denominator D, and a k-minor read back is divided by D^k; over F7 "7/6*y"
+# is zero, a zero entry that the pool does not list as "0"
+FRACTION_ENTRIES = ("1/2*x", "x - 2/3*y", "3/4", "y^2 + 1/5*x", "x*y",
+                    "7/6*y", "1/3*x^2 - y")
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(shaped_matrices(FRACTION_ENTRIES))
+def test_row_minors_match_the_laplace_reference(case):
+    # every shape, block-diagonal and sparse (zero supports) included, over
+    # Q with fractional entries, F7 and F65537
+    field, A = case
+    memo = {}
+    for k in range(1, min(len(A), len(A[0])) + 1):
+        pairs = [(rows, cols) for rows in combinations(range(len(A)), k)
+                 for cols in combinations(range(len(A[0])), k)]
+        kept = set(supports(A, k, field))
+        expected = [m for pair, m in zip(pairs, all_minors(A, k, field))
+                    if pair in kept]
+        assert row_minors(A, k, field) == expected
+        assert row_minors(A, k, field, memo) == expected
+    square = [row[:len(A)] for row in A] if len(A) <= len(A[0]) else None
+    if square is not None:
+        assert det_of(square, field) == all_minors(square, len(A), field)[0]
+
+
+def test_fractional_minors_carry_the_common_denominator():
+    # D = 6 for [[x + 1/2*y, 0], [y^2, x - 1/3*y]]: the packed 2-minor is
+    # D^2 times the minor, and reads back as the minor
+    A = [[P("x + 1/2*y"), P("0")], [P("y^2"), P("x - 1/3*y")]]
+    packed, den = matrix_rows(A, QQ)
+    assert den == 6
+    minor = P("x^2 + 1/6*x*y - 1/6*y^2")
+    assert row_minors(A, 2, QQ) == [minor] == [det_of(A, QQ)]
+    assert row_vector(poly_det(packed, QQ), 1, QQ)[0] == minor.scale(36)
+
+
+def test_prime_field_inverse():
+    for field in (F5, F7, F65537):
+        for a in list(range(1, 12)) + [field.p - 1, field.p + 3, -2]:
+            if a % field.p:
+                assert a * field.inv(a) % field.p == 1
+                assert 0 <= field.inv(a) < field.p
+        for zero in (0, field.p, -field.p):
+            with pytest.raises(ZeroDivisionError):
+                field.inv(zero)
+
+
 def test_cancelling_minors_are_supported_but_zero():
     A = [[P("x"), P("x")], [P("y"), P("y")]]
-    assert list(minor_supports(A, 2)) == [((0, 1), (0, 1))]
-    assert matrix_minors(A, 2, QQ) == [Poly.zero(QQ)]
+    assert list(supports(A, 2)) == [((0, 1), (0, 1))]
+    assert row_minors(A, 2, QQ) == [Poly.zero(QQ)]
     # a zero column leaves no transversal: no 2-minor is enumerated
     B = [[P("x"), P("0")], [P("y"), P("0")]]
-    assert list(minor_supports(B, 2)) == []
-    assert list(minor_supports(B, 1)) == [((0,), (0,)), ((1,), (0,))]
+    assert list(supports(B, 2)) == []
+    assert list(supports(B, 1)) == [((0,), (0,)), ((1,), (0,))]
 
 
 def test_determinant_of_a_submatrix_by_index():
@@ -257,10 +322,10 @@ def test_determinant_of_a_submatrix_by_index():
     memo = {}
     for rows, cols in [((0, 2), (0, 1)), ((1, 2), (1, 2)), ((0, 1, 2),) * 2]:
         sub = [[A[i][j] for j in cols] for i in rows]
-        assert poly_det(A, QQ, rows, cols, memo) == poly_det(sub, QQ)
-        assert memo[rows, cols] == poly_det(sub, QQ)
-    assert poly_det(A, QQ) == poly_det(A, QQ, (0, 1, 2), (0, 1, 2))
-    assert poly_det([], QQ) == Poly.one(QQ)
+        assert det_of(A, QQ, rows, cols, memo) == det_of(sub, QQ)
+        assert memo[rows, cols] == poly_det(matrix_rows(sub, QQ)[0], QQ)
+    assert det_of(A, QQ) == det_of(A, QQ, (0, 1, 2), (0, 1, 2))
+    assert det_of([], QQ) == Poly.one(QQ)
 
 
 # coefficients that wrap around mod p, cancel, or are not integral over Q

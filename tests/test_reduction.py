@@ -22,8 +22,10 @@ from regcore.reduction import (COEFFICIENT_POOL, RETRY_LIMIT, GenericSampler,
                                rees_reduction, term_ideal)
 from regcore.staircase import (MonomialIdeal, adjoint, integral_closure,
                                multiplicity)
-from regcore.trunc import TruncatedIdeal, span_colon, vector_row
+from regcore.trunc import (TruncatedIdeal, row_vector, span_colon, vector_row,
+                           vector_rows)
 
+from oracles import reference_combination
 from test_trunc import as_m_primary, mixed_ideals
 
 F7 = PrimeField(7)
@@ -91,9 +93,9 @@ class StuckSampler(GenericSampler):
 
     draws = 0
 
-    def combination(self, columns):
+    def combination(self, rows, fld):
         self.draws += 1
-        return columns[0]
+        return rows[0]
 
 
 def test_sampler_takes_pool_and_retries_from_the_constants(monkeypatch):
@@ -202,7 +204,31 @@ def test_rees_reduction_accepts_by_colength_and_keeps_the_reference():
     assert isinstance(mcert, MultiplicityCertificate)
     assert mcert.e == J.colength() == 4
     assert mcert.reference is cert
-    assert mcert.columns == tuple((g,) for g in J.gens)
+    assert mcert.columns == tuple(J.rows)  # J's gens, over J.den
+
+
+FRACTIONAL = ["x^3 + 1/2*y^4", "x*y", "y^3 + 2/3*x^4"]
+
+
+@pytest.mark.parametrize("field", [QQ, F7, PrimeField(65537)], ids=str)
+def test_draws_read_as_polys_are_the_poly_combinations(field):
+    # the rows share one denominator, so each draw is exactly the Poly sum
+    # of the same coefficients times the generators
+    I = TruncatedIdeal.materialize([P(g, field) for g in FRACTIONAL], field)
+    columns = [(g,) for g in I.gens]
+    rows, den = vector_rows(columns, field)
+    assert den == (6 if field == QQ else 1)
+    for seed in range(5):
+        drawn, ref = GenericSampler(seed), GenericSampler(seed)
+        for _ in range(4):
+            assert row_vector(drawn.combination(rows, field), 1, field,
+                              den) == reference_combination(ref, columns)
+        # J is one of the search's pairs of draws, read as Polys
+        J, _ = minimal_reduction(I, GenericSampler(seed))
+        ref = GenericSampler(seed)
+        assert J.gens in [tuple(reference_combination(ref, columns)[0]
+                                for _ in range(2))
+                          for _ in range(RETRY_LIMIT)]
 
 
 class FixedPairSampler(GenericSampler):
@@ -212,9 +238,9 @@ class FixedPairSampler(GenericSampler):
         super().__init__(0)
         self.pair = [f, g]
 
-    def combination(self, columns):
+    def combination(self, rows, fld):
         self.pair.reverse()
-        return (self.pair[0],)
+        return vector_row((self.pair[0],))
 
 
 def test_colength_above_e_is_not_a_reduction():
@@ -352,9 +378,11 @@ def test_colon_by_a_parameter_ideal_has_the_linked_colength(data):
     I = data.draw(linkage_inputs(field))
     sampler = GenericSampler(data.draw(st.integers(0, 10**6)))
     columns = [(g,) for g in I.gens]
+    drawn, den = vector_rows(columns, field)
     try:
-        J = TruncatedIdeal.materialize(
-            [sampler.combination(columns)[0] for _ in range(2)], field)
+        J = TruncatedIdeal.from_rows(
+            [sampler.combination(drawn, field) for _ in range(2)], field,
+            den=den)
     except (NotMPrimaryError, ZeroIdealError):
         return  # J is no parameter ideal
     rows = [vector_row(c) for c in columns]

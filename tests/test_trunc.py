@@ -22,7 +22,7 @@ from regcore.modcore import ModuleRep, colon_into
 from regcore.trunc import (TruncatedIdeal, TruncatedSpan, monomials_below,
                            nakayama_covers,
                            span_colon, span_with_certificate, triangle,
-                           vector_row)
+                           vector_row, vector_rows)
 
 from oracles import (capped_row, quotient_dimension, reference_colon,
                      reference_intersect, reference_kernel,
@@ -375,7 +375,8 @@ def test_builder_matches_reference_builder(data):
     new_i, new_j = (TruncatedIdeal.materialize(g, field)
                     for g in (i_gens, j_gens))
     ref_i, ref_j = (TruncatedIdeal(field, reference_span(
-        [(f,) for f in g], 1, field), gens=g) for g in (i_gens, j_gens))
+        [(f,) for f in g], 1, field), DEFAULT,
+        *vector_rows([(f,) for f in g], field)) for g in (i_gens, j_gens))
     for new, ref in ((new_i, ref_i), (new_j, ref_j)):
         assert new.n0 == ref.n0
         assert new.colength() == ref.colength()
@@ -953,8 +954,9 @@ def test_products_and_nakayama_tests_make_no_poly_products(monkeypatch):
                                    (P("y^2", field), zero),
                                    (P("x^2", field), P("x", field)),
                                    (P("x*y", field), P("y", field))])
-    n = ModuleRep(field, 2, [reduction.GenericSampler(k).combination(
-        twisted.columns) for k in range(3)])
+    rows, den = vector_rows(twisted.columns, field)
+    n = ModuleRep.from_rows(field, 2, [reduction.GenericSampler(k).combination(
+        rows, field) for k in range(3)], den)
     calls = []
     mul = Poly.__mul__
     monkeypatch.setattr(Poly, "__mul__",
