@@ -13,6 +13,11 @@ residues.  A basis is built in echelon form and put in reduced echelon
 form (no row holds another row's pivot key) on its first query, so a
 short query row meets pivot rows whose tails cannot send it on to further
 pivots.
+
+Invariant: a stored row has no zero coefficient and is primitive with a
+positive lead over Q (has lead 1 over F_p).  So a stored row that
+`SparseBasis.insert` shifts by a monomial as it copies it in is stored as
+it is unless it meets a pivot or loses a term to the cap.
 """
 
 from __future__ import annotations
@@ -43,10 +48,9 @@ def degree_limit(cap) -> int:
     return EPS_BASE if cap is None else (cap + 1) << _DEG_SHIFT
 
 
-def times_monomial(row: dict, a: int, b: int) -> dict:
-    """The row multiplied by x^a y^b."""
-    delta = ((a + b) << _DEG_SHIFT) | b
-    return {k + delta: c for k, c in row.items()}
+def _offset(a: int, b: int) -> int:
+    """What multiplying by x^a y^b adds to a key."""
+    return ((a + b) << _DEG_SHIFT) | b
 
 
 def key_slot(key: int) -> int:
@@ -125,14 +129,22 @@ def key_exponents(key: int) -> tuple[int, int]:
     return d - b, b
 
 
+def distinct_rows(rows) -> list[dict]:
+    """The nonzero rows, each once, in order of first occurrence."""
+    return list({frozenset(row.items()): row for row in rows if row}.values())
+
+
+def has_variable_factor(rows) -> bool:
+    """Does x, or y, divide every term of every row?  Then the rows span a
+    submodule of xF (or yF), whose quotient has infinite length."""
+    return (all(key >> _DEG_SHIFT != key & _MASK for row in rows for key in row)
+            or all(key & _MASK for row in rows for key in row))
+
+
 def _strip_content(row: dict) -> dict:
-    g = 0
-    for c in row.values():
-        g = gcd(g, c)
-        if g == 1:
-            break
-    lead = min(row)
-    if row[lead] < 0:
+    """The primitive integer ray of a nonzero row, with a positive lead."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
         g = -g
     if g != 1:
         row = {k: c // g for k, c in row.items()}
@@ -162,8 +174,10 @@ class SparseBasis:
         kept = {}
         for lead, row in self.rows.items():
             if lead < limit:
-                row = {k: c for k, c in row.items() if k < limit}
-                kept[lead] = _strip_content(row) if self.p is None else row
+                if max(row) >= limit:  # a cut row, rebuilt and over Q stripped
+                    row = {k: c for k, c in row.items() if k < limit}
+                    row = _strip_content(row) if self.p is None else row
+                kept[lead] = row
         self.rows = kept
 
     def interreduce(self):
@@ -195,7 +209,8 @@ class SparseBasis:
             # test out of the inner loop
             if p is None:  # scale once so that every factor is an integer
                 scale = lcm(*(rows[k][k] for k in hits))
-                new = {k: c * scale for k, c in row.items()}
+                new = (dict(row) if scale == 1
+                       else {k: c * scale for k, c in row.items()})
                 for k in hits:
                     prow = rows[k]
                     factor = new.pop(k) // prow[k]
@@ -223,35 +238,44 @@ class SparseBasis:
 
     # -- reduction ----------------------------------------------------
 
-    def reduce_to_lead(self, row: dict, cap=None):
-        """Top-reduce a copy of `row` against the basis in the capped quotient.
+    def reduce_to_lead(self, row: dict, cap=None, shift=None):
+        """Top-reduce a copy of `row`, times x^a y^b for shift = (a, b),
+        against the basis in the capped quotient.
 
-        Returns (lead, residual): lead is the smallest pivot-free key of
-        the residual, or None when the row lies in the span.
+        Returns (lead, residual, merges): lead is the smallest pivot-free
+        key of the residual, or None when the row lies in the span; merges
+        counts the pivot rows subtracted.  Over Q the row is scaled by a
+        pivot's lead L only when L does not divide the row's coefficient.
         """
         # keys in [limit, EPS_BASE) lie above the cap; kernel tags stay
         limit = degree_limit(cap)
-        work = {k: c for k, c in row.items() if not limit <= k < EPS_BASE}
+        delta = _offset(*shift) if shift else 0
+        work = {kk: c for k, c in row.items()
+                if not limit <= (kk := k + delta) < EPS_BASE}
         if not work:
-            return None, {}
+            return None, {}, 0
+        rows = self.rows
+        first = min(work)
+        if first not in rows:
+            return first, work, 0
         heap = list(work)
         heapq.heapify(heap)
-        rows = self.rows
         p = self.p
         merges = 0
         while heap:
             k = heapq.heappop(heap)
             c = work.get(k)
-            if not c:
-                work.pop(k, None)
+            if c is None:  # a key that cancelled: rows hold no zero
                 continue
             prow = rows.get(k)
             if prow is None:
-                return k, work
+                return k, work, merges
+            merges += 1
             if p is None:
                 scale = prow[k]
-                factor = c
-                if scale != 1:
+                factor, rest = divmod(c, scale)
+                if rest:
+                    factor = c
                     for kk in work:
                         work[kk] *= scale
                 for kk, cc in prow.items():
@@ -259,12 +283,11 @@ class SparseBasis:
                         continue
                     nv = work.get(kk, 0) - factor * cc
                     if nv:
-                        if kk not in work and kk != k:
+                        if kk not in work:
                             heapq.heappush(heap, kk)
                         work[kk] = nv
                     else:
                         work.pop(kk, None)
-                merges += 1
                 if merges % 8 == 0 and work:
                     work = _strip_content(work)
             else:
@@ -273,32 +296,34 @@ class SparseBasis:
                         continue
                     nv = (work.get(kk, 0) - c * cc) % p
                     if nv:
-                        if kk not in work and kk != k:
+                        if kk not in work:
                             heapq.heappush(heap, kk)
                         work[kk] = nv
                     else:
                         work.pop(kk, None)
-        return None, {}
+        return None, {}, merges
 
-    def insert(self, row: dict, cap=None):
-        """Insert a row; returns its pivot key, or None if dependent."""
-        lead, work = self.reduce_to_lead(row, cap)
+    def insert(self, row: dict, cap=None, shift=None):
+        """Insert a row, or with shift = (a, b) a stored row of a basis over
+        the field times x^a y^b; returns its pivot key, or None if dependent.
+        A shifted row that meets no pivot and loses no term is stored as is."""
+        lead, work, merges = self.reduce_to_lead(row, cap, shift)
         if lead is None:
             return None
-        if self.p is None:
-            work = _strip_content(work)
-        else:
-            inv = self.field.inv(work[lead])
-            if inv != 1:
-                work = {k: c * inv % self.p for k, c in work.items()}
+        if shift is None or merges or len(work) < len(row):
+            if self.p is None:
+                work = _strip_content(work)
+            else:
+                inv = self.field.inv(work[lead])
+                if inv != 1:
+                    work = {k: c * inv % self.p for k, c in work.items()}
         self.rows[lead] = work
         self.reduced = False
         return lead
 
     def contains(self, row: dict, cap=None) -> bool:
         self.interreduce()
-        lead, _ = self.reduce_to_lead(row, cap)
-        return lead is None
+        return self.reduce_to_lead(row, cap)[0] is None
 
     def term_leads(self, cap: int) -> list[tuple[int, int]] | None:
         """(a, b) of each lead of degree <= cap if every such row, capped
@@ -333,7 +358,7 @@ def normal_forms(basis: SparseBasis, cap: int):
              for lead, row in pivots}
 
     def nf(row: dict, a: int = 0, b: int = 0) -> dict:
-        delta = ((a + b) << _DEG_SHIFT) | b
+        delta = _offset(a, b)
         out: dict = {}
         for k, c in row.items():
             k += delta

@@ -28,7 +28,7 @@ from .poly import Poly, matrix_minors, minor_supports
 from .reduction import (GenericSampler, ReductionCertificate, adjoint_ideal,
                         by_multiplicity, check_closed, is_reduction,
                         power_difference, search_reduction, term_ideal)
-from .linalg import monomial_row, row_product, sym_rows
+from .linalg import distinct_rows, monomial_row, row_product, sym_rows
 from .trunc import (TruncatedIdeal, row_vector, span_colon,
                     span_with_certificate, vector_row, vector_rows)
 from . import staircase
@@ -212,11 +212,6 @@ def matrix_rows(matrix, field: Field) -> tuple[list[list[dict]], int]:
     return [flat[i * width:(i + 1) * width] for i in range(len(matrix))], den
 
 
-def _distinct(rows) -> list[dict]:
-    """The nonzero rows, each once, in order of first occurrence."""
-    return list({frozenset(row.items()): row for row in rows if row}.values())
-
-
 def _component_split(matrix, nrows, ncols):
     """Connected components of the row/column incidence graph of a matrix
     of packed rows (`matrix_rows`)."""
@@ -298,8 +293,8 @@ class _FittingChain:
                     f"{len(sub[0])} block of the presentation: {count} "
                     f"minors, more than {_MINOR_BUDGET} of them (the "
                     f"budget) not zero by support")
-            minors[size] = _distinct(matrix_minors(sub, size, self.field,
-                                                   memo))
+            minors[size] = distinct_rows(matrix_minors(sub, size,
+                                                       self.field, memo))
         return minors[size]
 
     def _gens(self, nblocks: int, size: int, k: int) -> list[dict]:
@@ -319,7 +314,7 @@ class _FittingChain:
                             minors if have == 0 else value if have == size
                             else (row_product(u, v, None, self.field.p)
                                   for u in value for v in minors))
-            self.partial[key] = _distinct(gens)
+            self.partial[key] = distinct_rows(gens)
         return self.partial[key]
 
     def generators(self, k: int) -> list[dict]:

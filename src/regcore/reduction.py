@@ -24,7 +24,7 @@ from .errors import (GenericityError, MathError, NotMPrimaryError,
                      TruncationCeilingError, ZeroIdealError)
 from .field import Field
 from .poly import Poly
-from .linalg import combine, row_product
+from .linalg import combine, distinct_rows, row_product
 from .trunc import (TruncatedIdeal, monomials_below, nakayama_covers,
                     vector_rows)
 from . import staircase
@@ -296,8 +296,9 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
     e, first = J.colength(), J.colon(I)
     if first.colength() != e - I.colength():
         raise MathError("colength(J : I) is not colength(J) - colength(I)")
-    products = [row_product(g, h, None, I.field.p)
-                for g in first.standard_rows for h in I.standard_rows]
+    products = distinct_rows(row_product(g, h, None, I.field.p)
+                             for g in first.standard_rows
+                             for h in I.standard_rows)
     for k in range(1, ADJOINT_SEEDS):
         J, _ = rees_reduction(I, sampler.spawn(1009 * k), e, cert)
         if not all(J.span.contains_row(f) for f in products):

@@ -22,9 +22,10 @@ from .config import DEFAULT, EngineConfig
 from .errors import (FieldMismatchError, NotMPrimaryError,
                      TruncationCeilingError, ZeroIdealError)
 from .field import Field
-from .linalg import (SparseBasis, combine, kernel_modulo, key_degree,
-                     key_exponents, key_slot, monomial_row, normal_forms,
-                     pack_key, row_product, slot_sums, times_monomial)
+from .linalg import (SparseBasis, combine, has_variable_factor,
+                     kernel_modulo, key_degree, key_exponents, key_slot,
+                     monomial_row, normal_forms, pack_key, row_product,
+                     slot_sums)
 from .poly import Monomial, Poly
 from . import staircase
 
@@ -123,19 +124,18 @@ class TruncatedSpan:
                 pending[t].append(row)
         leads: list[list[int]] = [[] for _ in range(order)]  # by degree
         x_leads = set()  # leads whose stored row came from an x-product
+        rows = self.basis.rows
         for t, gens in enumerate(pending):
             prev = leads[t - 1] if t else []
-            rows = self.basis.rows
-            xs = [times_monomial(rows[b], 1, 0) for b in prev]
-            ys = [times_monomial(rows[b], 0, 1) for b in prev
-                  if b not in x_leads]
-            for batch in (gens, xs, ys):
-                for row in batch:
-                    lead = self.basis.insert(row, cap=cap)
-                    if lead is not None:
-                        leads[key_degree(lead)].append(lead)
-                        if batch is xs:
-                            x_leads.add(lead)
+            stage = [(row, None) for row in gens]
+            stage += [(rows[b], (1, 0)) for b in prev]
+            stage += [(rows[b], (0, 1)) for b in prev if b not in x_leads]
+            for row, shift in stage:
+                lead = self.basis.insert(row, cap, shift)
+                if lead is not None:
+                    leads[key_degree(lead)].append(lead)
+                    if shift == (1, 0):
+                        x_leads.add(lead)
             if len(leads[t]) == nslots * (t + 1):
                 self.n0, self.order = t, t + 1
                 self.slots = sorted({key_slot(k) for k in leads[t]})
@@ -160,13 +160,15 @@ def span_with_certificate(rows, nslots: int, field: Field,
                           config: EngineConfig = DEFAULT) -> TruncatedSpan:
     """Materialize the span of rows up to its Nakayama certificate below
     the truncation ceiling, or return the certified span already built
-    from the same rows under the same ceiling."""
+    from the same rows under the same ceiling.  Rows that a variable
+    divides are refused before anything is built."""
     ceiling = config.truncation_ceiling
     distinct = {tuple(chain(*sorted(row.items()))): row for row in rows}
     key = (field, nslots, tuple(distinct), ceiling)
-    span = (_certified.get(key)
-            or TruncatedSpan(field, nslots, distinct.values(), ceiling))
-    if span.n0 is None:
+    span = _certified.get(key)
+    if span is None and not has_variable_factor(distinct.values()):
+        span = TruncatedSpan(field, nslots, distinct.values(), ceiling)
+    if span is None or span.n0 is None:
         raise NotMPrimaryError(
             f"no Nakayama certificate up to the truncation ceiling "
             f"{ceiling}: not finite colength")
@@ -189,8 +191,8 @@ def nakayama_covers(big: TruncatedSpan, small) -> bool:
     n0 = big.n0
     basis = SparseBasis(big.field)
     for _, b in sorted(big.basis.rows.items()):
-        basis.insert(times_monomial(b, 1, 0), cap=n0)
-        basis.insert(times_monomial(b, 0, 1), cap=n0)
+        basis.insert(b, n0, (1, 0))
+        basis.insert(b, n0, (0, 1))
     for row in small:
         basis.insert(row, cap=n0)
     return basis.dim_up_to(n0) == \

@@ -41,12 +41,22 @@ from itertools import (combinations, combinations_with_replacement,
 from regcore.config import DEFAULT
 from regcore.errors import NotMPrimaryError, ZeroIdealError
 from regcore.linalg import (EPS_BASE, SparseBasis, combine, degree_limit,
-                            key_exponents, times_monomial)
+                            key_exponents, key_slot, pack_key)
 from regcore.modcore import _component_split, matrix_rows
 from regcore.poly import Monomial, Poly, matrix_minors
 from regcore.staircase import MonomialIdeal, colength, facets
 from regcore.trunc import (TruncatedIdeal, TruncatedSpan, monomials_below,
                            row_vector, vector_row)
+
+
+def times_monomial(row, a, b):
+    """The row times x^a y^b, key by key through its exponents and slot:
+    the reference for `SparseBasis.insert`'s shift."""
+    out = {}
+    for k, c in row.items():
+        i, j = key_exponents(k)
+        out[pack_key(i + a + j + b, key_slot(k), j + b)] = c
+    return out
 
 
 def capped_row(vector, cap):

@@ -1,4 +1,5 @@
 import gc
+import json
 from fractions import Fraction
 import weakref
 from itertools import chain
@@ -7,14 +8,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regcore import trunc
+from regcore import cli, trunc
 from regcore.config import DEFAULT, EngineConfig
 from regcore.errors import (NotMPrimaryError, TruncationCeilingError,
                             ZeroIdealError)
 from regcore.field import QQ, PrimeField
 from regcore.linalg import (SparseBasis, combine, kernel_modulo, key_degree,
-                            normal_forms, pack_key, row_product,
-                            times_monomial)
+                            normal_forms, pack_key, row_product)
 from regcore.poly import Poly, parse_poly
 from regcore.serialize import ideal_text
 from regcore.staircase import MonomialIdeal, colength as mono_colength
@@ -29,7 +29,7 @@ from oracles import (capped_row, quotient_dimension, reference_colon,
                      reference_monomial_plus, reference_mul,
                      reference_nakayama_covers, reference_plus,
                      reference_product, reference_span, reference_to_monomial,
-                     sequential_colon)
+                     sequential_colon, times_monomial)
 
 F7 = PrimeField(7)
 F65537 = PrimeField(65537)
@@ -88,8 +88,8 @@ def test_span_builder_reaches_each_monomial_multiple_once(field, monkeypatch):
     leads = []
     insert = SparseBasis.insert
 
-    def counted(self, row, cap=None):
-        leads.append(insert(self, row, cap))
+    def counted(self, row, cap=None, shift=None):
+        leads.append(insert(self, row, cap, shift))
         return leads[-1]
     monkeypatch.setattr(SparseBasis, "insert", counted)
     zero = Poly.zero(field)
@@ -968,3 +968,132 @@ def test_products_and_nakayama_tests_make_no_poly_products(monkeypatch):
     modcore.sym_reduction_check(n, twisted, 1)
     assert calls == []
     assert x * y and calls == [1]  # the wrapper counts Poly products
+
+
+# -- the span kernel: shifted inserts and primitive stored rows ----------
+
+
+def assert_stored_rows_normal(basis):
+    """A stored row has no zero coefficient, its least key is its lead, and
+    over Q it is primitive with a positive lead (over F_p its lead is 1)."""
+    p = basis.field.p
+    for lead, row in basis.rows.items():
+        assert min(row) == lead and all(row.values())
+        if p is None:
+            assert row[lead] > 0 and gcd(*row.values()) == 1
+        else:
+            assert row[lead] == 1 and all(0 < c < p for c in row.values())
+
+
+def kernel_inputs(field):
+    """Generator columns with their slot count: a mixed ideal, a
+    coordinate-changed monomial ideal, and twisted rank-2 sums
+    g*(I (+) J) for g = [[1, x], [0, 1]]."""
+    zero, x = Poly.zero(field), Poly.term(field, 1, 0)
+    ideal = st.one_of(mixed_ideals(field).map(lambda i: list(i.gens)),
+                      changed_monomial_gens(field))
+    twisted = st.tuples(ideal, ideal).map(
+        lambda ij: [(g, zero) for g in ij[0]] + [(x * h, h) for h in ij[1]])
+    return st.one_of(ideal.map(lambda gens: ([(g,) for g in gens], 1)),
+                     twisted.map(lambda cols: (cols, 2)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_shifted_insert_matches_inserting_the_shifted_row(data):
+    # the same stored rows, shifted on insert or shifted first, give the
+    # same leads and the same stored rows, caps that cut them included
+    field = data.draw(st.sampled_from([QQ, F7, F65537]))
+    columns, nslots = data.draw(kernel_inputs(field))
+    span = TruncatedSpan(field, nslots, packed(columns),
+                         DEFAULT.truncation_ceiling)
+    stored = sorted(span.basis.rows.values(), key=min)
+    shifts = data.draw(st.lists(st.sampled_from([(1, 0), (0, 1), (2, 1)]),
+                                min_size=len(stored), max_size=len(stored)))
+    for cap in (span.n0, span.n0 + 1, max(span.n0 - 1, 0)):
+        shifted, reference = SparseBasis(field), SparseBasis(field)
+        for row, (a, b) in zip(stored, shifts):
+            for basis in (shifted, reference):  # a plain row on both
+                basis.insert(row, cap)
+            lead = shifted.insert(row, cap, (a, b))
+            assert lead == reference.insert(times_monomial(row, a, b), cap)
+            assert shifted.rows == reference.rows
+        assert_stored_rows_normal(shifted)
+
+
+def test_shifted_insert_strips_what_a_cut_or_a_merge_leaves():
+    # 2x^2 + 4xy + 3y^3 is primitive; its x-shift cut at degree 3, and a
+    # merge of x*(x + y) with the pivot x^2 - xy + 2y^3, each leave content 2
+    k = {(a, b): pack_key(a + b, 0, b) for a in range(4) for b in range(4)}
+    basis = SparseBasis(QQ)
+    lead = basis.insert({k[2, 0]: 2, k[1, 1]: 4, k[0, 3]: 3}, 3, (1, 0))
+    assert basis.rows[lead] == {k[3, 0]: 1, k[2, 1]: 2}
+    basis = SparseBasis(QQ)
+    basis.insert({k[2, 0]: 1, k[1, 1]: -1, k[0, 3]: 2})
+    lead = basis.insert({k[1, 0]: 1, k[0, 1]: 1}, None, (1, 0))
+    assert basis.rows[lead] == {k[1, 1]: 1, k[0, 3]: -1}
+    # `truncate` strips a row that loses a term, and keeps the others
+    basis = SparseBasis(QQ)
+    whole = {k[1, 0]: 1, k[0, 1]: 3}
+    basis.insert(whole)
+    basis.insert({k[2, 0]: 2, k[1, 1]: 4, k[0, 3]: 3})
+    basis.truncate(2)
+    assert basis.rows == {k[1, 0]: whole, k[2, 0]: {k[2, 0]: 1, k[1, 1]: 2}}
+    assert basis.rows[k[1, 0]] is not whole  # stored as a copy
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.data())
+def test_every_stored_row_is_normal(data):
+    # after each insert of a span build or a Nakayama test, and after
+    # every truncate and interreduce
+    field = data.draw(st.sampled_from([QQ, F7, F65537]))
+    columns, nslots = data.draw(kernel_inputs(field))
+    insert, truncate = SparseBasis.insert, SparseBasis.truncate
+    interreduce = SparseBasis.interreduce
+    bases = []
+
+    def checked(method):
+        def run(self, *args, **kwargs):
+            out = method(self, *args, **kwargs)
+            assert_stored_rows_normal(self)
+            bases.append(self)
+            return out
+        return run
+    with pytest.MonkeyPatch.context() as mp:
+        for name, method in (("insert", insert), ("truncate", truncate),
+                             ("interreduce", interreduce)):
+            mp.setattr(SparseBasis, name, checked(method))
+        span = TruncatedSpan(field, nslots, packed(columns),
+                             DEFAULT.truncation_ceiling)
+        assert nakayama_covers(span, packed(columns))
+        span.basis.interreduce()
+        if nslots == 1:
+            ideal = TruncatedIdeal(field, span, rows=packed(columns))
+            ideal.product(ideal)
+            ideal.colon(TruncatedIdeal.from_monomial(M(1), field))
+    assert span.basis in bases and len(bases) > len(span.basis.rows)
+
+
+def test_rows_with_a_variable_factor_build_no_span(tmp_path, capsys,
+                                                   monkeypatch):
+    # every 2-minor of this presentation is divisible by y, and so are the
+    # entries of the rank-2 module; (x^2, x*y) lies in (x)
+    def refuse(*args):
+        raise AssertionError("a span was built")
+    monkeypatch.setattr(TruncatedSpan, "__init__", refuse)
+    found = {"field": "Q", "matrix": [
+        ["0", "0"], ["x^4 + x*y + 2*y", "7/6*y + 1/2*x^2*y"], ["y^4", "0"],
+        ["3/5*y^3 - 2/3*y^4 + y", "7/6*x*y^2 - y^2 + 2*y"]]}
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps(found), encoding="utf-8")
+    assert cli.main(["fitting", "--presentation", str(path), "--k", "2"]) == 1
+    assert "not finite colength" in capsys.readouterr().err
+    for field in (QQ, F7):
+        with pytest.raises(NotMPrimaryError, match="not finite colength"):
+            Tr("x^2", "x*y", field=field)
+        y, zero = P("y", field), Poly.zero(field)
+        with pytest.raises(NotMPrimaryError, match="not finite colength"):
+            span_with_certificate(packed([(y, zero), (zero, y * y),
+                                          (P("x*y + y^3", field), y)]),
+                                  2, field)
