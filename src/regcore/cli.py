@@ -67,10 +67,14 @@ def _ideal(fld, gens, config, engine=False):
     """The input ideal: the MonomialIdeal of term generators, which the
     staircase answers at any size, or, with `engine` or for other
     generators, the materialized TruncatedIdeal; a failure to materialize
-    is told apart from the truncation ceiling exactly for term generators."""
+    is told apart from the truncation ceiling exactly for term generators,
+    and first for a variable that divides every generator."""
     mono = term_ideal(gens)
     if mono is not None and not (mono.is_unit or mono.is_m_primary):
         raise NotMPrimaryError("ideal is not m-primary")
+    if mono is None and (content := divide_monomial_content(gens)[0]).degree:
+        raise NotMPrimaryError(f"ideal is not m-primary: {'xy'[not content.a]}"
+                               " divides every generator")
     if mono is not None and not engine:
         return mono
     ceiling = config.truncation_ceiling
@@ -121,7 +125,8 @@ def _adjoint(method, fld, gens, ideal, sampler, config):
         mono = ideal if isinstance(ideal, MonomialIdeal) else \
             ideal.to_monomial()
         if mono is None:
-            raise MathError("the lattice method needs a monomial ideal")
+            raise MathError("the lattice method, run by the default --method "
+                            "both, needs a monomial ideal: use --method colon")
         return adjoint(mono)
     if isinstance(ideal, MonomialIdeal):
         check_closed([ideal])
@@ -183,7 +188,8 @@ def _cmd_core(args, config):
         check_closed([ideal])  # core = adj(I)*I needs I closed
         out = adjoint(ideal).product(ideal)
     else:
-        core = core_module(ModuleRep.from_ideal(ideal), sampler)
+        core = core_module(ModuleRep.from_rows(
+            fld, 1, ideal.rows, ideal.den, config), sampler)
         gens = dict.fromkeys(col[0] for col in core.columns)  # each once
         out = TruncatedIdeal.materialize(list(gens), fld, config=config)
     _emit(args, ideal_to_obj(out, fld), _ideal_with_art(out))

@@ -6,8 +6,10 @@ Generators are columns inside the ambient free module F = R^r.  All exact
 decisions run through the same truncated spans as the ideal engine, with
 one slot per monomial of Sym(F): `ModuleRep.sym` is a TruncatedIdeal whose
 powers are the S_t(M), so the ideal engine's power test certifies module
-reductions and its difference table gives br(M).  Once br(M) is fixed, a
-draw is decided by one colength (`MultiplicityCertificate`).  Minors,
+reductions and its difference table gives br(M).  Reductions are drawn by
+the ideal's one search (`search_reduction`), so a rank-1 module is searched
+exactly as its ideal: by powers, or, once br(M) is fixed, by one colength
+(`MultiplicityCertificate`).  Minors,
 Fitting chains and drawn columns are packed rows over one common
 denominator per matrix or column list (`matrix_rows`, `vector_rows`),
 read as Polys only when a generator or column is read.
@@ -26,15 +28,12 @@ from .errors import (FieldMismatchError, GenericityError, MathError,
 from .field import Field
 from .poly import Poly, matrix_minors, minor_supports
 from .reduction import (GenericSampler, ReductionCertificate, adjoint_ideal,
-                        by_multiplicity, check_closed, is_reduction,
-                        power_difference, search_reduction, term_ideal)
+                        check_closed, is_reduction, power_difference,
+                        search_reduction, term_ideal)
 from .linalg import distinct_rows, monomial_row, row_product, sym_rows
 from .trunc import (TruncatedIdeal, row_vector, span_colon,
                     span_with_certificate, vector_row, vector_rows)
 from . import staircase
-
-# Symmetric-power degree bound tried for module reduction certificates.
-SYM_POWER_BOUND = 3
 
 
 class ModuleRep:
@@ -76,11 +75,6 @@ class ModuleRep:
                     raise MathError("presentation columns are not syzygies")
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_ideal(cls, ideal: TruncatedIdeal) -> "ModuleRep":
-        return cls(ideal.field, 1, [(g,) for g in ideal.gens],
-                   config=ideal.config)
 
     @classmethod
     def from_rows(cls, field: Field, rank: int, rows, den: int,
@@ -397,17 +391,18 @@ def sym_colength(M: ModuleRep, degree: int) -> int:
     return degree and next(islice(M.sym.powers(), degree - 1, None)).colength()
 
 
-def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int):
+def sym_reduction_check(N: ModuleRep, M: ModuleRep, t: int | None = None):
     """`is_reduction` of N's rows on M.sym: the certificate of the first
-    n <= t with S_1(N) * S_n(M) = S_(n+1)(M), for N <= M, or None."""
+    n <= t with S_1(N) * S_n(M) = S_(n+1)(M), for N <= M, or None; t is by
+    default `is_reduction`'s bound for M.sym's slots."""
     return is_reduction(N, M.sym, nmax=t, names=("N", "M"))
 
 
 def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler,
                              reference=None):
-    """r+1 seeded-generic column combinations with a verified certificate:
-    symmetric-power, or with a reference (br(M), certificate) from an
-    earlier reduction of M, one colength per draw (`by_multiplicity`).
+    """r+1 seeded-generic column combinations with their certificate
+    (`search_reduction`): by symmetric powers, or, with a reference
+    (br(M), certificate) from an earlier reduction of M, by one colength.
     A free module is its own minimal reduction, with a trivial certificate.
     """
     if M.is_free():
@@ -420,14 +415,10 @@ def minimal_reduction_module(M: ModuleRep, sampler: GenericSampler,
         N.sym  # must have finite colength in F
         return N
 
-    certify = (by_multiplicity(*reference) if reference is not None
-               else lambda N, _: sym_reduction_check(N, M, SYM_POWER_BOUND))
     return search_reduction(
-        rows, M.rank, M.field, sampler, build, certify,
-        M.config.truncation_ceiling, None if reference is not None else (
-            f"no draw N has S_1(N)*S_n(M) = S_(n+1)(M) for an n <= "
-            f"{SYM_POWER_BOUND}, the symmetric power bound of a module "
-            f"search (an ideal's search tries n up to colength(J))"))
+        rows, M.rank, M.field, sampler, build,
+        lambda N: sym_reduction_check(N, M), reference,
+        M.config.truncation_ceiling)
 
 
 def buchsbaum_rim(M: ModuleRep) -> int:

@@ -5,8 +5,8 @@ A reduction J <= I with J*I^n = I^(n+1) is certified, never assumed: the
 equality is established by a Nakayama argument inside a high enough
 truncation, or, once such a reduction has fixed e(I), by Rees' theorem
 colength(J) = e(I); the certificate is recorded so callers can re-verify.
-The one-colength decision (`by_multiplicity`, `MultiplicityCertificate`)
-serves modules too, with br(M) in place of e(I).
+One search (`search_reduction`) serves ideals and modules, an ideal being
+the rank-1 module, with br(M) in place of e(I) in `MultiplicityCertificate`.
 Generic elements come from a seeded sampler; genericity failures are
 detected (certificate fails, or cross-seed disagreement) and resampled.
 A certificate that is not found is None.  `check_closed` is the one
@@ -25,8 +25,7 @@ from .errors import (GenericityError, MathError, NotMPrimaryError,
 from .field import Field
 from .poly import Poly
 from .linalg import combine, distinct_rows, row_product
-from .trunc import (TruncatedIdeal, monomials_below, nakayama_covers,
-                    vector_rows)
+from .trunc import TruncatedIdeal, monomials_below, nakayama_covers
 from . import staircase
 
 
@@ -34,6 +33,9 @@ from . import staircase
 COEFFICIENT_POOL = 10
 # Draws of a reduction search before a genericity failure is reported.
 RETRY_LIMIT = 8
+# Power bound of a reduction test on a target of several slots, a module of
+# rank >= 2; one slot, an ideal or rank-1 module, tries n up to colength(J).
+SYM_POWER_BOUND = 3
 # Independent sampler seeds used to cross-check colon-method adjoints.
 ADJOINT_SEEDS = 3
 
@@ -64,27 +66,43 @@ class GenericSampler:
 
 
 def search_reduction(rows, rank: int, fld: Field, sampler: GenericSampler,
-                     build, certify, ceiling: int, refuted: str | None = None):
-    """(N, certify(N, drawn)) for the first draw of rank+1 seeded-generic
-    combinations of `rows`, the columns over one common denominator
-    (`vector_rows`), that `build` turns into a finite-colength N and
-    `certify` does not answer None; GenericityError after RETRY_LIMIT
-    draws, naming the truncation ceiling when no draw was decided, both
-    built and certified or refuted, below it, else `refuted`: what a None
-    from `certify` may mean besides a field too small for generic draws."""
+                     build, power_test, reference, ceiling: int):
+    """(N, certificate) for the first draw of rank+1 seeded-generic
+    combinations of `rows`, the columns over one common denominator, that
+    `build` turns into a finite-colength N and that is certified: by
+    `power_test(N)`, or, given reference = (e, certificate) with e = e(I)
+    or br(M) of an earlier reduction, by colength(N) = e.  An m-primary
+    J <= I is a reduction exactly when e(J) = e(I) (Rees 1961), N <= M when
+    br(N) = br(M) (Katz 1995, Kleiman-Thorup 1994), and a parameter ideal
+    or module has its colength as multiplicity (Buchsbaum-Rim 1964); so
+    colength(N) < e means e is not the multiplicity (MathError).
+    GenericityError after RETRY_LIMIT draws names the truncation ceiling
+    when no draw was decided below it, else the power bound of a rank >= 2
+    power test, else the field."""
     decided = False
     for _ in range(RETRY_LIMIT):
         cand = [sampler.combination(rows, fld) for _ in range(rank + 1)]
         try:
             N = build(cand)
-            cert = certify(N, cand)
+            if reference is None:
+                cert = power_test(N)
+            elif (ell := N.colength()) < reference[0]:
+                raise MathError(f"a parameter ideal or module N <= M has "
+                                f"colength {ell} below the reference "
+                                f"multiplicity {reference[0]}")
+            else:
+                cert = (MultiplicityCertificate(tuple(cand), *reference)
+                        if ell == reference[0] else None)
         except (NotMPrimaryError, ZeroIdealError, TruncationCeilingError):
             continue
         decided = True
         if cert is not None:
             return N, cert
-    reason = ((refuted or "the field may be too small or the input "
-               "pathological") if decided
+    reason = ((f"no draw N has S_1(N)*S_n(M) = S_(n+1)(M) for an n <= "
+               f"{SYM_POWER_BOUND}, the symmetric power bound of a module "
+               f"search" if reference is None and rank > 1 else
+               "the field may be too small or the input pathological")
+              if decided
               else f"no draw could be decided below the truncation ceiling "
               f"{ceiling}: raise --ceiling")
     raise GenericityError(
@@ -133,12 +151,14 @@ def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None,
 
     None is one-sided: no certificate up to the bound is not a disproof.
     A power past the truncation ceiling raises TruncationCeilingError.
-    The default bound tries n = 1 first and falls back to colength(J).
+    The default bound is colength(J) on a one-slot I, an ideal or the Sym_1
+    form of a rank-1 module, else SYM_POWER_BOUND.
     """
     if not I.contains_ideal(J):
         raise MathError("{} is not contained in {}".format(*names))
     if nmax is None:
-        nmax = max(1, J.colength())
+        nmax = (max(1, J.colength()) if I.span.nslots == 1
+                else SYM_POWER_BOUND)
     for n, (power, bigger) in zip(range(1, nmax + 1), pairwise(I.powers())):
         q_rows = [row_product(g, h, bigger.n0, I.field.p)
                   for g in J.rows for h in power.standard_rows]
@@ -147,22 +167,17 @@ def is_reduction(J: TruncatedIdeal, I: TruncatedIdeal, nmax: int | None = None,
     return None
 
 
-def _first_reduction(I: TruncatedIdeal, sampler: GenericSampler, certify):
-    """(J, certify(J)) for the first 2-generated draw J <= I that `certify`
-    does not answer None; I's generators are read as Polys, and J's only
-    when asked."""
+def minimal_reduction(I: TruncatedIdeal, sampler: GenericSampler,
+                      reference=None):
+    """Two seeded-generic combinations of I's rows, over I.den, with their
+    certificate (`search_reduction`): by powers of I, or, with a reference
+    (e(I), certificate) from an earlier reduction, by one colength."""
     if I.is_unit:
         raise NotMPrimaryError("the unit ideal has no minimal reduction")
-    rows, den = vector_rows([(g,) for g in I.gens], I.field)
     return search_reduction(
-        rows, 1, I.field, sampler,
-        lambda cand: TruncatedIdeal.from_rows(cand, I.field, I.config, den),
-        certify, I.config.truncation_ceiling)
-
-
-def minimal_reduction(I: TruncatedIdeal, sampler: GenericSampler):
-    """Two seeded-generic combinations of the generators, with certificate."""
-    return _first_reduction(I, sampler, lambda J, _: is_reduction(J, I))
+        I.rows, 1, I.field, sampler,
+        lambda cand: TruncatedIdeal.from_rows(cand, I.field, I.config, I.den),
+        lambda J: is_reduction(J, I), reference, I.config.truncation_ceiling)
 
 
 @dataclass(frozen=True)
@@ -170,42 +185,18 @@ class MultiplicityCertificate:
     """Witness that the parameter ideal or module N <= M with these drawn
     columns (rows over one common denominator, `vector_rows`) is a
     reduction, by one colength: colength(N) = e, the colength of the
-    reduction that `reference` certifies, so both can be re-verified.
-
-    R is formally equidimensional, so an m-primary J <= I is a reduction
-    exactly when e(J) = e(I) (Rees 1961); a finite-colength N <= M is one
-    exactly when br(N) = br(M) (Katz 1995, Kleiman-Thorup 1994).  For a
-    parameter ideal or module the multiplicity is its colength (Buchsbaum-
-    Rim 1964).  No power of I and no symmetric power was checked: degree 0.
-    """
+    reduction that `reference` certifies, so both can be re-verified
+    (`search_reduction`).  No power was checked: exponent and degree 0."""
 
     columns: tuple
     e: int
     reference: object  # the ReductionCertificate
-    degree: int = 0
+    exponent: int = 0
     trivial: bool = False
 
-
-def by_multiplicity(e: int, reference):
-    """The `certify` of a reduction search of I or M that knows e = e(I) or
-    br(M): e(N) >= e always, so colength(N) > e refutes the draw N, and
-    colength(N) < e means e is not the multiplicity."""
-    def certify(N, columns):
-        ell = N.colength()
-        if ell < e:
-            raise MathError(f"a parameter ideal or module N <= M has "
-                            f"colength {ell} below the reference "
-                            f"multiplicity {e}")
-        if ell == e:
-            return MultiplicityCertificate(tuple(columns), e, reference)
-    return certify
-
-
-def rees_reduction(I: TruncatedIdeal, sampler: GenericSampler, e: int,
-                   reference: ReductionCertificate):
-    """A 2-generated reduction of I, given e = e(I), by one colength per draw
-    (`by_multiplicity`)."""
-    return _first_reduction(I, sampler, by_multiplicity(e, reference))
+    @property
+    def degree(self) -> int:
+        return self.exponent
 
 
 def is_integral_element(f: Poly, I: TruncatedIdeal, nmax: int | None = None):
@@ -280,9 +271,9 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
     every minimal reduction J (Lipman-Teissier 1981; R(X) for a finite
     field).  Its colon must have colength(J) - colength(I), as linkage
     gives for a parameter ideal J <= I (Peskine-Szpiro 1974).  The later
-    seeds' J_k, certified by colength e(I) (`rees_reduction`), must agree,
-    as J : I = adj(I) for closed I: their colons have that colength too,
-    so J_k : I = first exactly when first*I <= J_k.
+    seeds' J_k, certified by colength e(I) (reference (e, cert)), must
+    agree, as J : I = adj(I) for closed I: their colons have that colength
+    too, so J_k : I = first exactly when first*I <= J_k.
     On monomial input the output is checked to be integrally closed.
     """
     if I.is_unit:
@@ -300,7 +291,7 @@ def adjoint_ideal(I: TruncatedIdeal, sampler: GenericSampler) -> TruncatedIdeal:
                              for g in first.standard_rows
                              for h in I.standard_rows)
     for k in range(1, ADJOINT_SEEDS):
-        J, _ = rees_reduction(I, sampler.spawn(1009 * k), e, cert)
+        J, _ = minimal_reduction(I, sampler.spawn(1009 * k), (e, cert))
         if not all(J.span.contains_row(f) for f in products):
             raise MathError("the input is not integrally closed: colon "
                             "adjoints disagree across seeds")

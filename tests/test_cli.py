@@ -318,19 +318,57 @@ def test_module_reduction_search_names_the_ceiling_a_power_passes(tmp_path,
 
 def test_module_reduction_names_the_symmetric_power_bound(tmp_path, capsys):
     # (x^5, x^4*y, y^5) is not integrally closed: its reductions need
-    # J*I^4 = I^5, past the module search's bound n <= 3, which the refusal
-    # names instead of the field; the ideal search, to colength(J), answers
+    # J*I^4 = I^5.  As a rank-1 module it is searched as its ideal, with n
+    # up to colength(J), and both answer the same generators with degree 4
     gens = ["x^5", "x^4*y", "y^5"]
     module = write(tmp_path, "M.json", {"field": "F65537", "rank": 1,
                                         "generators": [[g] for g in gens]})
     code, out, err = run(capsys, "reduction", "--module", module)
-    assert code == 1 and out == ""
-    assert "field may be too small" not in err
-    assert "S_1(N)*S_n(M) = S_(n+1)(M) for an n <= 3" in err
+    assert code == 0
+    answer = json.loads(out)
+    assert answer["certificate"] == {"symmetric_degree": 4, "trivial": False}
     ideal = write(tmp_path, "I.json", {"field": "F65537", "gens": gens})
     code, out, err = run(capsys, "reduction", "--ideal", ideal)
     assert code == 0
     assert json.loads(out)["certificate"] == {"exponent": 4, "colength": 335}
+    assert [[g] for g in json.loads(out)["gens"]] == answer["generators"]
+    # its sum with m has rank 2, where the search stops at n <= 3, and the
+    # refusal names that bound instead of the field
+    module = write(tmp_path, "S.json", {
+        "field": "F65537", "rank": 2,
+        "generators": [[g, "0"] for g in gens] + [["0", "x"], ["0", "y"]]})
+    code, out, err = run(capsys, "reduction", "--module", module)
+    assert code == 1 and out == ""
+    assert "field may be too small" not in err
+    assert "S_1(N)*S_n(M) = S_(n+1)(M) for an n <= 3" in err
+
+
+@pytest.mark.parametrize("command", ["closure", "reduction", "mult", "core"])
+def test_a_variable_dividing_every_generator_is_named(tmp_path, capsys,
+                                                      command):
+    # no ceiling helps here: x divides both generators, so the ideal is not
+    # m-primary, and the loader says so before anything is materialized
+    path = write(tmp_path, "I.json",
+                 {"field": "Q", "gens": ["x^2 + x*y^2", "x*y^3"]})
+    assert run(capsys, command, "--ideal", path) == (
+        1, "", "error: ideal is not m-primary: x divides every generator\n")
+    path = write(tmp_path, "J.json",
+                 {"field": "F7", "gens": ["y^2 + x*y^2", "x^3*y"]})
+    assert run(capsys, command, "--ideal", path) == (
+        1, "", "error: ideal is not m-primary: y divides every generator\n")
+
+
+def test_default_adjoint_names_its_lattice_half(tmp_path, capsys):
+    # the default --method both runs the lattice method, which needs a
+    # monomial ideal; --method colon answers this one
+    path = write(tmp_path, "I.json",
+                 {"field": "Q", "gens": ["x + y^2", "y^3"]})
+    assert run(capsys, "adjoint", "--ideal", path) == (
+        1, "", "error: the lattice method, run by the default --method both, "
+        "needs a monomial ideal: use --method colon\n")
+    code, out, err = run(capsys, "adjoint", "--ideal", path,
+                         "--method", "colon")
+    assert code == 0
 
 
 # fractional Q input: one common denominator per matrix or generator list,

@@ -19,7 +19,7 @@ from regcore.modcore import (ModuleRep, _slot_monomial_ideals, buchsbaum_rim,
 from regcore.poly import Poly, matrix_minors, parse_poly
 from regcore.reduction import (RETRY_LIMIT, GenericSampler,
                                MultiplicityCertificate, hilbert_samuel,
-                               minimal_reduction, rees_reduction)
+                               minimal_reduction)
 from regcore.staircase import (MonomialIdeal, colength, multiplicity,
                                presentation_matrix)
 from regcore.trunc import (TruncatedIdeal, row_vector, span_with_certificate,
@@ -27,7 +27,7 @@ from regcore.trunc import (TruncatedIdeal, row_vector, span_with_certificate,
 
 from oracles import (reference_chain_gens, reference_combination,
                      reference_fitting, reference_sym_product)
-from test_reduction import StuckSampler
+from test_reduction import FixedPairSampler, StuckSampler
 
 F65537 = PrimeField(65537)
 F7 = PrimeField(7)
@@ -616,9 +616,10 @@ def test_buchsbaum_rim_reference_agrees_with_symmetric_powers(field):
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=str)
 def test_rank_one_is_one_multiplicity_decision(field):
-    # an ideal is the rank-1 module: with one sampler seed and one reference
-    # e(I), the ideal and module searches accept the same drawn columns
-    # with equal certificates, and refuse a wrong e with one error
+    # an ideal is the rank-1 module: with one sampler seed, by powers or by
+    # one reference e(I), the ideal and module searches accept the same
+    # drawn columns with equal certificates, and refuse a wrong e with one
+    # error
     ideals = [TruncatedIdeal.from_monomial(M(2), field),
               TruncatedIdeal.from_monomial(WORKED, field),
               TruncatedIdeal.materialize([P("x^2 - y^3", field),
@@ -626,22 +627,78 @@ def test_rank_one_is_one_multiplicity_decision(field):
     for i, ideal in enumerate(ideals):
         J1, cert = minimal_reduction(ideal, GenericSampler(i))
         e = J1.colength()
-        mod = ModuleRep.from_ideal(ideal)
+        mod = ModuleRep.from_rows(field, 1, ideal.rows, ideal.den)
+        N1, pcert = minimal_reduction_module(mod, GenericSampler(i))
+        assert N1.columns == tuple((g,) for g in J1.gens)
+        assert (pcert.degree, pcert.colength) == (cert.exponent, cert.colength)
         for seed in (10 + i, 20 + i):
-            J, icert = rees_reduction(ideal, GenericSampler(seed), e, cert)
+            J, icert = minimal_reduction(ideal, GenericSampler(seed),
+                                         (e, cert))
             N, mcert = minimal_reduction_module(mod, GenericSampler(seed),
                                                 (e, cert))
             assert isinstance(icert, MultiplicityCertificate)
             assert icert == mcert
             assert (icert.degree, icert.trivial) == (0, False)
+            assert icert.exponent == 0
             assert icert.columns == tuple(N.rows) == tuple(J.rows)
             assert N.columns == tuple((g,) for g in J.gens)
         with pytest.raises(MathError) as ideal_error:
-            rees_reduction(ideal, GenericSampler(i), e + 1, cert)
+            minimal_reduction(ideal, GenericSampler(i), (e + 1, cert))
         with pytest.raises(MathError) as module_error:
             minimal_reduction_module(mod, GenericSampler(i), (e + 1, cert))
         assert str(ideal_error.value) == str(module_error.value)
         assert "below the reference multiplicity" in str(ideal_error.value)
+
+
+# rank-1 inputs, closed and not: (x^5, x^4*y, y^5) needs J*I^4 = I^5, past
+# the bound n <= 3 of a module search of rank >= 2
+RANK_ONE = [["x^2", "x*y", "y^2"], ["x^3", "x*y", "y^2"],
+            ["x^2 - y^3", "x*y + y^3"], ["x^5", "x^4*y", "y^5"],
+            ["x^2", "y^3"], ["x^4", "x^2*y + x^3", "y^2 + 2*x*y + x^2"],
+            ["x^3 + y^4", "x*y^2", "y^3"]]
+
+
+def _same_search(ideal, mod, sampler, twin):
+    """The ideal's and the rank-1 module's searches, on equal samplers, draw
+    the same generators with exponent = symmetric degree, or refuse with
+    the same text."""
+    try:
+        J, cert = minimal_reduction(ideal, sampler)
+    except GenericityError as refused:
+        with pytest.raises(GenericityError) as module_refused:
+            minimal_reduction_module(mod, twin)
+        assert str(module_refused.value) == str(refused)
+        return str(refused)
+    N, mcert = minimal_reduction_module(mod, twin)
+    assert N.columns == tuple((g,) for g in J.gens)
+    assert (mcert.degree, mcert.colength) == (cert.exponent, cert.colength)
+    return cert.exponent
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([QQ, F7, F65537]), st.sampled_from(RANK_ONE),
+       st.integers(0, 10**6), st.sampled_from([64, 9]))
+def test_rank_one_module_is_searched_as_its_ideal(field, gens, seed,
+                                                  ceiling):
+    # a ceiling of 9 leaves some draws undecided, and then all of them
+    config = EngineConfig(truncation_ceiling=ceiling)
+    try:
+        ideal = TruncatedIdeal.materialize([P(g, field) for g in gens], field,
+                                           config)
+    except MathError:  # the input itself needs a higher ceiling
+        return
+    mod = ModuleRep(field, 1, [(P(g, field),) for g in gens], config=config)
+    _same_search(ideal, mod, GenericSampler(seed), GenericSampler(seed))
+
+
+def test_rank_one_module_refuses_as_its_ideal():
+    # every draw is (x, y^2), whose powers never reach m's: the same
+    # refusal, which names the field, not a power bound
+    refused = _same_search(TruncatedIdeal.from_monomial(M(1), QQ),
+                           mono_module(M(1)),
+                           FixedPairSampler(P("x"), P("y^2")),
+                           FixedPairSampler(P("x"), P("y^2")))
+    assert "the field may be too small" in refused
 
 
 def test_buchsbaum_rim_values():

@@ -18,8 +18,7 @@ from regcore.reduction import (COEFFICIENT_POOL, RETRY_LIMIT, GenericSampler,
                                ReductionCertificate,
                                adjoint_ideal, hilbert_samuel,
                                integral_closure_ideal, is_integral_element,
-                               is_reduction, minimal_reduction,
-                               rees_reduction, term_ideal)
+                               is_reduction, minimal_reduction, term_ideal)
 from regcore.staircase import (MonomialIdeal, adjoint, integral_closure,
                                multiplicity)
 from regcore.trunc import (TruncatedIdeal, row_vector, span_colon, vector_row,
@@ -200,7 +199,8 @@ def test_prime_field_reduction():
 def test_rees_reduction_accepts_by_colength_and_keeps_the_reference():
     I = from_mono(M(2))
     J1, cert = minimal_reduction(I, GenericSampler(seed=42))
-    J, mcert = rees_reduction(I, GenericSampler(seed=43), J1.colength(), cert)
+    J, mcert = minimal_reduction(I, GenericSampler(seed=43),
+                                 (J1.colength(), cert))
     assert isinstance(mcert, MultiplicityCertificate)
     assert mcert.e == J.colength() == 4
     assert mcert.reference is cert
@@ -250,7 +250,7 @@ def test_colength_above_e_is_not_a_reduction():
     assert is_reduction(J, I) is None
     _, cert = minimal_reduction(I, GenericSampler(seed=42))
     with pytest.raises(GenericityError):  # every draw is J, and refuted
-        rees_reduction(I, FixedPairSampler(P("x"), P("y^2")), 1, cert)
+        minimal_reduction(I, FixedPairSampler(P("x"), P("y^2")), (1, cert))
 
 
 def test_reference_multiplicity_too_large_raises():
@@ -258,7 +258,7 @@ def test_reference_multiplicity_too_large_raises():
     # has colength 4 < 5
     J1, cert = minimal_reduction(from_mono(M(2)), GenericSampler(seed=42))
     with pytest.raises(MathError):
-        rees_reduction(from_mono(M(2)), GenericSampler(seed=43), 5, cert)
+        minimal_reduction(from_mono(M(2)), GenericSampler(seed=43), (5, cert))
 
 
 def _changed(field, exponents, lin):
@@ -311,12 +311,13 @@ def test_rees_and_nakayama_agree(data):
     J1, cert = minimal_reduction(I, GenericSampler(seed))
     e = J1.colength()
     for k in (1, 2):
-        J, mcert = rees_reduction(I, GenericSampler(seed + 1009 * k), e, cert)
+        J, mcert = minimal_reduction(I, GenericSampler(seed + 1009 * k),
+                                     (e, cert))
         assert J.colength() == mcert.e == e
         assert isinstance(is_reduction(J, I), ReductionCertificate)
     # a wrong e below every colength: each draw is refuted, none accepted
     with pytest.raises(GenericityError):
-        rees_reduction(I, GenericSampler(seed), e - 1, cert)
+        minimal_reduction(I, GenericSampler(seed), (e - 1, cert))
     # the same draws are accepted, so the colon adjoint is unchanged; the
     # seeds may disagree, as I need not be integrally closed, and then I
     # is refused; refused input is skipped
@@ -404,8 +405,10 @@ def test_seeds_that_disagree_are_refused(monkeypatch):
     # a later seed that disagrees: for m^2, J_1 : I = m, and J = (x, y^4)
     # has the colength e(m^2) = 4 but not y^3 of m*m^2
     other = TruncatedIdeal.materialize([P("x"), P("y^4")], QQ)
-    monkeypatch.setattr(reduction, "rees_reduction",
-                        lambda *args: (other, None))
+    search = reduction.minimal_reduction
+    monkeypatch.setattr(reduction, "minimal_reduction",
+                        lambda I, sampler, reference=None: (other, None)
+                        if reference else search(I, sampler))
     with pytest.raises(MathError, match="not integrally closed: colon "
                                         "adjoints disagree across seeds"):
         adjoint_ideal(from_mono(M(2)), GenericSampler(1))
